@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 import traceback
 from pathlib import Path
@@ -19,6 +20,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     GridPoint,
+    config_to_dict,
     emit_plot_data,
     load_config,
     read_results,
@@ -59,12 +61,29 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _check_resumable(cfg: ExperimentConfig, out: Path) -> None:
+    """Refuse to resume over results made under other settings.
+
+    The grids (lists), seeds and label only choose which points run;
+    every other setting changes a point's numbers.
+    """
+    manifest = out / "manifest.json"
+    prior = json.loads(manifest.read_text()).get("config") if manifest.exists() else None
+    if prior is None:
+        raise ConfigError(f"cannot resume '{out}': its manifest.json holds no config")
+    changed = [key for key, value in config_to_dict(cfg).items()
+               if not isinstance(value, list) and key != "label" and prior.get(key) != value]
+    if changed:
+        raise ConfigError(f"cannot resume '{out}': {', '.join(changed)} changed since its run")
+
+
 def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     out = Path(args.out)
     existing = None
     prior = out / "results.csv"
     if prior.exists():
+        _check_resumable(cfg, out)
         existing = read_results(prior)
         print(f"resuming: {sum(r.ok for r in existing)} completed points found")
     records = run_sweep(cfg, parallel=args.parallel, existing=existing)
@@ -77,17 +96,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_complexity(args) -> int:
     if args.config:
         cfg = load_config(args.config)
-        n_outs = args.n_out or list(cfg.n_out)
-        base = dataclasses.asdict(cfg.esn)
-        base["sps"] = cfg.link.sps
-        base["num_slices"] = cfg.link.num_slices
+        esn_cfgs = [cfg.esn_config(n, cfg.seeds[0]) for n in args.n_out or cfg.n_out]
     else:
-        n_outs = args.n_out or [1, 17, 23]
-        base = {}
+        esn_cfgs = [EsnConfig(n_out=n) for n in args.n_out or [1, 17, 23]]
     print(f"{'n_out':>6} {'rmps':>12}")
-    for n_out in n_outs:
-        esn_cfg = EsnConfig(n_out=n_out, **base)
-        print(f"{n_out:>6} {complexity_rmps(esn_cfg):>12.4f}")
+    for esn_cfg in esn_cfgs:
+        print(f"{esn_cfg.n_out:>6} {complexity_rmps(esn_cfg):>12.4f}")
     return 0
 
 

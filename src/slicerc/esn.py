@@ -294,8 +294,6 @@ def _solve_masked_ridge(
     w_out = np.zeros((n_out, d + 1))
     for r in range(n_out):
         sel = np.flatnonzero(mask[r])
-        if sel.size == 0:
-            raise ValueError(f"readout row {r} has an empty mask, nothing to train")
         cols = np.append(sel, d)
         a = gram[np.ix_(cols, cols)].copy()
         a[np.arange(sel.size), np.arange(sel.size)] += lam

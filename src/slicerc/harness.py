@@ -16,10 +16,10 @@ import math
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, make_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -33,7 +33,6 @@ from .metrics import (
     NotBracketed,
     complexity_rmps,
     count_errors,
-    curve_from_points,
     hard_decision,
     snr_at_threshold,
 )
@@ -43,34 +42,35 @@ class ConfigError(ValueError):
     """Configuration file could not be parsed or validated."""
 
 
-@dataclass(frozen=True, slots=True)
-class LinkParams:
-    """Link settings shared by every grid point."""
-
-    baud_rate: float = 32e9
-    sps: int = 2
-    rolloff: float = 0.1
-    rrc_span_symbols: int = 64
-    dispersion_ps_nm_km: float = 16.4
-    wavelength_nm: float = 1550.0
-    num_slices: int = 4
-    mzm_mod_index: float = 0.5
+# LinkConfig/EsnConfig fields that each grid point sets; every other
+# field is shared by the whole sweep and read from the config file
+_PER_POINT_LINK = {"fiber_length_km", "snr_db", "n_symbols", "seed"}
+_PER_POINT_ESN = {"n_out", "sps", "num_slices", "seed"}
 
 
-@dataclass(frozen=True, slots=True)
-class EsnParams:
-    """Equalizer settings shared by every grid point."""
+def _shared_params(name: str, cls: type, per_point: set[str], doc: str) -> type:
+    """Frozen dataclass of ``cls``'s fields and defaults minus ``per_point``."""
+    hints = get_type_hints(cls)
+    shared = [(f.name, hints[f.name], field(default=f.default)) for f in fields(cls)
+              if f.name not in per_point]
+    # make_dataclass has no module= argument before Python 3.12, and
+    # worker processes unpickle configs by module-qualified name
+    return make_dataclass(name, shared, frozen=True, slots=True,
+                          namespace={"__module__": __name__, "__doc__": doc})
 
-    k: int = 11
-    n_res: int = 30
-    spectral_radius: float = 1.2
-    leak: float = 0.7
-    s_in: float = 0.1
-    s_res: float = 0.05
-    s_out: float = 0.1
-    input_scaling: float = 1.0
-    ridge_lambda: float = 1e-4
-    washout: int = 100
+
+LinkParams = _shared_params(
+    "LinkParams", LinkConfig, _PER_POINT_LINK, "Link settings shared by every grid point."
+)
+EsnParams = _shared_params(
+    "EsnParams", EsnConfig, _PER_POINT_ESN, "Equalizer settings shared by every grid point."
+)
+
+
+class GridPoint(NamedTuple):
+    fiber_length_km: float
+    n_out: int
+    snr_db: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,12 +102,36 @@ class ExperimentConfig:
             raise ConfigError("seeds must not be empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
+        # run the link and equalizer validators now, not once per point
+        try:
+            for length in self.fiber_length_km:
+                where = f"link at fiber_length_km={length}"
+                self.link_config(GridPoint(length, self.n_out[0], self.snr_db[0]), self.seeds[0])
+            for n_out in self.n_out:
+                where = f"esn at n_out={n_out}"
+                self.esn_config(n_out, self.seeds[0])
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
+    def link_config(self, point: GridPoint, seed: int) -> LinkConfig:
+        """Link settings of one grid point under one seed."""
+        return LinkConfig(
+            fiber_length_km=point.fiber_length_km,
+            snr_db=point.snr_db,
+            n_symbols=self.total_symbols,
+            seed=seed,
+            **asdict(self.link),
+        )
 
-class GridPoint(NamedTuple):
-    fiber_length_km: float
-    n_out: int
-    snr_db: float
+    def esn_config(self, n_out: int, seed: int) -> EsnConfig:
+        """Equalizer settings of one readout width under one seed."""
+        return EsnConfig(
+            n_out=n_out,
+            sps=self.link.sps,
+            num_slices=self.link.num_slices,
+            seed=seed,
+            **asdict(self.esn),
+        )
 
 
 @dataclass(slots=True)
@@ -138,87 +162,51 @@ class SweepRecord:
         return (self.fiber_length_km, self.n_out, self.snr_db, self.seed)
 
 
-_RECORD_COLUMNS = [f.name for f in fields(SweepRecord)]
+# column name -> type, in column order; drives both writing and parsing
+_RECORD_TYPES = get_type_hints(SweepRecord)
 
 
-def _coerce(value, ftype: type, path: str):
-    if ftype is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"'{path}' must be a number, got {value!r}")
-        return float(value)
-    if ftype is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"'{path}' must be an integer, got {value!r}")
-        return int(value)
-    if ftype is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"'{path}' must be a string, got {value!r}")
-        return value
-    raise ConfigError(f"'{path}' has unsupported type")
+# scalar field type -> (YAML values it accepts, name used in errors)
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
 
-def _coerce_listable(value, item_type: type, path: str) -> tuple:
-    items = value if isinstance(value, list) else [value]
-    return tuple(_coerce(v, item_type, path) for v in items)
+def _coerce(value, hint, path: str):
+    """Check one config value against its field type and convert it."""
+    if get_origin(hint) is tuple:
+        # a grid: a list, or a single value standing for a one-item list
+        items = value if isinstance(value, list) else [value]
+        return tuple(_coerce(v, get_args(hint)[0], path) for v in items)
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{path}' must be a mapping")
+        return _from_mapping(hint, value, f"{path}.")
+    if hint not in _SCALARS:
+        raise ConfigError(f"'{path}' has unsupported type")
+    accepted, noun = _SCALARS[hint]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"'{path}' must be {noun}, got {value!r}")
+    return hint(value)
 
 
-# dataclasses stores annotations as strings under future-import semantics;
-# resolve the handful of types the schema uses.
-_TYPE_NAMES = {"float": float, "int": int, "str": str}
-
-
-def _resolved(f) -> type:
-    t = f.type
-    return _TYPE_NAMES[t] if isinstance(t, str) else t
+def _from_mapping(cls: type, data: dict, prefix: str):
+    """Build dataclass ``cls`` from a mapping keyed by its field names."""
+    hints = get_type_hints(cls)
+    for key in data:
+        if key not in hints:
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in data:
+            raise ConfigError(f"missing required field '{prefix}{f.name}'")
+    return cls(
+        **{name: _coerce(value, hints[name], prefix + name) for name, value in data.items()}
+    )
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a plain mapping against the documented schema."""
+    """Validate a plain mapping against the ExperimentConfig schema."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
-    scalar = {
-        "total_symbols": int,
-        "train_fraction": float,
-        "label": str,
-    }
-    grids = {
-        "fiber_length_km": float,
-        "snr_db": float,
-        "n_out": int,
-        "seeds": int,
-    }
-    known = set(scalar) | set(grids) | {"link", "esn"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown key '{key}'")
-    if "fiber_length_km" not in raw:
-        raise ConfigError("missing required field 'fiber_length_km'")
-    kwargs: dict = {}
-    for name, item_type in grids.items():
-        if name in raw:
-            kwargs[name] = _coerce_listable(raw[name], item_type, name)
-    for name, ftype in scalar.items():
-        if name in raw:
-            kwargs[name] = _coerce(raw[name], ftype, name)
-    if "link" in raw:
-        kwargs["link"] = _build_params_resolved(LinkParams, raw["link"], "link")
-    if "esn" in raw:
-        kwargs["esn"] = _build_params_resolved(EsnParams, raw["esn"], "esn")
-    return ExperimentConfig(**kwargs)
-
-
-def _build_params_resolved(cls, data, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"'{path}' must be a mapping")
-    known = {f.name: _resolved(f) for f in fields(cls)}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown key '{path}.{key}'")
-    kwargs = {
-        name: _coerce(value, known[name], f"{path}.{name}")
-        for name, value in data.items()
-    }
-    return cls(**kwargs)
+    return _from_mapping(ExperimentConfig, raw, "")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -228,23 +216,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse '{path}': {exc}") from exc
-    if raw is None:
-        raw = {}
-    return config_from_dict(raw)
+    return config_from_dict({} if raw is None else raw)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-mapping form of a config; inverse of config_from_dict."""
     return {
-        "label": cfg.label,
-        "total_symbols": cfg.total_symbols,
-        "train_fraction": cfg.train_fraction,
-        "seeds": list(cfg.seeds),
-        "fiber_length_km": list(cfg.fiber_length_km),
-        "snr_db": list(cfg.snr_db),
-        "n_out": list(cfg.n_out),
-        "link": asdict(cfg.link),
-        "esn": asdict(cfg.esn),
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in asdict(cfg).items()
     }
 
 
@@ -273,20 +252,8 @@ def run_experiment(cfg: ExperimentConfig, point: GridPoint, seed: int) -> SweepR
     of a sweep shares the same draw and retrains only the readout.
     """
     started = time.perf_counter()
-    link_cfg = LinkConfig(
-        fiber_length_km=point.fiber_length_km,
-        snr_db=point.snr_db,
-        n_symbols=cfg.total_symbols,
-        seed=seed,
-        **asdict(cfg.link),
-    )
-    esn_cfg = EsnConfig(
-        n_out=point.n_out,
-        sps=cfg.link.sps,
-        num_slices=cfg.link.num_slices,
-        seed=seed,
-        **asdict(cfg.esn),
-    )
+    link_cfg = cfg.link_config(point, seed)
+    esn_cfg = cfg.esn_config(point.n_out, seed)
     obs, frame = simulate_link(link_cfg)
     guard = obs.guard_symbols
     usable = frame.n_symbols - 2 * guard
@@ -323,33 +290,19 @@ def run_experiment(cfg: ExperimentConfig, point: GridPoint, seed: int) -> SweepR
     )
 
 
-def _error_record(
-    cfg: ExperimentConfig, point: GridPoint, seed: int, exc: Exception
-) -> SweepRecord:
-    return SweepRecord(
-        label=cfg.label,
-        seed=int(seed),
-        snr_db=float(point.snr_db),
-        fiber_length_km=float(point.fiber_length_km),
-        n_out=int(point.n_out),
-        n_res=int(cfg.esn.n_res),
-        ber=math.nan,
-        ser=math.nan,
-        per_position_ber=(),
-        rmps=math.nan,
-        train_symbols=0,
-        test_symbols=0,
-        wall_time_s=0.0,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
 def _run_point(args: tuple[ExperimentConfig, GridPoint, int]) -> SweepRecord:
+    """run_experiment, with a failure turned into an error row."""
     cfg, point, seed = args
     try:
         return run_experiment(cfg, point, seed)
     except Exception as exc:
-        return _error_record(cfg, point, seed, exc)
+        return SweepRecord(
+            label=cfg.label, seed=int(seed), snr_db=float(point.snr_db),
+            fiber_length_km=float(point.fiber_length_km), n_out=int(point.n_out),
+            n_res=int(cfg.esn.n_res), ber=math.nan, ser=math.nan, per_position_ber=(),
+            rmps=math.nan, train_symbols=0, test_symbols=0, wall_time_s=0.0,
+            error=f"{type(exc).__name__}: {exc}",
+        )
 
 
 def run_sweep(
@@ -365,21 +318,17 @@ def run_sweep(
     """
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
-    done: dict[tuple, SweepRecord] = {}
-    for rec in existing or ():
-        if rec.ok:
-            done[rec.key] = rec
+    # a record's key is its grid point followed by its seed
+    done = {rec.key: rec for rec in existing or () if rec.ok}
     points = grid_points(cfg)
-    todo = [(cfg, p, s) for p, s in points if (p.fiber_length_km, p.n_out, p.snr_db, s) not in done]
+    todo = [(cfg, p, s) for p, s in points if (*p, s) not in done]
     if parallel == 1 or len(todo) <= 1:
         fresh = [_run_point(args) for args in todo]
     else:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             fresh = list(pool.map(_run_point, todo, chunksize=1))
-    by_key = dict(done)
-    for rec in fresh:
-        by_key[rec.key] = rec
-    return [by_key[(p.fiber_length_km, p.n_out, p.snr_db, s)] for p, s in points]
+    done.update((rec.key, rec) for rec in fresh)
+    return [done[(*p, s)] for p, s in points]
 
 
 def _format_cell(value) -> str:
@@ -388,6 +337,12 @@ def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _parse_cell(text: str, hint):
+    if get_origin(hint) is tuple:
+        return tuple(get_args(hint)[0](v) for v in text.split(";") if v)
+    return hint(text)
 
 
 def write_results(
@@ -402,11 +357,9 @@ def write_results(
     csv_path = out / "results.csv"
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_RECORD_COLUMNS)
+        writer.writerow(_RECORD_TYPES)
         for rec in records:
-            writer.writerow(
-                [_format_cell(getattr(rec, col)) for col in _RECORD_COLUMNS]
-            )
+            writer.writerow([_format_cell(getattr(rec, col)) for col in _RECORD_TYPES])
     manifest = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "package_version": _package_version(),
@@ -444,28 +397,12 @@ def read_results(csv_path: str | Path) -> list[SweepRecord]:
     records = []
     with Path(csv_path).open(newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != _RECORD_COLUMNS:
+        if reader.fieldnames != list(_RECORD_TYPES):
             raise ValueError(f"unexpected results.csv header in '{csv_path}'")
         for row in reader:
-            per_pos = row["per_position_ber"]
             records.append(
                 SweepRecord(
-                    label=row["label"],
-                    seed=int(row["seed"]),
-                    snr_db=float(row["snr_db"]),
-                    fiber_length_km=float(row["fiber_length_km"]),
-                    n_out=int(row["n_out"]),
-                    n_res=int(row["n_res"]),
-                    ber=float(row["ber"]),
-                    ser=float(row["ser"]),
-                    per_position_ber=tuple(
-                        float(v) for v in per_pos.split(";") if v
-                    ),
-                    rmps=float(row["rmps"]),
-                    train_symbols=int(row["train_symbols"]),
-                    test_symbols=int(row["test_symbols"]),
-                    wall_time_s=float(row["wall_time_s"]),
-                    error=row["error"],
+                    **{col: _parse_cell(row[col], hint) for col, hint in _RECORD_TYPES.items()}
                 )
             )
     return records
@@ -494,16 +431,6 @@ def series_curve(records: list[SweepRecord]) -> BerSnrCurve:
     )
 
 
-def _series_groups(records: list[SweepRecord]) -> dict[tuple, list[SweepRecord]]:
-    groups: dict[tuple, list[SweepRecord]] = {}
-    for rec in records:
-        if rec.ok:
-            groups.setdefault(
-                (rec.fiber_length_km, rec.n_out, rec.n_res), []
-            ).append(rec)
-    return groups
-
-
 def emit_plot_data(
     records: list[SweepRecord],
     out_dir: str | Path,
@@ -519,7 +446,10 @@ def emit_plot_data(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    groups = _series_groups(records)
+    groups: dict[tuple, list[SweepRecord]] = {}
+    for rec in records:
+        if rec.ok:
+            groups.setdefault((rec.fiber_length_km, rec.n_out, rec.n_res), []).append(rec)
     if not groups:
         raise ValueError("no successful records to plot")
 
@@ -538,9 +468,7 @@ def emit_plot_data(
                      repr(float(ber)), int(floored), n_seeds]
                 )
 
-    references = [
-        key for key in groups if key[0] == 0.0 and key[1] == 1
-    ]
+    references = [key for key in groups if key[0] == 0.0 and key[1] == 1]
     penalty_path = out / "snr_penalty.csv"
     with penalty_path.open("w", newline="") as fh:
         writer = csv.writer(fh)

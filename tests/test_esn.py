@@ -7,7 +7,7 @@ column deletion) on small instances.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicerc import esn
@@ -268,6 +268,8 @@ def test_leak_one_has_no_memory_term():
 
 @settings(max_examples=50)
 @given(st.floats(0.05, 1.0), st.integers(0, 2**16))
+# pre-activation 26.5: tanh rounds to exactly 1.0 in float64
+@example(leak=1.0, seed=1214)
 def test_state_stays_inside_unit_box(leak, seed):
     cfg = small_cfg()
     w = random_weights(cfg, seed=1)
@@ -275,7 +277,10 @@ def test_state_stays_inside_unit_box(leak, seed):
     x = rng.uniform(-0.999, 0.999, cfg.n_res)
     u = rng.normal(size=cfg.n_in) * 10.0
     out = update_state(x, u, w, leak)
-    assert np.max(np.abs(out)) < 1.0
+    # |tanh| < 1 holds in exact arithmetic only: in float64 tanh(z) is
+    # exactly 1.0 once |z| exceeds about 19, and at leak=1 the new
+    # state is that tanh alone, so the float64-true bound is closed
+    assert np.max(np.abs(out)) <= 1.0
 
 
 def test_reservoir_fold_matches_loop_oracle():

@@ -80,6 +80,12 @@ def test_type_errors_name_the_field():
         config_from_dict({"fiber_length_km": [0], "snr_db": ["high"]})
     with pytest.raises(ConfigError, match="total_symbols"):
         config_from_dict({"fiber_length_km": [0], "total_symbols": 2.5})
+    # the LinkConfig/EsnConfig validators run at load, for every grid value
+    with pytest.raises(ConfigError, match="rolloff"):
+        config_from_dict({"fiber_length_km": [0], "link": {"rolloff": 2.0}})
+    # 2k+1 = 23 outputs at most under the default k=11
+    with pytest.raises(ConfigError, match="n_out=30"):
+        config_from_dict({"fiber_length_km": [0], "n_out": [1, 30]})
 
 
 def test_grid_ordering_enforced():
@@ -357,6 +363,29 @@ def test_cli_simulate_and_sweep(tmp_path, capsys):
     assert "resuming: 1 completed" in capsys.readouterr().out
 
 
+def test_cli_sweep_refuses_resume_under_other_settings(tmp_path, capsys):
+    config = tmp_path / "toy.yaml"
+    config.write_text(
+        "fiber_length_km: [0]\n"
+        "snr_db: [30]\n"
+        "n_out: [1]\n"
+        "seeds: [0]\n"
+        "total_symbols: 2048\n"
+        "esn: {washout: 2}\n"
+    )
+    out_dir = tmp_path / "run"
+    sweep = ["sweep", "--config", str(config), "--out", str(out_dir)]
+    assert cli_main(sweep) == 0
+    results = (out_dir / "results.csv").read_bytes()
+    capsys.readouterr()
+    assert cli_main(sweep + ["--symbols", "4096"]) == 1
+    assert "total_symbols" in capsys.readouterr().err
+    assert (out_dir / "results.csv").read_bytes() == results
+    # the seed list only chooses which points run, so it may change
+    assert cli_main(sweep + ["--seed", "1"]) == 0
+    assert "resuming: 1 completed" in capsys.readouterr().out
+
+
 def test_cli_plotdata_from_results(tmp_path, capsys):
     write_results(synthetic_records(), tmp_path)
     assert cli_main(["plotdata", "--out", str(tmp_path)]) == 0
@@ -373,3 +402,13 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     bad.write_text("fiber_length_km: [0]\nsnr: oops\n")
     assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert "unknown key" in capsys.readouterr().err
+    # values the link and equalizer reject stop the sweep before it starts
+    for text, field in (
+        ("link: {rolloff: 2.0}\n", "rolloff"),
+        ("n_out: [30]\n", "n_out"),
+    ):
+        bad.write_text("fiber_length_km: [0]\n" + text)
+        out_dir = tmp_path / "run"
+        assert cli_main(["sweep", "--config", str(bad), "--out", str(out_dir)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists()
