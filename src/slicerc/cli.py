@@ -64,15 +64,15 @@ def _cmd_simulate(args) -> int:
 def _check_resumable(cfg: ExperimentConfig, out: Path) -> None:
     """Refuse to resume over results made under other settings.
 
-    The grids (lists), seeds and label only choose which points run;
-    every other setting changes a point's numbers.
+    The grids (lists) and seeds only choose which points run; every
+    other setting changes a point's numbers or, for the label, its rows.
     """
     manifest = out / "manifest.json"
     prior = json.loads(manifest.read_text()).get("config") if manifest.exists() else None
     if prior is None:
         raise ConfigError(f"cannot resume '{out}': its manifest.json holds no config")
     changed = [key for key, value in config_to_dict(cfg).items()
-               if not isinstance(value, list) and key != "label" and prior.get(key) != value]
+               if not isinstance(value, list) and prior.get(key) != value]
     if changed:
         raise ConfigError(f"cannot resume '{out}': {', '.join(changed)} changed since its run")
 

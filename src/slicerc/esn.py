@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .link import SlicedObservation, SymbolFrame
 from .rng import STREAM_OUT_MASK, STREAM_W_IN, STREAM_W_RES, substream
 
-# Steps per chunk in the streaming train/equalize paths. Bounds peak
+# Steps per chunk of the step stream that trains and equalizes. Bounds peak
 # memory at roughly chunk * n_in floats regardless of frame length.
 _CHUNK_STEPS = 16384
 
@@ -100,23 +101,6 @@ class EsnWeights:
     w_out: np.ndarray
 
 
-@dataclass(eq=False, slots=True)
-class WindowedDataset:
-    """Materialized step inputs and targets for one symbol region."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    center_symbol_index: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.targets.shape[1]
-
-
 def init_weights(cfg: EsnConfig, seed: int | None = None) -> EsnWeights:
     """Draw the fixed random weights for one (topology, seed) pair.
 
@@ -164,17 +148,30 @@ def init_weights(cfg: EsnConfig, seed: int | None = None) -> EsnWeights:
 
 def _target_region(
     obs: SlicedObservation,
-    n_symbols: int,
+    frame: SymbolFrame,
+    cfg: EsnConfig,
     first_target: int | None,
     last_target: int | None,
 ) -> tuple[int, int]:
+    """First target symbol and step count of a checked region.
+
+    Targets default to the guard-trimmed usable region and advance by
+    n_out per step, so each appears once; a remainder shorter than n_out
+    at the region end is left untargeted.
+    """
+    if obs.num_slices != cfg.num_slices or obs.sps != cfg.sps:
+        raise ValueError("observation geometry does not match the config")
+    if obs.data.shape[1] != frame.n_symbols * cfg.sps:
+        raise ValueError("observation is misaligned with the frame")
+    if frame.n_symbols < cfg.m:
+        raise ValueError("frame must hold at least one full window")
     if first_target is None:
         first_target = obs.guard_symbols
     if last_target is None:
-        last_target = n_symbols - obs.guard_symbols
-    if not 0 <= first_target <= last_target <= n_symbols:
+        last_target = frame.n_symbols - obs.guard_symbols
+    if not 0 <= first_target <= last_target <= frame.n_symbols:
         raise ValueError("target region must lie within the frame")
-    return first_target, last_target
+    return first_target, (last_target - first_target) // cfg.n_out
 
 
 def _gather_inputs(
@@ -194,42 +191,6 @@ def _gather_inputs(
     gathered = by_symbol[:, np.clip(idx, 0, n_sym - 1), :]
     gathered *= inside[None, :, :, None]
     return gathered.transpose(1, 0, 2, 3).reshape(t1 - t0, cfg.n_in)
-
-
-def build_windows(
-    obs: SlicedObservation,
-    frame: SymbolFrame,
-    cfg: EsnConfig,
-    first_target: int | None = None,
-    last_target: int | None = None,
-) -> WindowedDataset:
-    """Materialize sliding-window inputs and their target levels.
-
-    Targets default to the guard-trimmed usable region of the frame and
-    advance by n_out per step, so every targeted symbol appears exactly
-    once. The step count is floor(region / n_out); a remainder shorter
-    than n_out at the region end is left untargeted.
-    """
-    if obs.num_slices != cfg.num_slices or obs.sps != cfg.sps:
-        raise ValueError("observation geometry does not match the config")
-    if obs.data.shape[1] != frame.n_symbols * cfg.sps:
-        raise ValueError("observation is misaligned with the frame")
-    if frame.n_symbols < cfg.m:
-        raise ValueError("frame must hold at least one full window")
-    first, last = _target_region(obs, frame.n_symbols, first_target, last_target)
-    n_steps = (last - first) // cfg.n_out
-    inputs = _gather_inputs(obs, cfg, first, 0, n_steps)
-    targets = frame.levels[first : first + n_steps * cfg.n_out]
-    targets = targets.reshape(n_steps, cfg.n_out).copy()
-    centers = first + cfg.n_out * np.arange(n_steps)
-    return WindowedDataset(inputs=inputs, targets=targets, center_symbol_index=centers)
-
-
-def update_state(
-    x: np.ndarray, u: np.ndarray, w: EsnWeights, leak: float
-) -> np.ndarray:
-    """One leaky-integrator update: (1-a) x + a tanh(W_in u + W_res x)."""
-    return (1.0 - leak) * x + leak * np.tanh(w.w_in @ u + w.w_res @ x)
 
 
 def _fold(
@@ -253,18 +214,20 @@ def _fold(
     return x
 
 
-def run_reservoir(ds: WindowedDataset, w: EsnWeights, cfg: EsnConfig) -> np.ndarray:
-    """Fold update_state over all steps from the zero state.
+def _step_stream(
+    obs: SlicedObservation, w: EsnWeights, cfg: EsnConfig, first: int, n_steps: int, x: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(t0, inputs, states)`` per chunk of steps [0, n_steps).
 
-    Returns the state matrix [n_steps, n_res]; row t is the state after
-    consuming input t.
+    Row i of a chunk belongs to step t0 + i; the state starts at ``x``
+    and carries from chunk to chunk.
     """
-    states = np.empty((ds.n_steps, cfg.n_res))
-    if ds.n_steps == 0:
-        return states
-    proj = ds.inputs @ w.w_in.T
-    _fold(proj, w.w_res, cfg.leak, np.zeros(cfg.n_res), states)
-    return states
+    for t0 in range(0, n_steps, _CHUNK_STEPS):
+        t1 = min(t0 + _CHUNK_STEPS, n_steps)
+        inputs = _gather_inputs(obs, cfg, first, t0, t1)
+        states = np.empty((t1 - t0, cfg.n_res))
+        x = _fold(inputs @ w.w_in.T, w.w_res, cfg.leak, x, states)
+        yield t0, inputs, states
 
 
 def _accumulate_gram(
@@ -322,29 +285,6 @@ def _extended_mask(mask: np.ndarray, n_in: int) -> np.ndarray:
     return np.hstack([mask, window_cols])
 
 
-def train_readout(
-    states: np.ndarray, ds: WindowedDataset, cfg: EsnConfig, mask: np.ndarray
-) -> np.ndarray:
-    """Ridge-train the masked readout on materialized states.
-
-    The design matrix per step is [state, window, 1]. The first
-    ``cfg.washout`` steps are discarded before fitting.
-    """
-    if states.shape[0] != ds.n_steps:
-        raise ValueError("states and dataset are not row-aligned")
-    if cfg.washout >= ds.n_steps:
-        raise ValueError("washout must be smaller than the step count")
-    feats = np.hstack([states[cfg.washout :], ds.inputs[cfg.washout :]])
-    y = ds.targets[cfg.washout :]
-    d = cfg.n_res + cfg.n_in
-    gram = np.zeros((d + 1, d + 1))
-    moment = np.zeros((d + 1, ds.n_out))
-    _accumulate_gram(gram, moment, feats, y)
-    return _solve_masked_ridge(
-        gram, moment, _extended_mask(mask, cfg.n_in), cfg.ridge_lambda
-    )
-
-
 def fit_readout(
     obs: SlicedObservation,
     frame: SymbolFrame,
@@ -353,30 +293,24 @@ def fit_readout(
     first_target: int | None = None,
     last_target: int | None = None,
 ) -> np.ndarray:
-    """Streaming equivalent of build_windows + run_reservoir +
-    train_readout over a target region.
+    """Ridge-train the masked readout over a target region.
 
-    Accumulates the normal equations chunk by chunk, so memory stays
-    bounded for arbitrarily long frames.
+    The design matrix per step is [state, window, 1], and the first
+    ``cfg.washout`` steps are discarded. The normal equations are
+    accumulated chunk by chunk, so memory stays bounded for arbitrarily
+    long frames.
     """
-    first, last = _target_region(obs, frame.n_symbols, first_target, last_target)
-    n_steps = (last - first) // cfg.n_out
+    first, n_steps = _target_region(obs, frame, cfg, first_target, last_target)
     if cfg.washout >= n_steps:
         raise ValueError("washout must be smaller than the step count")
+    targets = frame.levels[first : first + n_steps * cfg.n_out].reshape(n_steps, cfg.n_out)
     d = cfg.n_res + cfg.n_in
     gram = np.zeros((d + 1, d + 1))
     moment = np.zeros((d + 1, cfg.n_out))
-    x = np.zeros(cfg.n_res)
-    for t0 in range(0, n_steps, _CHUNK_STEPS):
-        t1 = min(t0 + _CHUNK_STEPS, n_steps)
-        inputs = _gather_inputs(obs, cfg, first, t0, t1)
-        states = np.empty((t1 - t0, cfg.n_res))
-        x = _fold(inputs @ w.w_in.T, w.w_res, cfg.leak, x, states)
+    for t0, inputs, states in _step_stream(obs, w, cfg, first, n_steps, np.zeros(cfg.n_res)):
         lo = max(cfg.washout - t0, 0)
-        if lo < t1 - t0:
-            sym0 = first + (t0 + lo) * cfg.n_out
-            sym1 = first + t1 * cfg.n_out
-            y = frame.levels[sym0:sym1].reshape(-1, cfg.n_out)
+        if lo < states.shape[0]:
+            y = targets[t0 + lo : t0 + states.shape[0]]
             _accumulate_gram(gram, moment, np.hstack([states[lo:], inputs[lo:]]), y)
     return _solve_masked_ridge(
         gram, moment, _extended_mask(w.out_mask, cfg.n_in), cfg.ridge_lambda
@@ -402,9 +336,8 @@ def equalize(
     index of the first estimated symbol; estimate j belongs to symbol
     first_index + j.
     """
-    first, last = _target_region(obs, frame.n_symbols, first_target, last_target)
-    n_steps = (last - first) // cfg.n_out
-    estimates = np.empty(n_steps * cfg.n_out)
+    first, n_steps = _target_region(obs, frame, cfg, first_target, last_target)
+    estimates = np.empty((n_steps, cfg.n_out))
     x = np.zeros(cfg.n_res)
     if cfg.washout > 0 and n_steps > 0:
         warm = _gather_inputs(obs, cfg, first, -cfg.washout, 0)
@@ -413,15 +346,11 @@ def equalize(
     state_part = w.w_out[:, : cfg.n_res].T
     window_part = w.w_out[:, cfg.n_res : cfg.n_res + cfg.n_in].T
     bias = w.w_out[:, -1]
-    for t0 in range(0, n_steps, _CHUNK_STEPS):
-        t1 = min(t0 + _CHUNK_STEPS, n_steps)
-        inputs = _gather_inputs(obs, cfg, first, t0, t1)
-        states = np.empty((t1 - t0, cfg.n_res))
-        x = _fold(inputs @ w.w_in.T, w.w_res, cfg.leak, x, states)
-        estimates[t0 * cfg.n_out : t1 * cfg.n_out] = (
+    for t0, inputs, states in _step_stream(obs, w, cfg, first, n_steps, x):
+        estimates[t0 : t0 + states.shape[0]] = (
             states @ state_part + inputs @ window_part + bias
-        ).ravel()
-    return estimates, first
+        )
+    return estimates.ravel(), first
 
 
 def save_weights(path: str, w: EsnWeights, cfg: EsnConfig) -> None:

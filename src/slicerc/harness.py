@@ -31,6 +31,7 @@ from .metrics import (
     FecThreshold,
     NonMonotone,
     NotBracketed,
+    ber_floor,
     complexity_rmps,
     count_errors,
     hard_decision,
@@ -420,7 +421,7 @@ def series_curve(records: list[SweepRecord]) -> BerSnrCurve:
     curve_snr, curve_ber, curve_floor = [], [], []
     for snr in sorted({r.snr_db for r in ok}):
         group = [r for r in ok if r.snr_db == snr]
-        effective = [max(r.ber, 1.0 / (4.0 * r.test_symbols)) for r in group]
+        effective = [max(r.ber, ber_floor(2 * r.test_symbols)) for r in group]
         curve_snr.append(snr)
         curve_ber.append(float(np.median(effective)))
         curve_floor.append(sum(r.ber == 0 for r in group) * 2 >= len(group))
@@ -444,14 +445,26 @@ def emit_plot_data(
     with empty numbers and a note instead of being dropped silently.
     complexity.csv: multiplications per symbol per equalizer variant.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     groups: dict[tuple, list[SweepRecord]] = {}
     for rec in records:
         if rec.ok:
             groups.setdefault((rec.fiber_length_km, rec.n_out, rec.n_res), []).append(rec)
     if not groups:
         raise ValueError("no successful records to plot")
+    # resolve the penalty reference before any file is written, so an
+    # unusable reference leaves the directory as it was
+    references = [key for key in groups if key[0] == 0.0 and key[1] == 1]
+    if len(references) != 1:
+        raise ValueError(
+            "penalty reference requires exactly one n_out=1 series at 0 km, "
+            f"found {len(references)}"
+        )
+    try:
+        ref_snr = snr_at_threshold(series_curve(groups[references[0]]), fec)
+    except (NotBracketed, NonMonotone) as exc:
+        raise ValueError(f"reference series unusable: {exc}") from exc
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     ber_path = out / "ber_vs_snr.csv"
     with ber_path.open("w", newline="") as fh:
@@ -468,23 +481,12 @@ def emit_plot_data(
                      repr(float(ber)), int(floored), n_seeds]
                 )
 
-    references = [key for key in groups if key[0] == 0.0 and key[1] == 1]
     penalty_path = out / "snr_penalty.csv"
     with penalty_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["fiber_length_km", "n_out", "n_res", "snr_at_threshold_db", "penalty_db", "note"]
         )
-        if len(references) != 1:
-            raise ValueError(
-                "penalty reference requires exactly one n_out=1 series at 0 km, "
-                f"found {len(references)}"
-            )
-        ref_curve = series_curve(groups[references[0]])
-        try:
-            ref_snr = snr_at_threshold(ref_curve, fec)
-        except (NotBracketed, NonMonotone) as exc:
-            raise ValueError(f"reference series unusable: {exc}") from exc
         for (length, n_out, n_res), group in sorted(groups.items()):
             try:
                 snr = snr_at_threshold(series_curve(group), fec)

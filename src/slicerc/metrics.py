@@ -49,10 +49,14 @@ class BerReport:
     n_symbol_errors: int
     per_position_ber: np.ndarray
 
-    @property
-    def ber_floor(self) -> float:
-        """Smallest resolvable BER for this measurement size."""
-        return 1.0 / (2.0 * self.n_bits)
+
+def ber_floor(n_bits: int | np.ndarray) -> float | np.ndarray:
+    """BER stored for a zero-error measurement of ``n_bits`` bits.
+
+    Half of one error in the measurement: below every resolvable BER,
+    yet finite on a log scale.
+    """
+    return 1.0 / (2.0 * n_bits)
 
 
 @dataclass(eq=False, slots=True)
@@ -87,7 +91,7 @@ def curve_from_points(
     ber = np.asarray(ber, dtype=float)
     n_bits = np.broadcast_to(np.asarray(n_bits), ber.shape)
     floored = ber == 0
-    ber = np.where(floored, 1.0 / (2.0 * n_bits), ber)
+    ber = np.where(floored, ber_floor(n_bits), ber)
     return BerSnrCurve(snr_db=snr_db, ber=ber, floored=floored)
 
 

@@ -1,8 +1,12 @@
 """Reservoir tests.
 
-The fold and ridge paths are compared against naive re-implementations
-written here (plain python loop, dense normal equations with explicit
-column deletion) on small instances.
+The reference for the equalizer is the set of naive re-implementations
+written here: ``oracle_windows`` (nested-loop window gather),
+``oracle_fold`` (plain python loop of the update equation) and
+``oracle_masked_ridge`` (dense normal equations with explicit column
+deletion). The streaming path and its parts (``_gather_inputs``,
+``_fold``, ``_solve_masked_ridge``) are compared against them on small
+instances.
 """
 
 import numpy as np
@@ -14,16 +18,11 @@ from slicerc import esn
 from slicerc.esn import (
     EsnConfig,
     EsnWeights,
-    WindowedDataset,
-    build_windows,
     equalize,
     fit_readout,
     init_weights,
     load_weights,
-    run_reservoir,
     save_weights,
-    train_readout,
-    update_state,
 )
 from slicerc.link import SlicedObservation, SymbolFrame
 from slicerc.rng import substream
@@ -56,6 +55,25 @@ def make_frame(levels: np.ndarray) -> SymbolFrame:
 
 def random_weights(cfg: EsnConfig, seed: int = 0) -> EsnWeights:
     return init_weights(cfg, seed)
+
+
+def fold(inputs: np.ndarray, w: EsnWeights, leak: float, x=None) -> np.ndarray:
+    """States after each input, through esn._fold from x (default zero)."""
+    x = np.zeros(w.w_res.shape[0]) if x is None else np.array(x, dtype=float)
+    states = np.empty((inputs.shape[0], w.w_res.shape[0]))
+    esn._fold(inputs @ w.w_in.T, w.w_res, leak, x, states)
+    return states
+
+
+def solve_readout(states, inputs, targets, mask, lam):
+    """esn's normal-equation accumulation and masked solve on given rows."""
+    d = states.shape[1] + inputs.shape[1]
+    gram = np.zeros((d + 1, d + 1))
+    moment = np.zeros((d + 1, targets.shape[1]))
+    esn._accumulate_gram(gram, moment, np.hstack([states, inputs]), targets)
+    return esn._solve_masked_ridge(
+        gram, moment, esn._extended_mask(mask, inputs.shape[1]), lam
+    )
 
 
 # ---------------------------------------------------------------- oracles
@@ -186,7 +204,7 @@ def test_derived_sizes_match_stated_dimensioning():
     assert cfg.n_in == 184  # 23 symbols * 2 samples * 4 slices
 
 
-# ----------------------------------------------------------- build_windows
+# ------------------------------------------------------------- windowing
 
 def test_windows_match_loop_oracle():
     cfg = small_cfg(k=2, n_out=3, sps=2, num_slices=2)
@@ -194,9 +212,11 @@ def test_windows_match_loop_oracle():
     n_sym = 40
     obs = make_obs(rng.normal(size=(2, n_sym * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
-    ds = build_windows(obs, frame, cfg)
-    expected = oracle_windows(obs, cfg, 0, ds.n_steps)
-    assert np.array_equal(ds.inputs, expected)
+    first, n_steps = esn._target_region(obs, frame, cfg, None, None)
+    assert (first, n_steps) == (0, n_sym // cfg.n_out)
+    inputs = esn._gather_inputs(obs, cfg, first, 0, n_steps)
+    expected = oracle_windows(obs, cfg, 0, n_steps)
+    assert np.array_equal(inputs, expected)
 
 
 def test_window_stride_arithmetic():
@@ -205,46 +225,70 @@ def test_window_stride_arithmetic():
     rng = substream(2, 0)
     obs = make_obs(rng.normal(size=(4, n_sym * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
-    ds = build_windows(obs, frame, cfg, cfg.k, cfg.k + 1700)
-    assert ds.n_steps == 100
-    targeted = np.concatenate(
-        [np.arange(c, c + cfg.n_out) for c in ds.center_symbol_index]
-    )
-    assert np.array_equal(targeted, np.arange(cfg.k, cfg.k + 1700))
-    assert np.array_equal(
-        ds.targets.ravel(), frame.levels[cfg.k : cfg.k + 1700]
-    )
+    first, n_steps = esn._target_region(obs, frame, cfg, cfg.k, cfg.k + 1700)
+    assert (first, n_steps) == (cfg.k, 100)
+    # step t reads the window of the n_out symbols from first + t * n_out
+    inputs = esn._gather_inputs(obs, cfg, first, 0, n_steps)
+    assert np.array_equal(inputs, oracle_windows(obs, cfg, first, n_steps))
+    # the region's estimates target every symbol of it exactly once
+    w = init_weights(cfg)
+    est, start = equalize(obs, frame, w, cfg, cfg.k, cfg.k + 1700)
+    assert start == cfg.k
+    assert est.size == 1700
 
 
 def test_first_window_zero_padded_on_the_left():
     cfg = small_cfg(k=3, n_out=1, sps=1)
     obs = make_obs(np.arange(1, 21, dtype=float)[None, :], sps=1)
     frame = make_frame(np.ones(20))
-    ds = build_windows(obs, frame, cfg, first_target=0, last_target=20)
+    assert esn._target_region(obs, frame, cfg, 0, 20) == (0, 20)
+    inputs = esn._gather_inputs(obs, cfg, 0, 0, 20)
     # first target at symbol 0: the k leading window positions fall off
     # the frame and must read zero
-    assert np.array_equal(ds.inputs[0, :3], np.zeros(3))
-    assert np.array_equal(ds.inputs[0, 3:], np.array([1.0, 2.0, 3.0, 4.0]))
+    assert np.array_equal(inputs[0, :3], np.zeros(3))
+    assert np.array_equal(inputs[0, 3:], np.array([1.0, 2.0, 3.0, 4.0]))
+    assert np.array_equal(inputs, oracle_windows(obs, cfg, 0, 20))
+
+
+def assert_rejected(obs, frame, cfg, first=None, last=None, match=None):
+    """fit_readout and equalize both refuse the inputs with ValueError."""
+    w = init_weights(cfg)
+    with pytest.raises(ValueError, match=match):
+        fit_readout(obs, frame, w, cfg, first, last)
+    with pytest.raises(ValueError, match=match):
+        equalize(obs, frame, w, cfg, first, last)
 
 
 def test_windows_reject_geometry_mismatch():
     cfg = small_cfg(sps=2)
     obs = make_obs(np.zeros((1, 41)), sps=2)
     frame = make_frame(np.ones(20))
-    with pytest.raises(ValueError):
-        build_windows(obs, frame, cfg)
+    assert_rejected(obs, frame, cfg, match="misaligned")
     cfg4 = small_cfg(num_slices=4)
     obs1 = make_obs(np.zeros((1, 20)), sps=1)
-    with pytest.raises(ValueError):
-        build_windows(obs1, frame, cfg4)
+    assert_rejected(obs1, frame, cfg4, match="geometry")
+    # a frame shorter than one window
+    assert_rejected(obs1, frame, small_cfg(k=12), match="full window")
+    # at the operating geometry: 2 slices at 4 samples per symbol, the
+    # same sample count per slice as the 4-slice, 2-sample config
+    cfg = EsnConfig(n_out=17, washout=10)
+    rng = substream(20, 0)
+    n_sym = 4000
+    frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
+    other = make_obs(rng.normal(size=(2, n_sym * 4)), sps=4, guard=50)
+    assert_rejected(other, frame, cfg, match="geometry")
+    # the observation of a frame 500 symbols shorter
+    short = make_obs(rng.normal(size=(4, (n_sym - 500) * 2)), sps=2, guard=50)
+    assert_rejected(short, frame, cfg, match="misaligned")
+    assert_rejected(short, frame, cfg, 100, 3400, match="misaligned")
 
 
 def test_windows_reject_region_outside_frame():
     cfg = small_cfg()
     obs = make_obs(np.zeros((1, 20)), sps=1)
     frame = make_frame(np.ones(20))
-    with pytest.raises(ValueError):
-        build_windows(obs, frame, cfg, first_target=5, last_target=25)
+    assert_rejected(obs, frame, cfg, 5, 25, match="within the frame")
+    assert_rejected(obs, frame, cfg, 12, 8, match="within the frame")
 
 
 # ------------------------------------------------------------------ state
@@ -252,8 +296,8 @@ def test_windows_reject_region_outside_frame():
 def test_zero_state_zero_input_is_fixed_point():
     cfg = small_cfg()
     w = random_weights(cfg)
-    x = update_state(np.zeros(cfg.n_res), np.zeros(cfg.n_in), w, cfg.leak)
-    assert not x.any()
+    states = fold(np.zeros((5, cfg.n_in)), w, cfg.leak)
+    assert not states.any()
 
 
 def test_leak_one_has_no_memory_term():
@@ -262,8 +306,8 @@ def test_leak_one_has_no_memory_term():
     rng = substream(3, 0)
     x = rng.normal(size=cfg.n_res) * 0.5
     u = rng.normal(size=cfg.n_in)
-    out = update_state(x, u, w, 1.0)
-    assert np.allclose(out, np.tanh(w.w_in @ u + w.w_res @ x))
+    out = fold(u[None, :], w, 1.0, x)[0]
+    assert np.max(np.abs(out - np.tanh(w.w_in @ u + w.w_res @ x))) < 1e-12
 
 
 @settings(max_examples=50)
@@ -276,41 +320,41 @@ def test_state_stays_inside_unit_box(leak, seed):
     rng = substream(seed, 0)
     x = rng.uniform(-0.999, 0.999, cfg.n_res)
     u = rng.normal(size=cfg.n_in) * 10.0
-    out = update_state(x, u, w, leak)
+    out = fold(u[None, :], w, leak, x)[0]
     # |tanh| < 1 holds in exact arithmetic only: in float64 tanh(z) is
     # exactly 1.0 once |z| exceeds about 19, and at leak=1 the new
     # state is that tanh alone, so the float64-true bound is closed
     assert np.max(np.abs(out)) <= 1.0
 
 
-def test_reservoir_fold_matches_loop_oracle():
+def test_reservoir_fold_matches_loop_oracle(monkeypatch):
     cfg = small_cfg(k=2, n_out=1, sps=2, num_slices=2)
     w = random_weights(cfg, seed=2)
     rng = substream(4, 0)
     obs = make_obs(rng.normal(size=(2, 30 * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 30))
-    ds = build_windows(obs, frame, cfg, 5, 10)  # 5 steps
-    assert ds.n_steps == 5
-    states = run_reservoir(ds, w, cfg)
-    expected = oracle_fold(ds.inputs, w, cfg.leak)
-    assert np.max(np.abs(states - expected)) < 1e-12
+    first, n_steps = esn._target_region(obs, frame, cfg, 5, 10)
+    assert n_steps == 5
+    expected_inputs = oracle_windows(obs, cfg, first, n_steps)
+    expected = oracle_fold(expected_inputs, w, cfg.leak)
+    # one chunk, and chunks of two steps that must carry the state
+    for chunk, starts in ((esn._CHUNK_STEPS, [0]), (2, [0, 2, 4])):
+        monkeypatch.setattr(esn, "_CHUNK_STEPS", chunk)
+        chunks = list(esn._step_stream(obs, w, cfg, first, n_steps, np.zeros(cfg.n_res)))
+        assert [t0 for t0, _, _ in chunks] == starts
+        inputs = np.vstack([c[1] for c in chunks])
+        states = np.vstack([c[2] for c in chunks])
+        assert np.array_equal(inputs, expected_inputs)
+        assert np.max(np.abs(states - expected)) < 1e-12
 
 
 def test_reservoir_empty_and_zero_inputs():
     cfg = small_cfg()
     w = random_weights(cfg)
-    empty = WindowedDataset(
-        inputs=np.zeros((0, cfg.n_in)),
-        targets=np.zeros((0, 1)),
-        center_symbol_index=np.zeros(0, dtype=int),
-    )
-    assert run_reservoir(empty, w, cfg).shape == (0, cfg.n_res)
-    zeros = WindowedDataset(
-        inputs=np.zeros((7, cfg.n_in)),
-        targets=np.zeros((7, 1)),
-        center_symbol_index=np.arange(7),
-    )
-    assert not run_reservoir(zeros, w, cfg).any()
+    assert fold(np.zeros((0, cfg.n_in)), w, cfg.leak).shape == (0, cfg.n_res)
+    obs = make_obs(np.zeros((1, 20)), sps=1)
+    assert not list(esn._step_stream(obs, w, cfg, 0, 0, np.zeros(cfg.n_res)))
+    assert not fold(np.zeros((7, cfg.n_in)), w, cfg.leak).any()
 
 
 def test_recorded_states_bounded_on_real_data():
@@ -319,8 +363,10 @@ def test_recorded_states_bounded_on_real_data():
     rng = substream(8, 0)
     obs = make_obs(rng.normal(size=(1, 500)) * 3.0, sps=1)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 500))
-    ds = build_windows(obs, frame, cfg, 10, 490)
-    states = run_reservoir(ds, w, cfg)
+    first, n_steps = esn._target_region(obs, frame, cfg, 10, 490)
+    chunks = esn._step_stream(obs, w, cfg, first, n_steps, np.zeros(cfg.n_res))
+    states = np.vstack([c[2] for c in chunks])
+    assert states.shape == (480, cfg.n_res)
     assert np.max(np.abs(states)) < 1.0
 
 
@@ -334,11 +380,8 @@ def test_exact_interpolation_at_lambda_zero():
     inputs = rng.normal(size=(n, cfg.n_in))
     true_w = rng.normal(size=(2, 5 + cfg.n_in))
     targets = np.hstack([states, inputs]) @ true_w.T + 0.7
-    ds = WindowedDataset(
-        inputs=inputs, targets=targets, center_symbol_index=np.arange(n)
-    )
     mask = np.ones((2, 5), dtype=bool)
-    w_out = train_readout(states, ds, cfg, mask)
+    w_out = solve_readout(states, inputs, targets, mask, cfg.ridge_lambda)
     feats = np.hstack([states, inputs, np.ones((n, 1))])
     residual = np.linalg.norm(feats @ w_out.T - targets)
     assert residual / np.linalg.norm(targets) < 1e-8
@@ -351,10 +394,8 @@ def test_large_lambda_collapses_to_target_mean():
     states = rng.normal(size=(n, 4))
     inputs = rng.normal(size=(n, cfg.n_in))
     targets = rng.normal(size=(n, 1)) + 2.0
-    ds = WindowedDataset(
-        inputs=inputs, targets=targets, center_symbol_index=np.arange(n)
-    )
-    w_out = train_readout(states, ds, cfg, np.ones((1, 4), dtype=bool))
+    mask = np.ones((1, 4), dtype=bool)
+    w_out = solve_readout(states, inputs, targets, mask, cfg.ridge_lambda)
     assert np.max(np.abs(w_out[0, :-1])) < 1e-6
     assert abs(w_out[0, -1] - targets.mean()) < 1e-3
 
@@ -367,10 +408,7 @@ def test_masked_ridge_matches_deletion_oracle():
     inputs = rng.normal(size=(10, cfg.n_in))
     targets = rng.normal(size=(10, 2))
     mask = np.array([[1, 0, 1, 0], [0, 1, 1, 1]], dtype=bool)
-    ds = WindowedDataset(
-        inputs=inputs, targets=targets, center_symbol_index=np.arange(10)
-    )
-    w_out = train_readout(states, ds, cfg, mask)
+    w_out = solve_readout(states, inputs, targets, mask, cfg.ridge_lambda)
     full_mask = np.hstack([mask, np.ones((2, cfg.n_in), dtype=bool)])
     expected = oracle_masked_ridge(
         np.hstack([states, inputs]), targets, full_mask, cfg.ridge_lambda
@@ -386,11 +424,11 @@ def test_mask_discipline_is_exact():
     targets = rng.normal(size=(50, 3))
     mask = rng.random((3, 8)) < 0.4
     mask[:, 0] = True  # keep rows non-empty
-    ds = WindowedDataset(
-        inputs=inputs, targets=targets, center_symbol_index=np.arange(50)
-    )
-    w_out = train_readout(states, ds, cfg, mask)
+    w_out = solve_readout(states, inputs, targets, mask, cfg.ridge_lambda)
     assert not w_out[:, :8][~mask].any()
+    # and on the full path, against the weights' own mask
+    cfg, w, obs, frame = trained_setup(seed=22, n_out=5, washout=10)
+    assert not w.w_out[:, : cfg.n_res][~w.out_mask].any()
 
 
 def test_singular_at_lambda_zero_is_rejected():
@@ -399,37 +437,44 @@ def test_singular_at_lambda_zero_is_rejected():
     base = rng.normal(size=(12, 1))
     states = np.hstack([base, base, base, base])  # rank 1
     inputs = np.zeros((12, cfg.n_in))
-    ds = WindowedDataset(
-        inputs=inputs,
-        targets=rng.normal(size=(12, 1)),
-        center_symbol_index=np.arange(12),
-    )
+    targets = rng.normal(size=(12, 1))
+    mask = np.ones((1, 4), dtype=bool)
     with pytest.raises(ValueError, match="singular"):
-        train_readout(states, ds, cfg, np.ones((1, 4), dtype=bool))
+        solve_readout(states, inputs, targets, mask, cfg.ridge_lambda)
 
 
 def test_empty_mask_row_is_rejected():
     cfg = small_cfg(n_res=4)
     rng = substream(11, 0)
-    ds = WindowedDataset(
-        inputs=rng.normal(size=(12, cfg.n_in)),
-        targets=rng.normal(size=(12, 1)),
-        center_symbol_index=np.arange(12),
-    )
+    inputs = rng.normal(size=(12, cfg.n_in))
+    targets = rng.normal(size=(12, 1))
     with pytest.raises(ValueError, match="empty mask"):
-        train_readout(rng.normal(size=(12, 4)), ds, cfg, np.zeros((1, 4), dtype=bool))
+        solve_readout(
+            rng.normal(size=(12, 4)), inputs, targets,
+            np.zeros((1, 4), dtype=bool), cfg.ridge_lambda,
+        )
+    # fit_readout refuses weights whose mask has an empty row
+    cfg = small_cfg(n_res=4, washout=2)
+    w = init_weights(cfg)
+    w.out_mask = np.zeros_like(w.out_mask)
+    obs = make_obs(rng.normal(size=(1, 30)), sps=1)
+    frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 30))
+    with pytest.raises(ValueError, match="empty mask"):
+        fit_readout(obs, frame, w, cfg, 0, 30)
 
 
 def test_washout_must_leave_training_rows():
     cfg = small_cfg(washout=12)
     rng = substream(12, 0)
-    ds = WindowedDataset(
-        inputs=rng.normal(size=(10, cfg.n_in)),
-        targets=rng.normal(size=(10, 1)),
-        center_symbol_index=np.arange(10),
-    )
+    obs = make_obs(rng.normal(size=(1, 30)), sps=1)
+    frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 30))
+    w = init_weights(cfg)
+    # 10 steps in the region
     with pytest.raises(ValueError, match="washout"):
-        train_readout(rng.normal(size=(10, cfg.n_res)), ds, cfg, np.ones((1, cfg.n_res), dtype=bool))
+        fit_readout(obs, frame, w, cfg, 10, 20)
+    with pytest.raises(ValueError, match="washout"):
+        fit_readout(obs, frame, w, cfg, 10, 22)
+    assert fit_readout(obs, frame, w, cfg, 10, 23).shape == w.w_out.shape
 
 
 @given(st.integers(0, 2**16))
@@ -437,17 +482,13 @@ def test_washout_must_leave_training_rows():
 def test_ridge_residual_monotone_in_lambda(seed):
     rng = substream(seed, 3)
     states = rng.normal(size=(30, 5))
+    # k=1, sps=1, num_slices=1 gives the 3-wide window block
     inputs = rng.normal(size=(30, 3))
     targets = rng.normal(size=(30, 1))
-    ds = WindowedDataset(
-        inputs=inputs, targets=targets, center_symbol_index=np.arange(30)
-    )
     mask = np.ones((1, 5), dtype=bool)
     residuals = []
     for lam in (1e-6, 1e-3, 1e-1, 10.0, 1e3):
-        cfg = small_cfg(n_res=5, k=1, ridge_lambda=lam)
-        # k=1, sps=1, num_slices=1 gives the 3-wide window block
-        w_out = train_readout(states, ds, cfg, mask)
+        w_out = solve_readout(states, inputs, targets, mask, lam)
         feats = np.hstack([states, inputs, np.ones((30, 1))])
         residuals.append(np.linalg.norm(feats @ w_out.T - targets))
     assert all(b >= a - 1e-9 for a, b in zip(residuals, residuals[1:]))
@@ -455,10 +496,15 @@ def test_ridge_residual_monotone_in_lambda(seed):
 
 # ----------------------------------------------------- streaming and reuse
 
-def full_pipeline_w_out(obs, frame, w, cfg, first, last):
-    ds = build_windows(obs, frame, cfg, first, last)
-    states = run_reservoir(ds, w, cfg)
-    return train_readout(states, ds, cfg, w.out_mask)
+def oracle_w_out(obs, frame, w, cfg, first, last):
+    """Readout from the three oracles over a region, washout dropped."""
+    n_steps = (last - first) // cfg.n_out
+    inputs = oracle_windows(obs, cfg, first, n_steps)
+    states = oracle_fold(inputs, w, cfg.leak)
+    targets = frame.levels[first : first + n_steps * cfg.n_out].reshape(n_steps, cfg.n_out)
+    full_mask = np.hstack([w.out_mask, np.ones((cfg.n_out, cfg.n_in), dtype=bool)])
+    feats = np.hstack([states, inputs])[cfg.washout :]
+    return oracle_masked_ridge(feats, targets[cfg.washout :], full_mask, cfg.ridge_lambda)
 
 
 def test_fit_readout_equals_materialized_training():
@@ -470,7 +516,7 @@ def test_fit_readout_equals_materialized_training():
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
     first, last = cfg.k, n_sym - cfg.k
     streamed = fit_readout(obs, frame, w, cfg, first, last)
-    materialized = full_pipeline_w_out(obs, frame, w, cfg, first, last)
+    materialized = oracle_w_out(obs, frame, w, cfg, first, last)
     assert np.max(np.abs(streamed - materialized)) < 1e-9
 
 
@@ -548,11 +594,11 @@ def test_equalize_warm_start_matches_longer_run():
 
 def test_equalize_readout_uses_state_window_and_bias():
     cfg, w, obs, frame = trained_setup(seed=19, washout=0)
-    ds = build_windows(obs, frame, cfg, 700, 700 + 6 * cfg.n_out)
-    states = run_reservoir(ds, w, cfg)
+    inputs = oracle_windows(obs, cfg, 700, 6)
+    states = oracle_fold(inputs, w, cfg.leak)
     manual = (
         states @ w.w_out[:, : cfg.n_res].T
-        + ds.inputs @ w.w_out[:, cfg.n_res : -1].T
+        + inputs @ w.w_out[:, cfg.n_res : -1].T
         + w.w_out[:, -1]
     ).ravel()
     est, _ = equalize(obs, frame, w, cfg, 700, 700 + 6 * cfg.n_out)

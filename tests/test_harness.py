@@ -29,7 +29,7 @@ from slicerc.harness import (
     series_curve,
     write_results,
 )
-from slicerc.metrics import complexity_rmps
+from slicerc.metrics import complexity_rmps, curve_from_points
 
 
 def toy_config(**kw) -> ExperimentConfig:
@@ -308,6 +308,20 @@ def test_emit_plot_data_requires_unique_reference(tmp_path):
     records = [r for r in synthetic_records() if not (r.fiber_length_km == 0.0 and r.n_out == 1)]
     with pytest.raises(ValueError, match="reference"):
         emit_plot_data(records, tmp_path)
+    assert not list(tmp_path.glob("*.csv"))
+    # a reference that never crosses the threshold writes nothing either
+    flat = [replace(r, ber=0.4) if r.fiber_length_km == 0.0 and r.n_out == 1 else r
+            for r in synthetic_records()]
+    with pytest.raises(ValueError, match="reference series unusable"):
+        emit_plot_data(flat, tmp_path / "new")
+    assert not (tmp_path / "new").exists()
+    # an earlier run's plot data stays as it was
+    emit_plot_data(synthetic_records(), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
+    assert len(before) == 3
+    with pytest.raises(ValueError, match="reference"):
+        emit_plot_data(records, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == before
 
 
 def test_series_curve_medians_and_floors():
@@ -330,6 +344,8 @@ def test_series_curve_medians_and_floors():
     # two of three seeds saw zero errors at 12 dB
     assert curve.floored[1]
     assert curve.ber[1] == pytest.approx(1.0 / (4.0 * 1000))
+    # the same floor as a zero-error point of 2 * 1000 bits
+    assert curve.ber[1] == curve_from_points([10.0, 12.0], [1e-2, 0.0], 2 * 1000).ber[1]
 
 
 # --------------------------------------------------------------------- cli
@@ -380,6 +396,12 @@ def test_cli_sweep_refuses_resume_under_other_settings(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(sweep + ["--symbols", "4096"]) == 1
     assert "total_symbols" in capsys.readouterr().err
+    assert (out_dir / "results.csv").read_bytes() == results
+    # a new label would mix two labels in one results.csv
+    relabelled = tmp_path / "relabelled.yaml"
+    relabelled.write_text(config.read_text() + "label: other\n")
+    assert cli_main(["sweep", "--config", str(relabelled), "--out", str(out_dir)]) == 1
+    assert "label" in capsys.readouterr().err
     assert (out_dir / "results.csv").read_bytes() == results
     # the seed list only chooses which points run, so it may change
     assert cli_main(sweep + ["--seed", "1"]) == 0
