@@ -20,12 +20,15 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     GridPoint,
+    append_results,
     config_to_dict,
     emit_plot_data,
+    in_grid_order,
     load_config,
     read_results,
     run_experiment,
-    run_sweep,
+    sweep_groups,
+    write_manifest,
     write_results,
 )
 from .metrics import FecThreshold, complexity_rmps
@@ -80,13 +83,21 @@ def _check_resumable(cfg: ExperimentConfig, out: Path) -> None:
 def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     out = Path(args.out)
-    existing = None
-    prior = out / "results.csv"
-    if prior.exists():
+    csv_path = out / "results.csv"
+    existing = []
+    if csv_path.exists():
         _check_resumable(cfg, out)
-        existing = read_results(prior)
+        existing = read_results(csv_path)
         print(f"resuming: {sum(r.ok for r in existing)} completed points found")
-    records = run_sweep(cfg, parallel=args.parallel, existing=existing)
+    # the manifest's config and the header go down before any point runs,
+    # so an interrupted sweep can be resumed from whatever rows it appended
+    write_manifest(out, cfg, existing)
+    append_results([], csv_path)
+    fresh = []
+    for group in sweep_groups(cfg, parallel=args.parallel, existing=existing):
+        append_results(group, csv_path)
+        fresh += group
+    records = in_grid_order(cfg, existing + fresh)
     path = write_results(records, out, cfg)
     failed = sum(not r.ok for r in records)
     print(f"wrote {path} ({len(records)} records, {failed} failed)")

@@ -188,9 +188,12 @@ def _gather_inputs(
     starts = first_target + np.arange(t0, t1) * cfg.n_out - offset
     idx = starts[:, None] + np.arange(cfg.m)[None, :]
     inside = (idx >= 0) & (idx < n_sym)
-    gathered = by_symbol[:, np.clip(idx, 0, n_sym - 1), :]
-    gathered *= inside[None, :, :, None]
-    return gathered.transpose(1, 0, 2, 3).reshape(t1 - t0, cfg.n_in)
+    # gather straight into (step, slice, symbol, sample) order, so the
+    # final reshape is a view rather than a second chunk-sized copy
+    slices = np.arange(cfg.num_slices)
+    gathered = by_symbol[slices[None, :, None], np.clip(idx, 0, n_sym - 1)[:, None, :]]
+    gathered *= inside[:, None, :, None]
+    return gathered.reshape(t1 - t0, cfg.n_in)
 
 
 def _fold(

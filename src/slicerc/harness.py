@@ -1,31 +1,34 @@
 """Experiment configuration, seeded sweeps, and result emission.
 
 A sweep is the Cartesian product of the fiber-length grid, the n_out
-variant list, the SNR grid, and the seed list, executed point by point
-with bounded parallelism. Records always come back in deterministic
-grid order (lengths outermost, then n_out, then SNR, then seeds) no
-matter how the points were scheduled, and a failed point becomes an
-error row instead of aborting the sweep.
+variant list, the SNR grid, and the seed list. It runs one task per
+(fiber length, seed) frame with bounded parallelism: the noiseless link
+runs once per frame, and each of its (n_out, SNR) points adds only its
+own noise, training and scoring. Records always come back in
+deterministic grid order (lengths outermost, then n_out, then SNR, then
+seeds) no matter how the frames were scheduled, and a failed point
+becomes an error row instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import subprocess
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, make_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
 from .esn import EsnConfig, equalize, fit_readout, init_weights
-from .link import LinkConfig, simulate_link
+from .link import LinkConfig, SymbolFrame, detect_frame, load_noise
 from .metrics import (
     BerSnrCurve,
     FecThreshold,
@@ -253,9 +256,22 @@ def run_experiment(cfg: ExperimentConfig, point: GridPoint, seed: int) -> SweepR
     of a sweep shares the same draw and retrains only the readout.
     """
     started = time.perf_counter()
-    link_cfg = cfg.link_config(point, seed)
+    rows, frame = detect_frame(cfg.link_config(point, seed))
+    return _evaluate(cfg, point, seed, rows, frame, started)
+
+
+def _evaluate(
+    cfg: ExperimentConfig,
+    point: GridPoint,
+    seed: int,
+    rows: np.ndarray,
+    frame: SymbolFrame,
+    started: float,
+) -> SweepRecord:
+    """Load the point's noise onto the frame's detected rows, then train
+    and score; the record's time runs from ``started``."""
     esn_cfg = cfg.esn_config(point.n_out, seed)
-    obs, frame = simulate_link(link_cfg)
+    obs = load_noise(rows, cfg.link_config(point, seed))
     guard = obs.guard_symbols
     usable = frame.n_symbols - 2 * guard
     if usable < esn_cfg.m:
@@ -291,19 +307,81 @@ def run_experiment(cfg: ExperimentConfig, point: GridPoint, seed: int) -> SweepR
     )
 
 
-def _run_point(args: tuple[ExperimentConfig, GridPoint, int]) -> SweepRecord:
-    """run_experiment, with a failure turned into an error row."""
-    cfg, point, seed = args
+def _error_row(cfg: ExperimentConfig, point: GridPoint, seed: int, exc: Exception) -> SweepRecord:
+    return SweepRecord(
+        label=cfg.label, seed=int(seed), snr_db=float(point.snr_db),
+        fiber_length_km=float(point.fiber_length_km), n_out=int(point.n_out),
+        n_res=int(cfg.esn.n_res), ber=math.nan, ser=math.nan, per_position_ber=(),
+        rmps=math.nan, train_symbols=0, test_symbols=0, wall_time_s=0.0,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _run_group(args: tuple[ExperimentConfig, int, list[GridPoint]]) -> list[SweepRecord]:
+    """Evaluate the points of one (fiber length, seed) frame.
+
+    The noiseless front half of the link runs once; each point then pays
+    for its own noise, training and scoring, plus an equal share of the
+    front half in its wall_time_s. A failure becomes an error row for the
+    point it hit, or for every point when the front half fails.
+    """
+    cfg, seed, points = args
+    started = time.perf_counter()
     try:
-        return run_experiment(cfg, point, seed)
+        rows, frame = detect_frame(cfg.link_config(points[0], seed))
     except Exception as exc:
-        return SweepRecord(
-            label=cfg.label, seed=int(seed), snr_db=float(point.snr_db),
-            fiber_length_km=float(point.fiber_length_km), n_out=int(point.n_out),
-            n_res=int(cfg.esn.n_res), ber=math.nan, ser=math.nan, per_position_ber=(),
-            rmps=math.nan, train_symbols=0, test_symbols=0, wall_time_s=0.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return [_error_row(cfg, point, seed, exc) for point in points]
+    share = (time.perf_counter() - started) / len(points)
+    records = []
+    for point in points:
+        try:
+            records.append(
+                _evaluate(cfg, point, seed, rows, frame, time.perf_counter() - share)
+            )
+        except Exception as exc:
+            records.append(_error_row(cfg, point, seed, exc))
+    return records
+
+
+def sweep_groups(
+    cfg: ExperimentConfig,
+    parallel: int = 1,
+    existing: Iterable[SweepRecord] | None = None,
+) -> Iterator[list[SweepRecord]]:
+    """Yield the fresh records of each (fiber length, seed) frame as it
+    finishes.
+
+    Points with a successful record in ``existing`` are skipped; error
+    rows are retried. With ``parallel`` > 1 the frames run as pool tasks
+    and come back in completion order.
+    """
+    if parallel < 1:
+        raise ValueError("parallel must be >= 1")
+    done = {rec.key for rec in existing or () if rec.ok}
+    frames: dict[tuple[float, int], list[GridPoint]] = {}
+    for point, seed in grid_points(cfg):
+        if (*point, seed) not in done:
+            frames.setdefault((point.fiber_length_km, seed), []).append(point)
+    tasks = [(cfg, seed, points) for (_, seed), points in frames.items()]
+    if parallel == 1 or len(tasks) <= 1:
+        yield from map(_run_group, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
+        for future in as_completed([pool.submit(_run_group, task) for task in tasks]):
+            yield future.result()
+
+
+def in_grid_order(cfg: ExperimentConfig, records: Iterable[SweepRecord]) -> list[SweepRecord]:
+    """One record per grid point, in grid order.
+
+    A successful record wins over an error row for the same point, and
+    otherwise a later record wins over an earlier one.
+    """
+    best: dict[tuple, SweepRecord] = {}
+    for rec in records:
+        if rec.ok or rec.key not in best or not best[rec.key].ok:
+            best[rec.key] = rec
+    return [best[(*point, seed)] for point, seed in grid_points(cfg)]
 
 
 def run_sweep(
@@ -313,23 +391,14 @@ def run_sweep(
 ) -> list[SweepRecord]:
     """Evaluate every grid point under every seed.
 
-    ``existing`` records (for example from a partial results.csv) are
-    reused by key and their points are skipped; error rows are retried.
-    Output order is always the deterministic grid order.
+    Each (fiber length, seed) frame is simulated once and shared by its
+    n_out and SNR points. ``existing`` records (for example from a partial
+    results.csv) are reused by key and their points are skipped; error
+    rows are retried. Output order is always the deterministic grid order.
     """
-    if parallel < 1:
-        raise ValueError("parallel must be >= 1")
-    # a record's key is its grid point followed by its seed
-    done = {rec.key: rec for rec in existing or () if rec.ok}
-    points = grid_points(cfg)
-    todo = [(cfg, p, s) for p, s in points if (*p, s) not in done]
-    if parallel == 1 or len(todo) <= 1:
-        fresh = [_run_point(args) for args in todo]
-    else:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            fresh = list(pool.map(_run_point, todo, chunksize=1))
-    done.update((rec.key, rec) for rec in fresh)
-    return [done[(*p, s)] for p, s in points]
+    existing = list(existing or ())
+    fresh = [rec for group in sweep_groups(cfg, parallel, existing) for rec in group]
+    return in_grid_order(cfg, existing + fresh)
 
 
 def _format_cell(value) -> str:
@@ -346,21 +415,46 @@ def _parse_cell(text: str, hint):
     return hint(text)
 
 
+def _csv_rows(records: Iterable[SweepRecord], header: bool) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if header:
+        writer.writerow(_RECORD_TYPES)
+    for rec in records:
+        writer.writerow([_format_cell(getattr(rec, col)) for col in _RECORD_TYPES])
+    return buf.getvalue()
+
+
 def write_results(
     records: Iterable[SweepRecord],
     out_dir: str | Path,
     cfg: ExperimentConfig | None = None,
 ) -> Path:
     """Write results.csv (RFC 4180) and a run manifest into out_dir."""
+    records = list(records)
+    write_manifest(out_dir, cfg, records)
+    csv_path = Path(out_dir) / "results.csv"
+    with csv_path.open("w", newline="") as fh:
+        fh.write(_csv_rows(records, header=True))
+    return csv_path
+
+
+def append_results(records: Iterable[SweepRecord], csv_path: str | Path) -> None:
+    """Append rows to results.csv in one write and flush them; a file that
+    does not exist yet starts with the header."""
+    csv_path = Path(csv_path)
+    with csv_path.open("a", newline="") as fh:
+        fh.write(_csv_rows(records, header=fh.tell() == 0))
+        fh.flush()
+
+
+def write_manifest(
+    out_dir: str | Path, cfg: ExperimentConfig | None, records: Iterable[SweepRecord] = ()
+) -> Path:
+    """Write manifest.json into out_dir, creating the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = list(records)
-    csv_path = out / "results.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RECORD_TYPES)
-        for rec in records:
-            writer.writerow([_format_cell(getattr(rec, col)) for col in _RECORD_TYPES])
     manifest = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "package_version": _package_version(),
@@ -369,8 +463,9 @@ def write_results(
         "seeds": sorted({rec.seed for rec in records}),
         "config": config_to_dict(cfg) if cfg is not None else None,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return csv_path
+    path = out / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    return path
 
 
 def _package_version() -> str:

@@ -14,7 +14,9 @@ the dispersion memory; downstream consumers exclude that guard.
 Everything here is a pure function of the configuration, including its
 seed. Bit generation and each slice's noise use separate named
 substreams, so the transmitted data does not change when the number of
-slices changes.
+slices changes. The chain splits before the noise: :func:`detect_frame`
+returns the noiseless detected rows, which depend on every setting but
+the SNR, and :func:`load_noise` loads one SNR's noise onto a copy.
 """
 
 from __future__ import annotations
@@ -331,10 +333,8 @@ def slice_spectrum(wave: Waveform, cfg: LinkConfig) -> np.ndarray:
     return fields
 
 
-def photodetect_and_load_noise(
-    fields: np.ndarray, cfg: LinkConfig, seed: int | None = None
-) -> SlicedObservation:
-    """Square-law detect each slice and add white Gaussian noise.
+def photodetect(fields: np.ndarray) -> np.ndarray:
+    """Square-law detect each slice on the shared carrier, noiselessly.
 
     Detection is carrier-distributed: the receiver taps the carrier line
     (the sum of the slice means, untouched by dispersion) and feeds it to
@@ -342,47 +342,75 @@ def photodetect_and_load_noise(
     carrier. Without this a slice that lacks the carrier line only sees
     its own envelope squared and the band's phase content is gone. With a
     single slice the formula reduces to plain square-law detection of the
-    full field.
+    full field. Rows are detected one at a time, so no second array of
+    slice fields is ever allocated.
+    """
+    fields = np.atleast_2d(np.asarray(fields))
+    means = fields.mean(axis=1, keepdims=True)
+    carrier = means.sum()
+    rows = np.empty(fields.shape)
+    for i, field in enumerate(fields):
+        rows[i] = np.abs(field - means[i] + carrier) ** 2
+    return rows
+
+
+def load_noise(rows: np.ndarray, cfg: LinkConfig, seed: int | None = None) -> SlicedObservation:
+    """Add white Gaussian noise to a copy of the detected rows.
 
     Noise power for slice i is set from that slice's own photodetected
     signal: ``sigma_i^2 = var(rows[i]) / 10^(snr_db / 10)``, where the
     variance removes the mean, so a constant row stays noiseless. Each
-    slice draws from its own named substream of the master seed.
+    slice draws from its own named substream of the master seed, so one
+    set of noiseless rows can be loaded at any number of SNRs. ``rows``
+    is never modified.
     """
-    fields = np.atleast_2d(np.asarray(fields))
-    if fields.shape[0] != cfg.num_slices:
+    noisy = np.array(np.atleast_2d(rows), dtype=float)
+    if noisy.shape[0] != cfg.num_slices:
         raise ValueError("field row count must equal num_slices")
     if seed is None:
         seed = cfg.seed
-    means = fields.mean(axis=1, keepdims=True)
-    carrier = means.sum()
-    rows = np.abs(fields - means + carrier) ** 2
     scale = 10.0 ** (cfg.snr_db / 10.0)
     for i in range(cfg.num_slices):
-        sigma = np.sqrt(rows[i].var() / scale)
+        sigma = np.sqrt(noisy[i].var() / scale)
         noise_rng = substream(seed, STREAM_SLICE_NOISE, i)
-        rows[i] += noise_rng.normal(0.0, sigma, rows.shape[1])
+        noisy[i] += noise_rng.normal(0.0, sigma, noisy.shape[1])
     return SlicedObservation(
-        data=rows,
+        data=noisy,
         sample_rate=cfg.sample_rate,
         sps=cfg.sps,
         guard_symbols=cfg.guard_symbols,
     )
 
 
-def simulate_link(cfg: LinkConfig) -> tuple[SlicedObservation, SymbolFrame]:
-    """Run the full chain for one frame.
+def photodetect_and_load_noise(
+    fields: np.ndarray, cfg: LinkConfig, seed: int | None = None
+) -> SlicedObservation:
+    """:func:`photodetect` followed by :func:`load_noise`."""
+    return load_noise(photodetect(fields), cfg, seed)
 
-    Deterministic in (cfg, cfg.seed). The MZM drive is the shaped
-    waveform normalized by its own peak, which keeps |v| <= 1 for any
-    frame content.
+
+def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
+    """Noiseless front half of the chain: the detected rows and the frame.
+
+    Depends on every setting except ``snr_db``, so one call serves every
+    SNR of a (fiber length, seed) frame through :func:`load_noise`. The
+    MZM drive is the shaped waveform normalized by its own peak, which
+    keeps |v| <= 1 for any frame content. Each waveform is dropped once
+    the next stage has consumed it, so none of them is alive next to the
+    slice fields.
     """
     frame = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
-    shaped = pulse_shape(frame, cfg)
-    peak = np.max(np.abs(shaped.samples))
-    drive = Waveform(samples=shaped.samples / peak, sample_rate=shaped.sample_rate)
-    field = mzm_modulate(drive, cfg)
-    dispersed = propagate_cd(field, cfg)
+    shaped = pulse_shape(frame, cfg).samples
+    drive = Waveform(samples=shaped / np.max(np.abs(shaped)), sample_rate=cfg.sample_rate)
+    del shaped
+    dispersed = propagate_cd(mzm_modulate(drive, cfg), cfg)
+    del drive
     fields = slice_spectrum(dispersed, cfg)
-    obs = photodetect_and_load_noise(fields, cfg)
-    return obs, frame
+    del dispersed
+    return photodetect(fields), frame
+
+
+def simulate_link(cfg: LinkConfig) -> tuple[SlicedObservation, SymbolFrame]:
+    """Run the full chain for one frame. Deterministic in (cfg, cfg.seed)."""
+    rows, frame = detect_frame(cfg)
+    return load_noise(rows, cfg), frame

@@ -1,13 +1,22 @@
 """Sweep orchestration tests, kept at toy scale so they stay fast."""
 
 import csv
+import hashlib
+import io
 import json
 import math
-from dataclasses import replace
+import os
+import subprocess
+import sys
+import time
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slicerc
+from slicerc import harness
 from slicerc.cli import main as cli_main
 from slicerc.esn import EsnConfig
 from slicerc.harness import (
@@ -194,6 +203,99 @@ def test_failing_point_becomes_error_row():
     assert not records[0].ok
     assert "washout" in records[0].error
     assert math.isnan(records[0].ber)
+
+
+def _without_wall_time(records):
+    return [{k: v for k, v in asdict(r).items() if k != "wall_time_s"} for r in records]
+
+
+def _counting_front_half(monkeypatch):
+    calls = []
+    real = harness.detect_frame
+
+    def counted(link_cfg):
+        calls.append((link_cfg.fiber_length_km, link_cfg.seed))
+        return real(link_cfg)
+
+    monkeypatch.setattr(harness, "detect_frame", counted)
+    return calls
+
+
+# SHA-256 of this grid's results.csv without its wall_time_s column, as
+# produced when every point simulated its own link; a change to the
+# numbers of any point changes it
+GOLDEN_GRID_SHA256 = "fc769ab9e3f48df4e5b292ca55d0b349208ea9cc8fa0ff99bee977ec9a8e2ac8"
+
+
+def test_sweep_shares_each_frame_and_matches_single_points(tmp_path, monkeypatch):
+    cfg = toy_config(
+        fiber_length_km=(0.0, 10.0), snr_db=(10.0, 14.0), n_out=(1, 17), seeds=(0, 1),
+        total_symbols=8192,
+    )
+    single = [run_experiment(cfg, p, s) for p, s in grid_points(cfg)]
+    calls = _counting_front_half(monkeypatch)
+    serial = run_sweep(cfg, parallel=1)
+    assert sorted(calls) == [(0.0, 0), (0.0, 1), (10.0, 0), (10.0, 1)]
+    monkeypatch.undo()
+    pooled = run_sweep(cfg, parallel=2)
+    assert all(r.ok for r in single)
+    assert _without_wall_time(serial) == _without_wall_time(single)
+    assert _without_wall_time(pooled) == _without_wall_time(single)
+
+    write_results(serial, tmp_path, cfg)
+    with (tmp_path / "results.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("wall_time_s")
+    buf = io.StringIO()
+    csv.writer(buf).writerows(row[:drop] + row[drop + 1 :] for row in rows)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_GRID_SHA256
+
+
+def test_failures_stay_per_point_inside_a_frame():
+    # 614 training symbols: 36 steps at n_out=17, fewer than the washout,
+    # but 614 steps at n_out=1
+    cfg = toy_config(n_out=(1, 17), snr_db=(20.0, 30.0), total_symbols=4096,
+                     esn=EsnParams(washout=100))
+    records = run_sweep(cfg)
+    assert [(r.n_out, r.ok) for r in records] == [(1, True), (1, True), (17, False), (17, False)]
+    assert all("washout" in r.error for r in records[2:])
+
+
+def test_front_half_failure_fails_every_point_of_its_frame(monkeypatch):
+    real = harness.detect_frame
+
+    def fail_at_10_km(link_cfg):
+        if link_cfg.fiber_length_km == 10.0:
+            raise RuntimeError("front half broke")
+        return real(link_cfg)
+
+    monkeypatch.setattr(harness, "detect_frame", fail_at_10_km)
+    cfg = toy_config(fiber_length_km=(0.0, 10.0), n_out=(1, 3), snr_db=(29.0, 30.0))
+    records = run_sweep(cfg)
+    assert len(records) == 8
+    for rec in records:
+        if rec.fiber_length_km == 10.0:
+            assert rec.error == "RuntimeError: front half broke"
+        else:
+            assert rec.ok
+
+
+def test_wall_time_includes_a_share_of_the_front_half(monkeypatch):
+    real = harness.detect_frame
+    pause = 0.4
+
+    def slow(link_cfg):
+        time.sleep(pause)
+        return real(link_cfg)
+
+    monkeypatch.setattr(harness, "detect_frame", slow)
+    cfg = toy_config(n_out=(1, 3), snr_db=(29.0, 30.0))
+    started = time.perf_counter()
+    records = run_sweep(cfg)
+    elapsed = time.perf_counter() - started
+    assert all(r.wall_time_s >= pause / 4 for r in records)
+    total = sum(r.wall_time_s for r in records)
+    assert pause <= total <= elapsed
 
 
 # ---------------------------------------------------------------- results
@@ -434,3 +536,44 @@ def test_cli_reports_config_errors(tmp_path, capsys):
         assert cli_main(["sweep", "--config", str(bad), "--out", str(out_dir)]) == 1
         assert field in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def test_cli_sweep_survives_interruption(tmp_path, capsys):
+    config = tmp_path / "four_frames.yaml"
+    config.write_text(
+        "fiber_length_km: [0, 10]\n"
+        "snr_db: [10, 14]\n"
+        "n_out: [1, 17]\n"
+        "seeds: [0, 1]\n"
+        "total_symbols: 16384\n"
+        "esn: {washout: 20}\n"
+    )
+    stopped = tmp_path / "stopped"
+    env = dict(os.environ, PYTHONPATH=str(Path(slicerc.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slicerc.cli", "sweep", "--config", str(config),
+         "--out", str(stopped)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    csv_path = stopped / "results.csv"
+    deadline = time.monotonic() + 120
+    try:
+        # stop as soon as the first frame's rows are on disk
+        while proc.poll() is None and time.monotonic() < deadline:
+            if csv_path.exists() and len(csv_path.read_text().splitlines()) > 1:
+                break
+            time.sleep(0.005)
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)
+    partial = read_results(csv_path)
+    assert 1 <= len(partial) < 16
+    assert json.loads((stopped / "manifest.json").read_text())["config"]["total_symbols"] == 16384
+
+    assert cli_main(["sweep", "--config", str(config), "--out", str(stopped)]) == 0
+    assert f"resuming: {len(partial)} completed" in capsys.readouterr().out
+    whole = tmp_path / "whole"
+    assert cli_main(["sweep", "--config", str(config), "--out", str(whole)]) == 0
+    resumed = read_results(csv_path)
+    assert len(resumed) == 16
+    assert _without_wall_time(resumed) == _without_wall_time(read_results(whole / "results.csv"))

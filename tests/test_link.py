@@ -15,7 +15,9 @@ from slicerc.link import (
     SymbolFrame,
     Waveform,
     demap_gray_pam4,
+    detect_frame,
     generate_frame,
+    load_noise,
     map_gray_pam4,
     mzm_modulate,
     photodetect_and_load_noise,
@@ -396,6 +398,22 @@ def test_detection_row_count_must_match_config():
     cfg = cfg_with(num_slices=4)
     with pytest.raises(ValueError):
         photodetect_and_load_noise(np.zeros((2, 64), dtype=complex), cfg)
+
+
+def test_load_noise_leaves_rows_alone_and_matches_simulate_link():
+    cfg = cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=3)
+    rows, frame = detect_frame(cfg)
+    before = rows.copy()
+    for snr in (9.0, 14.0):
+        at_snr = cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=3, snr_db=snr)
+        obs = load_noise(rows, at_snr)
+        assert np.array_equal(rows, before)
+        reference, ref_frame = simulate_link(at_snr)
+        assert np.array_equal(obs.data, reference.data)
+        assert np.array_equal(frame.bits, ref_frame.bits)
+        assert (obs.sps, obs.guard_symbols, obs.sample_rate) == (
+            reference.sps, reference.guard_symbols, reference.sample_rate
+        )
 
 
 # ------------------------------------------------------------ end to end
