@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .harness import (
     emit_plot_data,
     in_grid_order,
     load_config,
+    pending_frames,
     read_results,
     run_experiment,
     sweep_groups,
@@ -94,9 +96,18 @@ def _cmd_sweep(args) -> int:
     write_manifest(out, cfg, existing)
     append_results([], csv_path)
     fresh = []
-    for group in sweep_groups(cfg, parallel=args.parallel, existing=existing):
+    n_frames = len(pending_frames(cfg, existing))
+    started = time.monotonic()
+    for done, group in enumerate(sweep_groups(cfg, parallel=args.parallel, existing=existing), 1):
         append_results(group, csv_path)
         fresh += group
+        elapsed = time.monotonic() - started
+        print(
+            f"frame {done}/{n_frames} done, {sum(not r.ok for r in fresh)} failed points so far, "
+            f"eta {elapsed / done * (n_frames - done):.0f} s",
+            file=sys.stderr,
+            flush=True,
+        )
     records = in_grid_order(cfg, existing + fresh)
     path = write_results(records, out, cfg)
     failed = sum(not r.ok for r in records)

@@ -4,10 +4,12 @@ A sweep is the Cartesian product of the fiber-length grid, the n_out
 variant list, the SNR grid, and the seed list. It runs one task per
 (fiber length, seed) frame with bounded parallelism: the noiseless link
 runs once per frame, and each of its (n_out, SNR) points adds only its
-own noise, training and scoring. Records always come back in
-deterministic grid order (lengths outermost, then n_out, then SNR, then
-seeds) no matter how the frames were scheduled, and a failed point
-becomes an error row instead of aborting the sweep.
+own noise, training and scoring. The SNR points of one n_out share the
+weight draw, so they train and equalize side by side as one batch,
+capped by the memory their noisy observations take. Records always come
+back in deterministic grid order (lengths outermost, then n_out, then
+SNR, then seeds) no matter how the frames were scheduled, and a failed
+point becomes an error row instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -16,18 +18,21 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, make_dataclass
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-from .esn import EsnConfig, equalize, fit_readout, init_weights
+from .esn import EsnConfig, equalize_batch, fit_readout_batch, init_weights
 from .link import LinkConfig, SymbolFrame, detect_frame, load_noise
 from .metrics import (
     BerSnrCurve,
@@ -50,6 +55,12 @@ class ConfigError(ValueError):
 # field is shared by the whole sweep and read from the config file
 _PER_POINT_LINK = {"fiber_length_km", "snr_db", "n_symbols", "seed"}
 _PER_POINT_ESN = {"n_out", "sps", "num_slices", "seed"}
+
+# Bytes of noisy observations that one batch of a frame's SNR points may
+# hold at once. With 4 slices at 2 samples per symbol, an observation of
+# 2^18 symbols takes 16 MiB, so eight points share a batch; from 2^21
+# symbols on, every point runs alone.
+_BATCH_BYTES = 2**27
 
 
 def _shared_params(name: str, cls: type, per_point: set[str], doc: str) -> type:
@@ -257,22 +268,29 @@ def run_experiment(cfg: ExperimentConfig, point: GridPoint, seed: int) -> SweepR
     """
     started = time.perf_counter()
     rows, frame = detect_frame(cfg.link_config(point, seed))
-    return _evaluate(cfg, point, seed, rows, frame, started)
+    return _evaluate(cfg, [point], seed, rows, frame, time.perf_counter() - started)[0]
 
 
 def _evaluate(
     cfg: ExperimentConfig,
-    point: GridPoint,
+    points: list[GridPoint],
     seed: int,
     rows: np.ndarray,
     frame: SymbolFrame,
-    started: float,
-) -> SweepRecord:
-    """Load the point's noise onto the frame's detected rows, then train
-    and score; the record's time runs from ``started``."""
-    esn_cfg = cfg.esn_config(point.n_out, seed)
-    obs = load_noise(rows, cfg.link_config(point, seed))
-    guard = obs.guard_symbols
+    share: float,
+) -> list[SweepRecord]:
+    """Load each point's noise onto the frame's detected rows, then train
+    and score the points as one batch.
+
+    The points share the frame and n_out, so they share the weight draw
+    and run through one step stream; each record equals what its point
+    gives alone. A record's time is an equal share of the batch's time
+    plus ``share``. The observations are freed when this returns.
+    """
+    started = time.perf_counter()
+    esn_cfg = cfg.esn_config(points[0].n_out, seed)
+    observations = [load_noise(rows, cfg.link_config(point, seed)) for point in points]
+    guard = observations[0].guard_symbols
     usable = frame.n_symbols - 2 * guard
     if usable < esn_cfg.m:
         raise ValueError("frame too short after guard discard")
@@ -285,26 +303,32 @@ def _evaluate(
     if test_first >= test_last:
         raise ValueError("no test region left after the training split")
     weights = init_weights(esn_cfg)
-    weights.w_out = fit_readout(obs, frame, weights, esn_cfg, train_first, train_last)
-    estimates, first = equalize(obs, frame, weights, esn_cfg, test_first, test_last)
-    truth = frame.levels[first : first + estimates.size]
-    report = count_errors(hard_decision(estimates), truth, esn_cfg.n_out)
-    n_train_steps = n_train // esn_cfg.n_out
-    return SweepRecord(
-        label=cfg.label,
-        seed=int(seed),
-        snr_db=float(point.snr_db),
-        fiber_length_km=float(point.fiber_length_km),
-        n_out=int(point.n_out),
-        n_res=int(esn_cfg.n_res),
-        ber=float(report.ber),
-        ser=float(report.ser),
-        per_position_ber=tuple(float(v) for v in report.per_position_ber),
-        rmps=float(complexity_rmps(esn_cfg)),
-        train_symbols=int((n_train_steps - esn_cfg.washout) * esn_cfg.n_out),
-        test_symbols=int(report.n_symbols),
-        wall_time_s=time.perf_counter() - started,
+    w_outs = fit_readout_batch(observations, frame, weights, esn_cfg, train_first, train_last)
+    estimates, first = equalize_batch(
+        observations, frame, weights, w_outs, esn_cfg, test_first, test_last
     )
+    truth = frame.levels[first : first + estimates.shape[1]]
+    reports = [count_errors(hard_decision(row), truth, esn_cfg.n_out) for row in estimates]
+    n_train_steps = n_train // esn_cfg.n_out
+    wall_time_s = (time.perf_counter() - started) / len(points) + share
+    return [
+        SweepRecord(
+            label=cfg.label,
+            seed=int(seed),
+            snr_db=float(point.snr_db),
+            fiber_length_km=float(point.fiber_length_km),
+            n_out=int(point.n_out),
+            n_res=int(esn_cfg.n_res),
+            ber=float(report.ber),
+            ser=float(report.ser),
+            per_position_ber=tuple(float(v) for v in report.per_position_ber),
+            rmps=float(complexity_rmps(esn_cfg)),
+            train_symbols=int((n_train_steps - esn_cfg.washout) * esn_cfg.n_out),
+            test_symbols=int(report.n_symbols),
+            wall_time_s=wall_time_s,
+        )
+        for point, report in zip(points, reports)
+    ]
 
 
 def _error_row(cfg: ExperimentConfig, point: GridPoint, seed: int, exc: Exception) -> SweepRecord:
@@ -317,13 +341,43 @@ def _error_row(cfg: ExperimentConfig, point: GridPoint, seed: int, exc: Exceptio
     )
 
 
+def _evaluate_or_split(
+    cfg: ExperimentConfig,
+    points: list[GridPoint],
+    seed: int,
+    rows: np.ndarray,
+    frame: SymbolFrame,
+    share: float,
+) -> list[SweepRecord]:
+    """_evaluate a batch; when it fails, rerun its points one at a time
+    so that each gets its own record or error row."""
+    try:
+        return _evaluate(cfg, points, seed, rows, frame, share)
+    except Exception as exc:
+        if len(points) == 1:
+            return [_error_row(cfg, points[0], seed, exc)]
+    # outside the except block, so the failed batch's observations are
+    # freed before the reruns load their own
+    return [rec for point in points
+            for rec in _evaluate_or_split(cfg, [point], seed, rows, frame, share)]
+
+
+def _batches(points: list[GridPoint], per_batch: int) -> Iterator[list[GridPoint]]:
+    """Consecutive runs of one n_out, at most ``per_batch`` points each."""
+    for _, group in groupby(points, key=lambda point: point.n_out):
+        group = list(group)
+        for i in range(0, len(group), per_batch):
+            yield group[i : i + per_batch]
+
+
 def _run_group(args: tuple[ExperimentConfig, int, list[GridPoint]]) -> list[SweepRecord]:
     """Evaluate the points of one (fiber length, seed) frame.
 
-    The noiseless front half of the link runs once; each point then pays
-    for its own noise, training and scoring, plus an equal share of the
-    front half in its wall_time_s. A failure becomes an error row for the
-    point it hit, or for every point when the front half fails.
+    The noiseless front half of the link runs once. The points of each
+    n_out then run as batches that hold at most _BATCH_BYTES of noisy
+    observations, and each point's wall_time_s adds an equal share of
+    the front half. A failure becomes an error row for the point it
+    hit, or for every point when the front half fails.
     """
     cfg, seed, points = args
     started = time.perf_counter()
@@ -332,15 +386,23 @@ def _run_group(args: tuple[ExperimentConfig, int, list[GridPoint]]) -> list[Swee
     except Exception as exc:
         return [_error_row(cfg, point, seed, exc) for point in points]
     share = (time.perf_counter() - started) / len(points)
-    records = []
-    for point in points:
-        try:
-            records.append(
-                _evaluate(cfg, point, seed, rows, frame, time.perf_counter() - share)
-            )
-        except Exception as exc:
-            records.append(_error_row(cfg, point, seed, exc))
-    return records
+    # every observation has the shape of the noiseless rows
+    per_batch = max(1, _BATCH_BYTES // rows.nbytes)
+    return [rec for batch in _batches(points, per_batch)
+            for rec in _evaluate_or_split(cfg, batch, seed, rows, frame, share)]
+
+
+def pending_frames(
+    cfg: ExperimentConfig, existing: Iterable[SweepRecord] | None = None
+) -> dict[tuple[float, int], list[GridPoint]]:
+    """Points still to run, grouped by (fiber length, seed) frame in grid
+    order; points with a successful record in ``existing`` are left out."""
+    done = {rec.key for rec in existing or () if rec.ok}
+    frames: dict[tuple[float, int], list[GridPoint]] = {}
+    for point, seed in grid_points(cfg):
+        if (*point, seed) not in done:
+            frames.setdefault((point.fiber_length_km, seed), []).append(point)
+    return frames
 
 
 def sweep_groups(
@@ -353,22 +415,23 @@ def sweep_groups(
 
     Points with a successful record in ``existing`` are skipped; error
     rows are retried. With ``parallel`` > 1 the frames run as pool tasks
-    and come back in completion order.
+    and come back in completion order; if the pool breaks, every frame
+    it did not finish comes back as error rows, which a resume retries.
     """
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
-    done = {rec.key for rec in existing or () if rec.ok}
-    frames: dict[tuple[float, int], list[GridPoint]] = {}
-    for point, seed in grid_points(cfg):
-        if (*point, seed) not in done:
-            frames.setdefault((point.fiber_length_km, seed), []).append(point)
-    tasks = [(cfg, seed, points) for (_, seed), points in frames.items()]
+    tasks = [(cfg, seed, points) for (_, seed), points in pending_frames(cfg, existing).items()]
     if parallel == 1 or len(tasks) <= 1:
         yield from map(_run_group, tasks)
         return
     with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
-        for future in as_completed([pool.submit(_run_group, task) for task in tasks]):
-            yield future.result()
+        futures = {pool.submit(_run_group, task): task for task in tasks}
+        for future in as_completed(futures):
+            try:
+                yield future.result()
+            except BrokenProcessPool as exc:
+                _, seed, points = futures[future]
+                yield [_error_row(cfg, point, seed, exc) for point in points]
 
 
 def in_grid_order(cfg: ExperimentConfig, records: Iterable[SweepRecord]) -> list[SweepRecord]:
@@ -461,11 +524,23 @@ def write_manifest(
         "git_commit": _git_commit(),
         "n_records": len(records),
         "seeds": sorted({rec.seed for rec in records}),
+        "environment": _environment(),
         "config": config_to_dict(cfg) if cfg is not None else None,
     }
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return path
+
+
+def _environment() -> dict:
+    """numpy, the BLAS it calls and the CPU count, so that the timings of
+    runs on different machines can be told apart."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        blas_name = "unknown"
+    return {"numpy": np.__version__, "blas": blas_name, "cpu_count": os.cpu_count()}
 
 
 def _package_version() -> str:

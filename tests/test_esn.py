@@ -20,9 +20,9 @@ from slicerc.esn import (
     EsnWeights,
     equalize,
     fit_readout,
+    equalize_batch,
+    fit_readout_batch,
     init_weights,
-    load_weights,
-    save_weights,
 )
 from slicerc.link import SlicedObservation, SymbolFrame
 from slicerc.rng import substream
@@ -214,7 +214,7 @@ def test_windows_match_loop_oracle():
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
     first, n_steps = esn._target_region(obs, frame, cfg, None, None)
     assert (first, n_steps) == (0, n_sym // cfg.n_out)
-    inputs = esn._gather_inputs(obs, cfg, first, 0, n_steps)
+    inputs = esn._gather_inputs([obs], cfg, first, 0, n_steps)[0]
     expected = oracle_windows(obs, cfg, 0, n_steps)
     assert np.array_equal(inputs, expected)
 
@@ -228,7 +228,7 @@ def test_window_stride_arithmetic():
     first, n_steps = esn._target_region(obs, frame, cfg, cfg.k, cfg.k + 1700)
     assert (first, n_steps) == (cfg.k, 100)
     # step t reads the window of the n_out symbols from first + t * n_out
-    inputs = esn._gather_inputs(obs, cfg, first, 0, n_steps)
+    inputs = esn._gather_inputs([obs], cfg, first, 0, n_steps)[0]
     assert np.array_equal(inputs, oracle_windows(obs, cfg, first, n_steps))
     # the region's estimates target every symbol of it exactly once
     w = init_weights(cfg)
@@ -242,7 +242,7 @@ def test_first_window_zero_padded_on_the_left():
     obs = make_obs(np.arange(1, 21, dtype=float)[None, :], sps=1)
     frame = make_frame(np.ones(20))
     assert esn._target_region(obs, frame, cfg, 0, 20) == (0, 20)
-    inputs = esn._gather_inputs(obs, cfg, 0, 0, 20)
+    inputs = esn._gather_inputs([obs], cfg, 0, 0, 20)[0]
     # first target at symbol 0: the k leading window positions fall off
     # the frame and must read zero
     assert np.array_equal(inputs[0, :3], np.zeros(3))
@@ -340,7 +340,9 @@ def test_reservoir_fold_matches_loop_oracle(monkeypatch):
     # one chunk, and chunks of two steps that must carry the state
     for chunk, starts in ((esn._CHUNK_STEPS, [0]), (2, [0, 2, 4])):
         monkeypatch.setattr(esn, "_CHUNK_STEPS", chunk)
-        chunks = list(esn._step_stream(obs, w, cfg, first, n_steps, np.zeros(cfg.n_res)))
+        # each chunk's arrays are overwritten by the next, so keep copies
+        chunks = [(t0, inputs[0].copy(), states[0].copy()) for t0, inputs, states
+                  in esn._step_stream([obs], w, cfg, first, n_steps, np.zeros((1, cfg.n_res)))]
         assert [t0 for t0, _, _ in chunks] == starts
         inputs = np.vstack([c[1] for c in chunks])
         states = np.vstack([c[2] for c in chunks])
@@ -353,7 +355,7 @@ def test_reservoir_empty_and_zero_inputs():
     w = random_weights(cfg)
     assert fold(np.zeros((0, cfg.n_in)), w, cfg.leak).shape == (0, cfg.n_res)
     obs = make_obs(np.zeros((1, 20)), sps=1)
-    assert not list(esn._step_stream(obs, w, cfg, 0, 0, np.zeros(cfg.n_res)))
+    assert not list(esn._step_stream([obs], w, cfg, 0, 0, np.zeros((1, cfg.n_res))))
     assert not fold(np.zeros((7, cfg.n_in)), w, cfg.leak).any()
 
 
@@ -364,8 +366,8 @@ def test_recorded_states_bounded_on_real_data():
     obs = make_obs(rng.normal(size=(1, 500)) * 3.0, sps=1)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 500))
     first, n_steps = esn._target_region(obs, frame, cfg, 10, 490)
-    chunks = esn._step_stream(obs, w, cfg, first, n_steps, np.zeros(cfg.n_res))
-    states = np.vstack([c[2] for c in chunks])
+    chunks = esn._step_stream([obs], w, cfg, first, n_steps, np.zeros((1, cfg.n_res)))
+    states = np.vstack([c[2][0].copy() for c in chunks])
     assert states.shape == (480, cfg.n_res)
     assert np.max(np.abs(states)) < 1.0
 
@@ -605,15 +607,71 @@ def test_equalize_readout_uses_state_window_and_bias():
     assert np.max(np.abs(est - manual)) < 1e-12
 
 
-# ------------------------------------------------------------- persistence
+# ---------------------------------------------------------------- batching
 
-def test_save_load_roundtrip(tmp_path):
-    cfg = EsnConfig(n_out=5, seed=23)
+def test_batched_fold_rows_equal_single_folds():
+    for seed, n_res in ((0, 30), (1, 100), (2, 30)):
+        cfg = EsnConfig(n_res=n_res, seed=seed)
+        w = init_weights(cfg)
+        rng = substream(seed, 5)
+        proj = rng.normal(size=(3, 40, n_res))
+        x0 = rng.uniform(-0.5, 0.5, (3, n_res))
+        states = np.empty_like(proj)
+        last = esn._fold(proj, w.w_res, cfg.leak, x0.copy(), states)
+        for b in range(3):
+            alone = np.empty((40, n_res))
+            x = esn._fold(proj[b], w.w_res, cfg.leak, x0[b].copy(), alone)
+            assert np.array_equal(states[b], alone)
+            assert np.array_equal(last[b], x)
+
+
+@pytest.mark.parametrize("n_out", [1, 17, 23])
+def test_strided_gather_matches_oracle_at_edges_and_warm_up(n_out):
+    cfg = EsnConfig(n_out=n_out)
+    n_sym = 300
+    rng = substream(30 + n_out, 0)
+    observations = [make_obs(rng.normal(size=(4, n_sym * 2)), sps=2) for _ in range(2)]
+    n_steps = n_sym // n_out
+    cases = [
+        (0, 0, n_steps),  # the whole frame, both edges zero-padded for n_out < 2k+1
+        (40, -12, 0),  # warm-up steps before a region, running off the left edge
+        (0, 3, 7),  # a chunk in the middle
+        (n_sym - 2 * n_out, 0, 4),  # targets running off the right edge
+    ]
+    for first, t0, t1 in cases:
+        inputs = esn._gather_inputs(observations, cfg, first, t0, t1)
+        assert inputs.shape == (2, t1 - t0, cfg.n_in)
+        for obs, got in zip(observations, inputs):
+            assert np.array_equal(got, oracle_windows(obs, cfg, first + t0 * n_out, t1 - t0))
+
+
+def test_batch_rows_equal_single_observation_runs(monkeypatch):
+    # several chunks, so the carried state and the chunked sums count
+    monkeypatch.setattr(esn, "_CHUNK_STEPS", 64)
+    cfg = EsnConfig(n_out=3, washout=20, seed=24)
     w = init_weights(cfg)
-    w.w_out = substream(23, 1).normal(size=w.w_out.shape)
-    path = tmp_path / "weights.npz"
-    save_weights(str(path), w, cfg)
-    w2, cfg2 = load_weights(str(path))
-    assert cfg2 == cfg
-    for name in ("w_in", "w_res", "out_mask", "w_out"):
-        assert np.array_equal(getattr(w, name), getattr(w2, name))
+    rng = substream(24, 0)
+    n_sym = 1500
+    frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
+    observations = [make_obs(rng.normal(size=(4, n_sym * 2)), sps=2, guard=30) for _ in range(3)]
+    w_outs = fit_readout_batch(observations, frame, w, cfg, None, 700)
+    estimates, first = equalize_batch(observations, frame, w, w_outs, cfg, 720)
+    assert w_outs.shape == (3,) + w.w_out.shape
+    for b, obs in enumerate(observations):
+        alone = fit_readout(obs, frame, w, cfg, None, 700)
+        assert np.array_equal(w_outs[b], alone)
+        est, start = equalize(obs, frame, _with_readout(w, alone), cfg, 720)
+        assert start == first
+        assert np.array_equal(estimates[b], est)
+
+
+def test_batch_refuses_mixed_regions_and_empty_batches():
+    cfg = small_cfg()
+    frame = make_frame(np.ones(20))
+    w = init_weights(cfg)
+    a = make_obs(np.zeros((1, 20)), sps=1, guard=2)
+    b = make_obs(np.zeros((1, 20)), sps=1, guard=3)
+    with pytest.raises(ValueError, match="share their target region"):
+        fit_readout_batch([a, b], frame, w, cfg)
+    with pytest.raises(ValueError, match="at least one"):
+        equalize_batch([], frame, w, w.w_out[None], cfg)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -298,6 +299,84 @@ def test_wall_time_includes_a_share_of_the_front_half(monkeypatch):
     assert pause <= total <= elapsed
 
 
+def _counting_batches(monkeypatch):
+    sizes = []
+    real = harness.fit_readout_batch
+
+    def counted(observations, *args, **kwargs):
+        sizes.append(len(observations))
+        return real(observations, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_readout_batch", counted)
+    return sizes
+
+
+def test_snr_points_share_a_batch_within_the_byte_budget(monkeypatch):
+    cfg = toy_config(n_out=(1, 3), snr_db=(28.0, 29.0, 30.0), seeds=(0, 1))
+    sizes = _counting_batches(monkeypatch)
+    batched = run_sweep(cfg)
+    # one batch per (frame, n_out)
+    assert sizes == [3] * 4
+    # a budget of two observations splits each run of three SNR points
+    observation_bytes = cfg.link.num_slices * cfg.total_symbols * cfg.link.sps * 8
+    sizes.clear()
+    monkeypatch.setattr(harness, "_BATCH_BYTES", 2 * observation_bytes)
+    pairs = run_sweep(cfg)
+    assert sizes == [2, 1] * 4
+    # and a budget smaller than one observation runs every point alone
+    sizes.clear()
+    monkeypatch.setattr(harness, "_BATCH_BYTES", 1)
+    alone = run_sweep(cfg)
+    assert sizes == [1] * 12
+    assert _without_wall_time(batched) == _without_wall_time(alone)
+    assert _without_wall_time(pairs) == _without_wall_time(alone)
+    # a reference-scale (2^22-symbol) observation is over the budget alone
+    assert cfg.link.num_slices * 2**22 * cfg.link.sps * 8 > harness._BATCH_BYTES
+
+
+def test_a_point_failing_inside_a_batch_gets_its_own_error_row(monkeypatch):
+    cfg = toy_config(n_out=(1, 3), snr_db=(28.0, 29.0, 30.0))
+    clean = run_sweep(cfg)
+    real = harness.load_noise
+
+    def fail_at_29_db(rows, link_cfg, *args, **kwargs):
+        if link_cfg.snr_db == 29.0:
+            raise RuntimeError("noise broke")
+        return real(rows, link_cfg, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_noise", fail_at_29_db)
+    records = run_sweep(cfg)
+    assert [r.key for r in records] == [r.key for r in clean]
+    for rec, ref in zip(records, clean):
+        if rec.snr_db == 29.0:
+            assert rec.error == "RuntimeError: noise broke"
+        else:
+            assert _without_wall_time([rec]) == _without_wall_time([ref])
+
+
+def test_broken_pool_turns_unfinished_frames_into_error_rows(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched front half reaches pool workers only when they fork")
+    cfg = toy_config(fiber_length_km=(0.0, 10.0), snr_db=(29.0, 30.0), seeds=(0, 1))
+    parent = os.getpid()
+    real = harness.detect_frame
+
+    def worker_dies_at_10_km(link_cfg):
+        if link_cfg.fiber_length_km == 10.0 and os.getpid() != parent:
+            os._exit(1)
+        return real(link_cfg)
+
+    monkeypatch.setattr(harness, "detect_frame", worker_dies_at_10_km)
+    records = run_sweep(cfg, parallel=2)
+    assert len(records) == 8
+    assert all(r.ok or r.error.startswith("BrokenProcessPool") for r in records)
+    assert not any(r.ok for r in records if r.fiber_length_km == 10.0)
+    monkeypatch.undo()
+    # a resume retries the frames the pool did not finish
+    resumed = run_sweep(cfg, existing=records)
+    assert _without_wall_time(resumed) == _without_wall_time(run_sweep(cfg))
+
+
 # ---------------------------------------------------------------- results
 
 def test_results_roundtrip(tmp_path):
@@ -479,6 +558,29 @@ def test_cli_simulate_and_sweep(tmp_path, capsys):
     # resuming reuses the completed point
     assert cli_main(["sweep", "--config", str(config), "--out", str(out_dir)]) == 0
     assert "resuming: 1 completed" in capsys.readouterr().out
+
+
+def test_cli_sweep_reports_progress_and_environment(tmp_path, capsys):
+    config = tmp_path / "toy.yaml"
+    config.write_text(
+        "fiber_length_km: [0, 10]\n"
+        "snr_db: [30]\n"
+        "n_out: [1]\n"
+        "seeds: [0]\n"
+        "total_symbols: 2048\n"
+        "esn: {washout: 1000}\n"  # every point fails: too few training steps
+    )
+    out_dir = tmp_path / "run"
+    assert cli_main(["sweep", "--config", str(config), "--out", str(out_dir)]) == 0
+    progress = [line for line in capsys.readouterr().err.splitlines() if line.startswith("frame ")]
+    assert len(progress) == 2
+    assert progress[0].startswith("frame 1/2 done, 1 failed points so far, eta ")
+    assert progress[1] == "frame 2/2 done, 2 failed points so far, eta 0 s"
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["environment"]["numpy"] == np.__version__
+    assert manifest["environment"]["cpu_count"] == os.cpu_count()
+    assert manifest["environment"]["blas"]
+    assert "environment" not in manifest["config"]
 
 
 def test_cli_sweep_refuses_resume_under_other_settings(tmp_path, capsys):
