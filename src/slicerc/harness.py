@@ -607,13 +607,15 @@ def emit_plot_data(
     out_dir: str | Path,
     fec: FecThreshold = FecThreshold(),
 ) -> dict[str, Path]:
-    """Write the three plot-ready CSV files.
+    """Write the four plot-ready CSV files.
 
     ber_vs_snr.csv: median-seed BER per (length, n_out, n_res) series.
     snr_penalty.csv: SNR at threshold and penalty versus the n_out=1
     series at 0 km; series that never bracket the threshold are emitted
     with empty numbers and a note instead of being dropped silently.
     complexity.csv: multiplications per symbol per equalizer variant.
+    per_position.csv: median-seed BER of each window position per series
+    and SNR.
     """
     groups: dict[tuple, list[SweepRecord]] = {}
     for rec in records:
@@ -680,4 +682,24 @@ def emit_plot_data(
         for n_out, n_res, rmps in variants:
             writer.writerow([n_out, n_res, repr(float(rmps))])
 
-    return {"ber_vs_snr": ber_path, "snr_penalty": penalty_path, "complexity": rmps_path}
+    position_path = out / "per_position.csv"
+    with position_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["fiber_length_km", "n_out", "n_res", "snr_db", "position", "ber_median", "n_seeds"]
+        )
+        for (length, n_out, n_res), group in sorted(groups.items()):
+            for snr in sorted({r.snr_db for r in group}):
+                profiles = [r.per_position_ber for r in group if r.snr_db == snr]
+                for position, ber in enumerate(np.median(profiles, axis=0)):
+                    writer.writerow(
+                        [repr(float(length)), n_out, n_res, repr(float(snr)), position,
+                         repr(float(ber)), len(profiles)]
+                    )
+
+    return {
+        "ber_vs_snr": ber_path,
+        "snr_penalty": penalty_path,
+        "complexity": rmps_path,
+        "per_position": position_path,
+    }

@@ -17,6 +17,14 @@ substreams, so the transmitted data does not change when the number of
 slices changes. The chain splits before the noise: :func:`detect_frame`
 returns the noiseless detected rows, which depend on every setting but
 the SNR, and :func:`load_noise` loads one SNR's noise onto a copy.
+
+:func:`detect_frame` runs dispersion, slicing and detection as one
+spectral pass over the MZM field's spectrum and takes the carrier from
+its DC bin. :func:`propagate_cd`, :func:`slice_spectrum` and
+:func:`photodetect` are the same steps as standalone operators on
+waveforms and slice fields; the pass and the operators share one
+definition of the dispersion phase, the slice bin rule and the
+carrier-distributed square law.
 """
 
 from __future__ import annotations
@@ -287,6 +295,59 @@ def mzm_modulate(wave: Waveform, cfg: LinkConfig) -> Waveform:
     return Waveform(samples=field, sample_rate=wave.sample_rate)
 
 
+def _dispersion_factor(f: np.ndarray, cfg: LinkConfig) -> np.ndarray:
+    """``H(f) = exp(+1j * (beta2 / 2) * (2 pi f)^2 * L)`` at frequencies f.
+
+    The phase is built in one buffer, with the operations in the order of
+    the closed form, so the temporaries stay at one real and one complex
+    array of f's length.
+    """
+    phase = (2.0 * pi) * f
+    np.square(phase, out=phase)
+    phase *= 0.5 * cfg.beta2_s2_per_m
+    phase *= cfg.fiber_length_km
+    phase *= 1e3
+    factor = 1j * phase
+    del phase
+    return np.exp(factor, out=factor)
+
+
+def _slice_masks(f: np.ndarray, fs: float, cfg: LinkConfig) -> list[np.ndarray]:
+    """Boolean masks over the bins at frequencies f, one per slice.
+
+    The occupied band ``[-B/2, +B/2]`` splits into ``num_slices`` equal
+    intervals. Each is half-open and the last one also holds its top
+    edge, so every in-band bin, f = 0 included, lies in exactly one slice.
+    """
+    b = cfg.occupied_bandwidth
+    if b > fs:
+        raise ValueError("occupied bandwidth exceeds the sampling rate")
+    edges = -b / 2.0 + b * np.arange(cfg.num_slices + 1) / cfg.num_slices
+    masks = [(f >= edges[i]) & (f < edges[i + 1]) for i in range(cfg.num_slices - 1)]
+    masks.append((f >= edges[-2]) & (f <= edges[-1]))
+    return masks
+
+
+def _band_field(spectrum: np.ndarray, mask: np.ndarray, out: np.ndarray) -> None:
+    """Inverse FFT of the masked spectrum, written into ``out``."""
+    out.fill(0.0)
+    np.copyto(out, spectrum, where=mask)
+    np.fft.ifft(out, out=out)
+
+
+def _square_law(field: np.ndarray, offset: complex, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Carrier-distributed detection of one branch: ``|field + offset|^2``.
+
+    ``offset`` is the shared carrier minus the branch's own mean, so the
+    branch squares its sub-band riding on the common carrier line.
+    ``scratch`` is a complex buffer of the field's length; it may be the
+    field itself.
+    """
+    np.add(field, offset, out=scratch)
+    np.abs(scratch, out=out)
+    np.square(out, out=out)
+
+
 def propagate_cd(wave: Waveform, cfg: LinkConfig) -> Waveform:
     """Apply chromatic dispersion as a circular all-pass filter.
 
@@ -294,11 +355,9 @@ def propagate_cd(wave: Waveform, cfg: LinkConfig) -> Waveform:
     * L)``, which preserves energy exactly and composes additively in
     fiber length.
     """
-    x = np.asarray(wave.samples, dtype=complex)
-    f = np.fft.fftfreq(x.size, d=1.0 / wave.sample_rate)
-    phase = 0.5 * cfg.beta2_s2_per_m * (2.0 * pi * f) ** 2 * cfg.fiber_length_km * 1e3
-    out = np.fft.ifft(np.exp(1j * phase) * np.fft.fft(x))
-    return Waveform(samples=out, sample_rate=wave.sample_rate)
+    spectrum = np.fft.fft(np.asarray(wave.samples, dtype=complex))
+    spectrum *= _dispersion_factor(np.fft.fftfreq(spectrum.size, d=1.0 / wave.sample_rate), cfg)
+    return Waveform(samples=np.fft.ifft(spectrum, out=spectrum), sample_rate=wave.sample_rate)
 
 
 def slice_spectrum(wave: Waveform, cfg: LinkConfig) -> np.ndarray:
@@ -315,21 +374,11 @@ def slice_spectrum(wave: Waveform, cfg: LinkConfig) -> np.ndarray:
     np.ndarray
         Complex array of shape ``(num_slices, n_samples)``.
     """
-    b = cfg.occupied_bandwidth
-    fs = wave.sample_rate
-    if b > fs:
-        raise ValueError("occupied bandwidth exceeds the sampling rate")
-    x = np.asarray(wave.samples, dtype=complex)
-    spectrum = np.fft.fft(x)
-    f = np.fft.fftfreq(x.size, d=1.0 / fs)
-    edges = -b / 2.0 + b * np.arange(cfg.num_slices + 1) / cfg.num_slices
-    fields = np.empty((cfg.num_slices, x.size), dtype=complex)
-    for i in range(cfg.num_slices):
-        if i < cfg.num_slices - 1:
-            mask = (f >= edges[i]) & (f < edges[i + 1])
-        else:
-            mask = (f >= edges[i]) & (f <= edges[i + 1])
-        fields[i] = np.fft.ifft(spectrum * mask)
+    spectrum = np.fft.fft(np.asarray(wave.samples, dtype=complex))
+    f = np.fft.fftfreq(spectrum.size, d=1.0 / wave.sample_rate)
+    fields = np.empty((cfg.num_slices, spectrum.size), dtype=complex)
+    for field, mask in zip(fields, _slice_masks(f, wave.sample_rate, cfg)):
+        _band_field(spectrum, mask, out=field)
     return fields
 
 
@@ -342,15 +391,15 @@ def photodetect(fields: np.ndarray) -> np.ndarray:
     carrier. Without this a slice that lacks the carrier line only sees
     its own envelope squared and the band's phase content is gone. With a
     single slice the formula reduces to plain square-law detection of the
-    full field. Rows are detected one at a time, so no second array of
-    slice fields is ever allocated.
+    full field.
     """
     fields = np.atleast_2d(np.asarray(fields))
-    means = fields.mean(axis=1, keepdims=True)
+    means = fields.mean(axis=1)
     carrier = means.sum()
     rows = np.empty(fields.shape)
+    scratch = np.empty(fields.shape[1], dtype=complex)
     for i, field in enumerate(fields):
-        rows[i] = np.abs(field - means[i] + carrier) ** 2
+        _square_law(field, carrier - means[i], rows[i], scratch)
     return rows
 
 
@@ -395,19 +444,37 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     Depends on every setting except ``snr_db``, so one call serves every
     SNR of a (fiber length, seed) frame through :func:`load_noise`. The
     MZM drive is the shaped waveform normalized by its own peak, which
-    keeps |v| <= 1 for any frame content. Each waveform is dropped once
-    the next stage has consumed it, so none of them is alive next to the
-    slice fields.
+    keeps |v| <= 1 for any frame content.
+
+    Dispersion, slicing and detection run as one spectral pass: one
+    forward FFT of the MZM field, the dispersion factor applied to it in
+    place, then per slice one inverse FFT of its band into a reused buffer,
+    detected into its row at once. The carrier is the DC bin,
+    ``spectrum[0] / n``, the mean of the dispersed field; only the slice
+    that holds f = 0 has a nonzero mean, so that slice is squared as it is
+    and every other slice on the carrier. This is
+    ``photodetect(slice_spectrum(propagate_cd(field)))`` up to rounding,
+    without the round trip to the time domain and without the slice
+    fields ever existing together.
     """
     frame = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
     shaped = pulse_shape(frame, cfg).samples
     drive = Waveform(samples=shaped / np.max(np.abs(shaped)), sample_rate=cfg.sample_rate)
     del shaped
-    dispersed = propagate_cd(mzm_modulate(drive, cfg), cfg)
+    spectrum = np.fft.fft(mzm_modulate(drive, cfg).samples)
     del drive
-    fields = slice_spectrum(dispersed, cfg)
-    del dispersed
-    return photodetect(fields), frame
+    n = spectrum.size
+    f = np.fft.fftfreq(n, d=1.0 / cfg.sample_rate)
+    spectrum *= _dispersion_factor(f, cfg)
+    masks = _slice_masks(f, cfg.sample_rate, cfg)
+    del f
+    carrier = spectrum[0] / n
+    rows = np.empty((cfg.num_slices, n))
+    field = np.empty_like(spectrum)
+    for row, mask in zip(rows, masks):
+        _band_field(spectrum, mask, out=field)
+        _square_law(field, 0.0 if mask[0] else carrier, row, field)
+    return rows, frame
 
 
 def simulate_link(cfg: LinkConfig) -> tuple[SlicedObservation, SymbolFrame]:

@@ -463,6 +463,35 @@ def test_emit_plot_data_files(tmp_path):
     assert got[17] == pytest.approx(1235.0 / 17.0, abs=1e-9)
 
 
+def test_emit_plot_data_per_position_profiles(tmp_path):
+    # seed 1 runs each position at three times seed 0's BER, and the
+    # positions of a window at 1, 2, 3, ... times the point's BER
+    records = [
+        replace(r, per_position_ber=tuple((1 + 2 * r.seed) * (p + 1) * r.ber
+                                          for p in range(r.n_out)))
+        for r in synthetic_records()
+    ]
+    paths = emit_plot_data(records, tmp_path)
+    with paths["per_position"].open() as fh:
+        rows = list(csv.DictReader(fh))
+    # 2 lengths x 4 SNRs x (1 + 17) positions
+    assert len(rows) == 2 * 4 * (1 + 17)
+    by_key = {
+        (float(r["fiber_length_km"]), int(r["n_out"]), float(r["snr_db"]), int(r["position"])): r
+        for r in rows
+    }
+    ber = next(r.ber for r in records
+               if (r.fiber_length_km, r.n_out, r.snr_db) == (10.0, 17, 12.0))
+    row = by_key[(10.0, 17, 12.0, 16)]
+    # the median of two seeds is their mean: (1 + 3) / 2 * 17 * ber
+    assert float(row["ber_median"]) == pytest.approx(2 * 17 * ber, rel=1e-12)
+    assert (int(row["n_res"]), int(row["n_seeds"])) == (30, 2)
+    positions = [int(r["position"]) for r in rows
+                 if (float(r["fiber_length_km"]), int(r["n_out"]), float(r["snr_db"]))
+                 == (0.0, 17, 8.0)]
+    assert positions == list(range(17))
+
+
 def test_emit_plot_data_notes_unbracketed_series(tmp_path):
     records = synthetic_records()
     for snr in (8.0, 10.0, 12.0, 14.0):
@@ -499,7 +528,7 @@ def test_emit_plot_data_requires_unique_reference(tmp_path):
     # an earlier run's plot data stays as it was
     emit_plot_data(synthetic_records(), tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
-    assert len(before) == 3
+    assert len(before) == 4
     with pytest.raises(ValueError, match="reference"):
         emit_plot_data(records, tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == before
@@ -619,6 +648,7 @@ def test_cli_plotdata_from_results(tmp_path, capsys):
     assert (tmp_path / "ber_vs_snr.csv").exists()
     assert (tmp_path / "snr_penalty.csv").exists()
     assert (tmp_path / "complexity.csv").exists()
+    assert (tmp_path / "per_position.csv").exists()
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

@@ -5,11 +5,18 @@ Derived expectations are computed by independent oracles in this file
 decision) rather than by the code under test.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slicerc
 from slicerc.link import (
     LinkConfig,
     SymbolFrame,
@@ -20,6 +27,7 @@ from slicerc.link import (
     load_noise,
     map_gray_pam4,
     mzm_modulate,
+    photodetect,
     photodetect_and_load_noise,
     propagate_cd,
     pulse_shape,
@@ -27,7 +35,7 @@ from slicerc.link import (
     simulate_link,
     slice_spectrum,
 )
-from slicerc.rng import substream
+from slicerc.rng import STREAM_BITS, substream
 
 
 def cfg_with(**kw) -> LinkConfig:
@@ -414,6 +422,46 @@ def test_load_noise_leaves_rows_alone_and_matches_simulate_link():
         assert (obs.sps, obs.guard_symbols, obs.sample_rate) == (
             reference.sps, reference.guard_symbols, reference.sample_rate
         )
+
+
+@pytest.mark.parametrize("num_slices", [1, 3, 4])
+@pytest.mark.parametrize("length", [0.0, 50.0])
+def test_detect_frame_matches_the_stage_chain(length, num_slices):
+    # odd slice counts put f = 0 inside a slice, four puts it on a band edge
+    cfg = cfg_with(n_symbols=4096, fiber_length_km=length, num_slices=num_slices, seed=11)
+    rows, frame = detect_frame(cfg)
+    drawn = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
+    assert np.array_equal(frame.bits, drawn.bits)
+    shaped = pulse_shape(frame, cfg)
+    drive = Waveform(
+        samples=shaped.samples / np.max(np.abs(shaped.samples)),
+        sample_rate=shaped.sample_rate,
+    )
+    chain = photodetect(slice_spectrum(propagate_cd(mzm_modulate(drive, cfg), cfg), cfg))
+    assert rows.shape == chain.shape == (num_slices, cfg.n_symbols * cfg.sps)
+    for row, want in zip(rows, chain):
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_detect_frame_memory_stays_bounded():
+    # peak RSS growth of a fresh process, so nothing else the suite holds
+    # or has freed counts; the bound is five observations' worth of rows
+    script = (
+        "import json, resource\n"
+        "from slicerc.link import LinkConfig, detect_frame\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "rows, _ = detect_frame(LinkConfig(10.0, 12.0, 2**20))\n"
+        "grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) * 1024\n"
+        "print(json.dumps({'grown': grown, 'rows': rows.nbytes}))\n"
+    )
+    src = str(Path(slicerc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["grown"] <= 5 * got["rows"], got
 
 
 # ------------------------------------------------------------ end to end
