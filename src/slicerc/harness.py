@@ -3,13 +3,15 @@
 A sweep is the Cartesian product of the fiber-length grid, the n_out
 variant list, the SNR grid, and the seed list. It runs one task per
 (fiber length, seed) frame with bounded parallelism: the noiseless link
-runs once per frame, and each of its (n_out, SNR) points adds only its
-own noise, training and scoring. The SNR points of one n_out share the
-weight draw, so they train and equalize side by side as one batch,
-capped by the memory their noisy observations take. Records always come
-back in deterministic grid order (lengths outermost, then n_out, then
-SNR, then seeds) no matter how the frames were scheduled, and a failed
-point becomes an error row instead of aborting the sweep.
+runs once per frame, each of its SNRs loads its noise once, and every
+n_out of the frame reads those same noisy observations, so a point adds
+only its own training and scoring. The SNR points of one n_out share the
+weight draw, so they train and equalize side by side as one batch. The
+SNRs load in batches capped by the memory their observations take.
+Records always come back in deterministic grid order (lengths
+outermost, then n_out, then SNR, then seeds) no matter how the frames
+were scheduled, and a failed point becomes an error row instead of
+aborting the sweep.
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ import numpy as np
 import yaml
 
 from .esn import EsnConfig, equalize_batch, fit_readout_batch, init_weights
-from .link import LinkConfig, SymbolFrame, detect_frame, load_noise
+from .link import (
+    LinkConfig,
+    SlicedObservation,
+    SymbolFrame,
+    detect_frame,
+    load_noise_batch,
+    simulate_link,
+)
 from .metrics import (
     BerSnrCurve,
     FecThreshold,
@@ -56,10 +65,10 @@ class ConfigError(ValueError):
 _PER_POINT_LINK = {"fiber_length_km", "snr_db", "n_symbols", "seed"}
 _PER_POINT_ESN = {"n_out", "sps", "num_slices", "seed"}
 
-# Bytes of noisy observations that one batch of a frame's SNR points may
-# hold at once. With 4 slices at 2 samples per symbol, an observation of
-# 2^18 symbols takes 16 MiB, so eight points share a batch; from 2^21
-# symbols on, every point runs alone.
+# Bytes of noisy observations that one noise batch of a frame's SNRs
+# may hold at once. With 4 slices at 2 samples per symbol, an observation
+# of 2^18 symbols takes 16 MiB, so eight SNRs share a batch; from 2^21
+# symbols on, every SNR loads alone.
 _BATCH_BYTES = 2**27
 
 
@@ -267,29 +276,28 @@ def run_experiment(cfg: ExperimentConfig, point: GridPoint, seed: int) -> SweepR
     of a sweep shares the same draw and retrains only the readout.
     """
     started = time.perf_counter()
-    rows, frame = detect_frame(cfg.link_config(point, seed))
-    return _evaluate(cfg, [point], seed, rows, frame, time.perf_counter() - started)[0]
+    observation, frame = simulate_link(cfg.link_config(point, seed))
+    return _evaluate(cfg, [point], seed, [observation], frame, time.perf_counter() - started)[0]
 
 
 def _evaluate(
     cfg: ExperimentConfig,
     points: list[GridPoint],
     seed: int,
-    rows: np.ndarray,
+    observations: list[SlicedObservation],
     frame: SymbolFrame,
     share: float,
 ) -> list[SweepRecord]:
-    """Load each point's noise onto the frame's detected rows, then train
-    and score the points as one batch.
+    """Train and score points of one n_out as one batch, each on its
+    noisy observation of the frame.
 
     The points share the frame and n_out, so they share the weight draw
     and run through one step stream; each record equals what its point
     gives alone. A record's time is an equal share of the batch's time
-    plus ``share``. The observations are freed when this returns.
+    plus ``share``. The observations are read, never modified.
     """
     started = time.perf_counter()
     esn_cfg = cfg.esn_config(points[0].n_out, seed)
-    observations = [load_noise(rows, cfg.link_config(point, seed)) for point in points]
     guard = observations[0].guard_symbols
     usable = frame.n_symbols - 2 * guard
     if usable < esn_cfg.m:
@@ -345,39 +353,75 @@ def _evaluate_or_split(
     cfg: ExperimentConfig,
     points: list[GridPoint],
     seed: int,
-    rows: np.ndarray,
+    observations: list[SlicedObservation],
     frame: SymbolFrame,
     share: float,
 ) -> list[SweepRecord]:
     """_evaluate a batch; when it fails, rerun its points one at a time
-    so that each gets its own record or error row."""
+    on the same observations so that each gets its own record or error
+    row."""
     try:
-        return _evaluate(cfg, points, seed, rows, frame, share)
+        return _evaluate(cfg, points, seed, observations, frame, share)
     except Exception as exc:
         if len(points) == 1:
             return [_error_row(cfg, points[0], seed, exc)]
-    # outside the except block, so the failed batch's observations are
-    # freed before the reruns load their own
-    return [rec for point in points
-            for rec in _evaluate_or_split(cfg, [point], seed, rows, frame, share)]
+    # outside the except block, so the failed batch's intermediates are
+    # freed before the reruns
+    return [rec for point, observation in zip(points, observations)
+            for rec in _evaluate_or_split(cfg, [point], seed, [observation], frame, share)]
 
 
-def _batches(points: list[GridPoint], per_batch: int) -> Iterator[list[GridPoint]]:
-    """Consecutive runs of one n_out, at most ``per_batch`` points each."""
-    for _, group in groupby(points, key=lambda point: point.n_out):
-        group = list(group)
-        for i in range(0, len(group), per_batch):
-            yield group[i : i + per_batch]
+def _load_and_evaluate(
+    cfg: ExperimentConfig,
+    points: list[GridPoint],
+    seed: int,
+    rows: np.ndarray,
+    frame: SymbolFrame,
+    share: float,
+) -> list[SweepRecord]:
+    """Load the noise of every SNR among ``points`` onto the frame's rows
+    once, then evaluate the points of each n_out on those observations.
+
+    The load's time is shared equally by the points it served. When the
+    load fails, each SNR loads alone, and an SNR whose load still fails
+    gives an error row for each of its points.
+    """
+    snrs = list(dict.fromkeys(point.snr_db for point in points))
+    started = time.perf_counter()
+    try:
+        observations = load_noise_batch(
+            rows, [cfg.link_config(points[0]._replace(snr_db=snr), seed) for snr in snrs]
+        )
+    except Exception as exc:
+        if len(snrs) == 1:
+            return [_error_row(cfg, point, seed, exc) for point in points]
+    else:
+        by_snr = dict(zip(snrs, observations))
+        share += (time.perf_counter() - started) / len(points)
+        records = []
+        for _, group in groupby(points, key=lambda point: point.n_out):
+            group = list(group)
+            records += _evaluate_or_split(
+                cfg, group, seed, [by_snr[point.snr_db] for point in group], frame, share
+            )
+        return records
+    # outside the except block, so a failed batch's copies are freed
+    # before the one-SNR loads
+    return [rec for snr in snrs
+            for rec in _load_and_evaluate(
+                cfg, [point for point in points if point.snr_db == snr], seed, rows, frame, share)]
 
 
 def _run_group(args: tuple[ExperimentConfig, int, list[GridPoint]]) -> list[SweepRecord]:
     """Evaluate the points of one (fiber length, seed) frame.
 
-    The noiseless front half of the link runs once. The points of each
-    n_out then run as batches that hold at most _BATCH_BYTES of noisy
-    observations, and each point's wall_time_s adds an equal share of
-    the front half. A failure becomes an error row for the point it
-    hit, or for every point when the front half fails.
+    The noiseless front half of the link runs once. The frame's pending
+    SNRs then load their noise in batches that hold at most _BATCH_BYTES
+    of noisy observations, and every n_out of the frame reads the same
+    observations. Each point's wall_time_s adds an equal share of the
+    front half. A failure becomes an error row for the points it hit, or
+    for every point when the front half fails. Records come back in the
+    order of ``points``.
     """
     cfg, seed, points = args
     started = time.perf_counter()
@@ -388,8 +432,14 @@ def _run_group(args: tuple[ExperimentConfig, int, list[GridPoint]]) -> list[Swee
     share = (time.perf_counter() - started) / len(points)
     # every observation has the shape of the noiseless rows
     per_batch = max(1, _BATCH_BYTES // rows.nbytes)
-    return [rec for batch in _batches(points, per_batch)
-            for rec in _evaluate_or_split(cfg, batch, seed, rows, frame, share)]
+    snrs = list(dict.fromkeys(point.snr_db for point in points))
+    records = {}
+    for i in range(0, len(snrs), per_batch):
+        batch = set(snrs[i : i + per_batch])
+        for rec in _load_and_evaluate(cfg, [point for point in points if point.snr_db in batch],
+                                      seed, rows, frame, share):
+            records[rec.key] = rec
+    return [records[(*point, seed)] for point in points]
 
 
 def pending_frames(

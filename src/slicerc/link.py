@@ -16,7 +16,9 @@ seed. Bit generation and each slice's noise use separate named
 substreams, so the transmitted data does not change when the number of
 slices changes. The chain splits before the noise: :func:`detect_frame`
 returns the noiseless detected rows, which depend on every setting but
-the SNR, and :func:`load_noise` loads one SNR's noise onto a copy.
+the SNR, and :func:`load_noise_batch` loads any number of SNRs' noise
+onto copies of them, drawing each slice's noise once; :func:`load_noise`
+is its one-SNR call.
 
 :func:`detect_frame` runs dispersion, slicing and detection as one
 spectral pass over the MZM field's spectrum and takes the carrier from
@@ -29,7 +31,7 @@ carrier-distributed square law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, pi
 
 import numpy as np
@@ -198,13 +200,26 @@ def map_gray_pam4(bits: np.ndarray) -> np.ndarray:
     return _LEVEL_BY_GRAY_INDEX[idx]
 
 
+def level_indices(levels: np.ndarray) -> np.ndarray:
+    """Index of each exact level in :data:`PAM4_LEVELS`.
+
+    Raises ``ValueError`` when any value is not one of the four levels.
+    """
+    levels = np.asarray(levels, dtype=float)
+    # level i is -3 + 2 i; any other value, NaN included, casts to some
+    # index whose level differs from it
+    scaled = levels + 3.0
+    scaled *= 0.5
+    with np.errstate(invalid="ignore"):
+        idx = scaled.astype(np.uint8)
+    if not np.array_equal(PAM4_LEVELS.take(idx, mode="clip"), levels):
+        raise ValueError("levels must be drawn from {-3, -1, +1, +3}")
+    return idx
+
+
 def demap_gray_pam4(levels: np.ndarray) -> np.ndarray:
     """Inverse of :func:`map_gray_pam4` for exact level values."""
-    levels = np.asarray(levels, dtype=float)
-    idx = np.searchsorted(PAM4_LEVELS, levels)
-    if np.any(idx >= 4) or not np.all(PAM4_LEVELS[np.minimum(idx, 3)] == levels):
-        raise ValueError("levels must be drawn from {-3, -1, +1, +3}")
-    return _BITS_BY_LEVEL_INDEX[idx].reshape(-1)
+    return _BITS_BY_LEVEL_INDEX[level_indices(levels)].reshape(-1)
 
 
 def rrc_taps(rolloff: float, sps: int, span_symbols: int) -> np.ndarray:
@@ -411,24 +426,55 @@ def load_noise(rows: np.ndarray, cfg: LinkConfig, seed: int | None = None) -> Sl
     variance removes the mean, so a constant row stays noiseless. Each
     slice draws from its own named substream of the master seed, so one
     set of noiseless rows can be loaded at any number of SNRs. ``rows``
-    is never modified.
+    is never modified. This is :func:`load_noise_batch` of one config.
     """
-    noisy = np.array(np.atleast_2d(rows), dtype=float)
-    if noisy.shape[0] != cfg.num_slices:
+    return load_noise_batch(rows, [cfg], seed)[0]
+
+
+def load_noise_batch(
+    rows: np.ndarray, cfgs: list[LinkConfig], seed: int | None = None
+) -> list[SlicedObservation]:
+    """:func:`load_noise` at each config's SNR, drawing the noise once.
+
+    The configs are the SNR points of one frame and must agree on every
+    other setting. A slice's noise substream is keyed by (seed, slice),
+    not by SNR, so each slice draws its standard normals ``g`` once and
+    every copy adds ``sigma_i * g`` at its own ``sigma_i``. That is what
+    ``normal(0.0, sigma_i, n)`` computes, so each observation is
+    bit-identical to its own :func:`load_noise` call. Besides the copies,
+    one slice's draw and one slice-sized product are alive at a time; the
+    last config scales the draw in place.
+    """
+    if not cfgs:
+        raise ValueError("load_noise_batch needs at least one config")
+    first = cfgs[0]
+    if any(replace(cfg, snr_db=first.snr_db) != first for cfg in cfgs):
+        raise ValueError("configs of one noise batch may differ only in snr_db")
+    clean = np.asarray(np.atleast_2d(rows), dtype=float)
+    if clean.shape[0] != first.num_slices:
         raise ValueError("field row count must equal num_slices")
     if seed is None:
-        seed = cfg.seed
-    scale = 10.0 ** (cfg.snr_db / 10.0)
-    for i in range(cfg.num_slices):
-        sigma = np.sqrt(noisy[i].var() / scale)
-        noise_rng = substream(seed, STREAM_SLICE_NOISE, i)
-        noisy[i] += noise_rng.normal(0.0, sigma, noisy.shape[1])
-    return SlicedObservation(
-        data=noisy,
-        sample_rate=cfg.sample_rate,
-        sps=cfg.sps,
-        guard_symbols=cfg.guard_symbols,
-    )
+        seed = first.seed
+    noisy = [clean.copy() for _ in cfgs]
+    scales = [10.0 ** (cfg.snr_db / 10.0) for cfg in cfgs]
+    scaled = np.empty(clean.shape[1]) if len(cfgs) > 1 else None
+    for i, row in enumerate(clean):
+        var = row.var()
+        noise = substream(seed, STREAM_SLICE_NOISE, i).standard_normal(clean.shape[1])
+        for data, scale in zip(noisy[:-1], scales):
+            np.multiply(noise, np.sqrt(var / scale), out=scaled)
+            data[i] += scaled
+        noise *= np.sqrt(var / scales[-1])
+        noisy[-1][i] += noise
+    return [
+        SlicedObservation(
+            data=data,
+            sample_rate=first.sample_rate,
+            sps=first.sps,
+            guard_symbols=first.guard_symbols,
+        )
+        for data in noisy
+    ]
 
 
 def photodetect_and_load_noise(
@@ -442,8 +488,8 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     """Noiseless front half of the chain: the detected rows and the frame.
 
     Depends on every setting except ``snr_db``, so one call serves every
-    SNR of a (fiber length, seed) frame through :func:`load_noise`. The
-    MZM drive is the shaped waveform normalized by its own peak, which
+    SNR of a (fiber length, seed) frame through :func:`load_noise_batch`.
+    The MZM drive is the shaped waveform normalized by its own peak, which
     keeps |v| <= 1 for any frame content.
 
     Dispersion, slicing and detection run as one spectral pass: one

@@ -13,9 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .esn import EsnConfig
-from .link import PAM4_LEVELS, demap_gray_pam4
+from .link import PAM4_LEVELS, demap_gray_pam4, level_indices
 
 KP4_BER = 2.26e-4
+
+# _GRAY_BIT_DIFFERENCES[4 * i + j]: bits in which the Gray labels of
+# levels i and j (indices into PAM4_LEVELS) differ
+_GRAY_LABELS = demap_gray_pam4(PAM4_LEVELS).reshape(4, 2)
+_GRAY_BIT_DIFFERENCES = (
+    (_GRAY_LABELS[:, None, :] != _GRAY_LABELS[None, :, :]).sum(axis=2, dtype=np.uint8).reshape(-1)
+)
 
 
 class NotBracketed(Exception):
@@ -124,27 +131,29 @@ def count_errors(
         raise ValueError("sequences must have equal length")
     if n_out < 1:
         raise ValueError("n_out must be >= 1")
-    n_symbols = pred_levels.size
-    bit_errors_per_symbol = (
-        demap_gray_pam4(pred_levels) != demap_gray_pam4(true_levels)
-    ).reshape(-1, 2).sum(axis=1)
-    symbol_errors = pred_levels != true_levels
-    positions = np.arange(n_symbols) % n_out
+    pairs = level_indices(pred_levels).reshape(-1) * np.uint8(4)
+    pairs += level_indices(true_levels).reshape(-1)
+    bit_errors = _GRAY_BIT_DIFFERENCES.take(pairs)
+    n_symbols = bit_errors.size
+    n_bit_errors = int(bit_errors.sum())
+    # Gray labels of two different levels differ in at least one bit
+    n_symbol_errors = int(np.count_nonzero(bit_errors))
+    # symbol i sits at row i // n_out, column i % n_out
+    full, rest = divmod(n_symbols, n_out)
+    errors_at = bit_errors[: full * n_out].reshape(full, n_out).sum(axis=0, dtype=np.int64)
+    errors_at[:rest] += bit_errors[full * n_out :]
+    symbols_at = np.full(n_out, full)
+    symbols_at[:rest] += 1
     per_position = np.zeros(n_out)
-    for p in range(n_out):
-        sel = positions == p
-        bits_at_p = 2 * int(sel.sum())
-        if bits_at_p:
-            per_position[p] = bit_errors_per_symbol[sel].sum() / bits_at_p
+    np.divide(errors_at, 2 * symbols_at, out=per_position, where=symbols_at > 0)
     n_bits = 2 * n_symbols
-    n_bit_errors = int(bit_errors_per_symbol.sum())
     return BerReport(
         ber=n_bit_errors / n_bits if n_bits else 0.0,
-        ser=float(symbol_errors.mean()) if n_symbols else 0.0,
+        ser=n_symbol_errors / n_symbols if n_symbols else 0.0,
         n_bits=n_bits,
         n_bit_errors=n_bit_errors,
         n_symbols=n_symbols,
-        n_symbol_errors=int(symbol_errors.sum()),
+        n_symbol_errors=n_symbol_errors,
         per_position_ber=per_position,
     )
 

@@ -322,7 +322,8 @@ def test_snr_points_share_a_batch_within_the_byte_budget(monkeypatch):
     sizes.clear()
     monkeypatch.setattr(harness, "_BATCH_BYTES", 2 * observation_bytes)
     pairs = run_sweep(cfg)
-    assert sizes == [2, 1] * 4
+    # SNR batches are the outer loop: each n_out reads 28/29 dB, then 30 dB
+    assert sizes == [2, 2, 1, 1] * 2
     # and a budget smaller than one observation runs every point alone
     sizes.clear()
     monkeypatch.setattr(harness, "_BATCH_BYTES", 1)
@@ -337,14 +338,14 @@ def test_snr_points_share_a_batch_within_the_byte_budget(monkeypatch):
 def test_a_point_failing_inside_a_batch_gets_its_own_error_row(monkeypatch):
     cfg = toy_config(n_out=(1, 3), snr_db=(28.0, 29.0, 30.0))
     clean = run_sweep(cfg)
-    real = harness.load_noise
+    real = harness.load_noise_batch
 
-    def fail_at_29_db(rows, link_cfg, *args, **kwargs):
-        if link_cfg.snr_db == 29.0:
+    def fail_at_29_db(rows, link_cfgs, *args, **kwargs):
+        if any(link_cfg.snr_db == 29.0 for link_cfg in link_cfgs):
             raise RuntimeError("noise broke")
-        return real(rows, link_cfg, *args, **kwargs)
+        return real(rows, link_cfgs, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "load_noise", fail_at_29_db)
+    monkeypatch.setattr(harness, "load_noise_batch", fail_at_29_db)
     records = run_sweep(cfg)
     assert [r.key for r in records] == [r.key for r in clean]
     for rec, ref in zip(records, clean):
@@ -352,6 +353,23 @@ def test_a_point_failing_inside_a_batch_gets_its_own_error_row(monkeypatch):
             assert rec.error == "RuntimeError: noise broke"
         else:
             assert _without_wall_time([rec]) == _without_wall_time([ref])
+
+
+def test_each_frame_loads_its_noise_once_for_every_n_out(monkeypatch):
+    cfg = toy_config(n_out=(1, 3), snr_db=(28.0, 29.0, 30.0), seeds=(0, 1))
+    alone = [run_experiment(cfg, p, s) for p, s in grid_points(cfg)]
+    loads = []
+    real = harness.load_noise_batch
+
+    def counted(rows, link_cfgs, *args, **kwargs):
+        loads.append((link_cfgs[0].seed, [link_cfg.snr_db for link_cfg in link_cfgs]))
+        return real(rows, link_cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_noise_batch", counted)
+    records = run_sweep(cfg)
+    # one load per frame serves both n_out; a load per point would make 12
+    assert loads == [(0, [28.0, 29.0, 30.0]), (1, [28.0, 29.0, 30.0])]
+    assert _without_wall_time(records) == _without_wall_time(alone)
 
 
 def test_broken_pool_turns_unfinished_frames_into_error_rows(monkeypatch):

@@ -25,6 +25,7 @@ from slicerc.link import (
     detect_frame,
     generate_frame,
     load_noise,
+    load_noise_batch,
     map_gray_pam4,
     mzm_modulate,
     photodetect,
@@ -35,7 +36,7 @@ from slicerc.link import (
     simulate_link,
     slice_spectrum,
 )
-from slicerc.rng import STREAM_BITS, substream
+from slicerc.rng import STREAM_BITS, STREAM_SLICE_NOISE, substream
 
 
 def cfg_with(**kw) -> LinkConfig:
@@ -422,6 +423,44 @@ def test_load_noise_leaves_rows_alone_and_matches_simulate_link():
         assert (obs.sps, obs.guard_symbols, obs.sample_rate) == (
             reference.sps, reference.guard_symbols, reference.sample_rate
         )
+
+
+def test_load_noise_batch_matches_per_slice_normal_draws():
+    cfg = cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=5)
+    rows, _ = detect_frame(cfg)
+    before = rows.copy()
+    snrs = (9.0, 13.0, 30.0)
+    cfgs = [cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=5, snr_db=snr) for snr in snrs]
+    observations = load_noise_batch(rows, cfgs)
+    assert np.array_equal(rows, before)
+    assert len(observations) == len(snrs)
+    n = rows.shape[1]
+    for snr, obs in zip(snrs, observations):
+        for i in range(cfg.num_slices):
+            sigma = np.sqrt(rows[i].var() / 10.0 ** (snr / 10.0))
+            want = rows[i] + substream(5, STREAM_SLICE_NOISE, i).normal(0.0, sigma, n)
+            assert np.array_equal(obs.data[i], want)
+        assert (obs.sps, obs.guard_symbols, obs.sample_rate) == (
+            cfg.sps, cfg.guard_symbols, cfg.sample_rate
+        )
+    # an explicit seed overrides the configs' seed the same way
+    reseeded = load_noise_batch(rows, cfgs[:1], seed=8)[0]
+    assert np.array_equal(reseeded.data, load_noise(rows, cfgs[0], seed=8).data)
+    assert not np.array_equal(reseeded.data, observations[0].data)
+
+
+def test_load_noise_batch_rejects_configs_of_other_frames():
+    cfg = cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=5)
+    rows, _ = detect_frame(cfg)
+    for other in (
+        cfg_with(n_symbols=4096, fiber_length_km=0.0, seed=5),
+        cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=6),
+        cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=5, sps=4),
+    ):
+        with pytest.raises(ValueError, match="snr_db"):
+            load_noise_batch(rows, [cfg, other])
+    with pytest.raises(ValueError):
+        load_noise_batch(rows, [])
 
 
 @pytest.mark.parametrize("num_slices", [1, 3, 4])

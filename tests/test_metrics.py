@@ -113,6 +113,49 @@ def test_injected_error_count_is_reported_exactly(n_errors, extra):
     assert report.ber == n_errors / (2.0 * n)
 
 
+def oracle_count_errors(pred, truth, n_out):
+    """Bit errors, symbol errors and per-position BER, one symbol at a
+    time through the Gray demapper."""
+    bit_errors = symbol_errors = 0
+    errors_at = [0] * n_out
+    symbols_at = [0] * n_out
+    for i, (p, t) in enumerate(zip(pred, truth)):
+        wrong = int(np.sum(demap_gray_pam4(np.array([p])) != demap_gray_pam4(np.array([t]))))
+        bit_errors += wrong
+        symbol_errors += p != t
+        errors_at[i % n_out] += wrong
+        symbols_at[i % n_out] += 1
+    per_position = [e / (2 * n) if n else 0.0 for e, n in zip(errors_at, symbols_at)]
+    return bit_errors, symbol_errors, per_position
+
+
+@pytest.mark.parametrize("n_out", [1, 17, 23])
+@pytest.mark.parametrize("n", [0, 5, 400])
+def test_count_errors_matches_demap_oracle(n, n_out):
+    # 400 is no multiple of 17 or 23, and 5 leaves positions unvisited
+    rng = np.random.default_rng(n + n_out)
+    truth = rng.choice(LEVELS, n)
+    pred = np.where(rng.random(n) < 0.3, rng.choice(LEVELS, n), truth)
+    report = count_errors(pred, truth, n_out)
+    bit_errors, symbol_errors, per_position = oracle_count_errors(pred, truth, n_out)
+    assert (report.n_bits, report.n_bit_errors) == (2 * n, bit_errors)
+    assert (report.n_symbols, report.n_symbol_errors) == (n, symbol_errors)
+    assert report.ber == (bit_errors / (2 * n) if n else 0.0)
+    assert report.ser == (symbol_errors / n if n else 0.0)
+    assert report.per_position_ber.tolist() == per_position
+
+
+@pytest.mark.parametrize("bad", [2.0, -5.0, 5.0, 0.0, 1.5, np.nan, np.inf, -np.inf])
+def test_count_errors_rejects_values_off_the_levels(bad):
+    good = np.array([-3.0, -1.0, 1.0, 3.0])
+    off = good.copy()
+    off[2] = bad
+    with pytest.raises(ValueError):
+        count_errors(off, good)
+    with pytest.raises(ValueError):
+        count_errors(good, off)
+
+
 def test_count_errors_rejects_length_mismatch():
     with pytest.raises(ValueError):
         count_errors(np.array([1.0]), np.array([1.0, 3.0]))
