@@ -91,6 +91,8 @@ def _cmd_sweep(args) -> int:
         _check_resumable(cfg, out)
         existing = read_results(csv_path)
         print(f"resuming: {sum(r.ok for r in existing)} completed points found")
+    # checks its arguments before anything is written
+    groups = sweep_groups(cfg, parallel=args.parallel, existing=existing)
     # the manifest's config and the header go down before any point runs,
     # so an interrupted sweep can be resumed from whatever rows it appended
     write_manifest(out, cfg, existing)
@@ -98,7 +100,7 @@ def _cmd_sweep(args) -> int:
     fresh = []
     n_frames = len(pending_frames(cfg, existing))
     started = time.monotonic()
-    for done, group in enumerate(sweep_groups(cfg, parallel=args.parallel, existing=existing), 1):
+    for done, group in enumerate(groups, 1):
         append_results(group, csv_path)
         fresh += group
         elapsed = time.monotonic() - started

@@ -17,11 +17,12 @@ a readout without the reservoir columns crosses the KP4 threshold within
 0.05 dB of the full one, while a readout of the reservoir and bias alone
 never reaches it.
 
-Training and equalization run off one chunked step stream. Several
-observations of one frame (the SNR points of a sweep frame, which share
-the weight draw) can run through it side by side as a batch; each row of
-a batch gets exactly the numbers it would get alone, and the
-one-observation calls fit_readout and equalize are that batch at size 1.
+Training and equalization read the same design rows, [state | window | 1]
+per step, from one chunked step stream whose zero state starts ``washout``
+steps before its first row. Several observations of one frame (the SNR
+points of a sweep frame, which share the weight draw) can run through it
+side by side as a batch; each row of a batch gets exactly the numbers it
+would get alone, and fit_readout and equalize are that batch at size 1.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .link import SlicedObservation, SymbolFrame
 from .rng import STREAM_OUT_MASK, STREAM_W_IN, STREAM_W_RES, substream
 
-# Steps per chunk of the step stream that trains and equalizes. Bounds peak
-# memory at roughly B * chunk * n_in floats regardless of frame length. It
-# is the same at every batch size B, so how a row's steps are chunked, and
+# Steps per chunk of the step stream. Bounds peak memory at roughly
+# B * chunk * (n_res + n_in + 1) floats regardless of frame length. It is
+# the same at every batch size B, so how a row's steps are chunked, and
 # with it every sum the row's numbers come from, never depends on B.
 _CHUNK_STEPS = 2048
 
@@ -211,8 +212,10 @@ def _gather_inputs(
         if a < b:
             span[:, (a - lo) * sps : (b - lo) * sps] = obs.data[:, a * sps : b * sps]
         windows = sliding_window_view(span, width, axis=1)[:, :: cfg.n_out * sps]
-        # each row of the buffer is contiguous, so this reshape is a view
-        inputs[row].reshape(n_steps, cfg.num_slices, width)[...] = windows.swapaxes(0, 1)
+        # a row's window columns are contiguous even inside the design
+        # rows, so this is a view; copy=False raises rather than copy
+        target = inputs[row].reshape(n_steps, cfg.num_slices, width, copy=False)
+        target[...] = windows.swapaxes(0, 1)
     return inputs
 
 
@@ -248,64 +251,68 @@ def _step_stream(
     cfg: EsnConfig,
     first: int,
     n_steps: int,
-    x: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(t0, inputs, states)`` per chunk of steps [0, n_steps).
+    washout: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(t0, rows)`` per chunk of steps [0, n_steps).
 
-    Row b of the batch reads ``observations[b]``; inputs are (B, T,
-    n_in) and states (B, T, n_res), and step i of a chunk is step t0 + i.
-    The state starts at ``x`` (B, n_res) and carries from chunk to chunk.
-    The yielded arrays are buffers that the next chunk overwrites, so a
-    chunk never coexists with the one before it; copy what must outlive
-    it.
+    ``rows`` (B, T, n_res + n_in + 1) are the design rows [state |
+    window | 1]: row b reads ``observations[b]`` and step i of a chunk is
+    step t0 + i. The state starts from zero at step -washout, where the
+    chunks start; those warm-up steps (zero-padded off the frame) are
+    folded but not yielded. The rows are views of one buffer that the
+    next chunk overwrites, so copy what must outlive a chunk.
     """
-    size = (len(observations), min(_CHUNK_STEPS, n_steps))
-    inputs_buf = np.empty(size + (cfg.n_in,))
-    proj_buf, states_buf = np.empty(size + (cfg.n_res,)), np.empty(size + (cfg.n_res,))
-    for t0 in range(0, n_steps, _CHUNK_STEPS):
+    if n_steps <= 0:
+        return
+    d = cfg.n_res + cfg.n_in
+    buf = np.empty((len(observations), min(_CHUNK_STEPS, washout + n_steps), d + 1))
+    buf[..., d] = 1.0
+    proj_buf = np.empty(buf.shape[:2] + (cfg.n_res,))
+    x = np.zeros((len(observations), cfg.n_res))
+    for t0 in range(-washout, n_steps, _CHUNK_STEPS):
         t1 = min(t0 + _CHUNK_STEPS, n_steps)
-        inputs, proj, states = (buf[:, : t1 - t0] for buf in (inputs_buf, proj_buf, states_buf))
-        _gather_inputs(observations, cfg, first, t0, t1, out=inputs)
-        x = _fold(np.matmul(inputs, w.w_in.T, out=proj), w.w_res, cfg.leak, x, states)
-        yield t0, inputs, states
+        rows, proj = buf[:, : t1 - t0], proj_buf[:, : t1 - t0]
+        inputs = _gather_inputs(observations, cfg, first, t0, t1, out=rows[..., cfg.n_res : d])
+        np.matmul(inputs, w.w_in.T, out=proj)
+        x = _fold(proj, w.w_res, cfg.leak, x, rows[..., : cfg.n_res])
+        if t1 > 0:
+            yield max(t0, 0), rows[:, max(-t0, 0) :]
 
 
-def _accumulate_gram(
-    gram: np.ndarray, moment: np.ndarray, feats: np.ndarray, targets: np.ndarray
-) -> None:
-    """Add one block of rows to the bias-augmented normal equations."""
-    d = feats.shape[1]
-    gram[:d, :d] += feats.T @ feats
-    col = feats.sum(axis=0)
-    gram[:d, d] += col
-    gram[d, :d] += col
-    gram[d, d] += feats.shape[0]
-    moment[:d] += feats.T @ targets
-    moment[d] += targets.sum(axis=0)
+def _solve(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """np.linalg.solve, refusing rank-deficient normal matrices at lam=0."""
+    if lam == 0.0 and (np.linalg.matrix_rank(a) < a.shape[-1]).any():
+        raise ValueError(
+            "normal matrix is singular at ridge_lambda=0; "
+            "train with a positive ridge_lambda"
+        )
+    return np.linalg.solve(a, b)
 
 
 def _solve_masked_ridge(
     gram: np.ndarray, moment: np.ndarray, mask: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Solve each readout row over its unmasked columns plus the bias.
+    """Solve every readout row over its unmasked columns plus the bias.
 
-    The ridge penalty applies to feature coefficients only; the bias
-    stays unpenalized so the large-lambda limit recovers the target
-    mean.
+    The columns every row reads (window and bias) are eliminated once;
+    the rest is one stacked solve over their Schur complement, where a
+    row's unselected columns become identity rows with a zero right-hand
+    side and so get exactly zero weight. The ridge penalty applies to
+    feature coefficients only; the bias stays unpenalized so the
+    large-lambda limit recovers the target mean.
     """
     n_out, d = mask.shape
-    w_out = np.zeros((n_out, d + 1))
-    for r in range(n_out):
-        sel = np.flatnonzero(mask[r])
-        cols = np.append(sel, d)
-        a = gram[np.ix_(cols, cols)].copy()
-        a[np.arange(sel.size), np.arange(sel.size)] += lam
-        if lam == 0.0 and np.linalg.matrix_rank(a) < a.shape[0]:
-            raise ValueError(
-                "normal matrix is singular at ridge_lambda=0; "
-                "train with a positive ridge_lambda"
-            )
-        w_out[r, cols] = np.linalg.solve(a, moment[cols, r])
+    sel = np.hstack([mask, np.ones((n_out, 1), dtype=bool)])
+    s, v = np.flatnonzero(sel.all(axis=0)), np.flatnonzero(~sel.all(axis=0))
+    a = gram + np.diag(np.append(np.full(d, lam), 0.0))
+    a_vs, pick = a[np.ix_(v, s)], sel[:, v]
+    z = _solve(a[np.ix_(s, s)], np.hstack([a_vs.T, moment[s]]), lam)
+    z_v, z_m = z[:, : v.size], z[:, v.size :]
+    schur = (a[np.ix_(v, v)] - a_vs @ z_v) * (pick[:, :, None] & pick[:, None, :])
+    schur[:, np.arange(v.size), np.arange(v.size)] += ~pick
+    w_out = np.empty((n_out, d + 1))
+    w_out[:, v] = _solve(schur, ((moment[v] - a_vs @ z_m).T * pick)[..., None], lam)[..., 0]
+    w_out[:, s] = z_m.T - w_out[:, v] @ z_v.T
     return w_out
 
 
@@ -321,8 +328,7 @@ def _extended_mask(mask: np.ndarray, n_in: int) -> np.ndarray:
     empty = np.flatnonzero(~mask.any(axis=1))
     if empty.size:
         raise ValueError(f"readout row {empty[0]} has an empty mask, nothing to train")
-    window_cols = np.ones((mask.shape[0], n_in), dtype=bool)
-    return np.hstack([mask, window_cols])
+    return np.hstack([mask, np.ones((mask.shape[0], n_in), dtype=bool)])
 
 
 def _batch_region(
@@ -359,18 +365,18 @@ def fit_readout_batch(
     first, n_steps = _batch_region(observations, frame, cfg, first_target, last_target)
     if cfg.washout >= n_steps:
         raise ValueError("washout must be smaller than the step count")
+    # the region's first washout steps warm the state and are not trained on
+    first += cfg.washout * cfg.n_out
+    n_steps -= cfg.washout
     targets = frame.levels[first : first + n_steps * cfg.n_out].reshape(n_steps, cfg.n_out)
     batch, d = len(observations), cfg.n_res + cfg.n_in
     gram = np.zeros((batch, d + 1, d + 1))
     moment = np.zeros((batch, d + 1, cfg.n_out))
-    x = np.zeros((batch, cfg.n_res))
-    for t0, inputs, states in _step_stream(observations, w, cfg, first, n_steps, x):
-        lo = max(cfg.washout - t0, 0)
-        if lo < states.shape[1]:
-            y = targets[t0 + lo : t0 + states.shape[1]]
-            for b in range(batch):
-                feats = np.hstack([states[b, lo:], inputs[b, lo:]])
-                _accumulate_gram(gram[b], moment[b], feats, y)
+    for t0, rows in _step_stream(observations, w, cfg, first, n_steps, cfg.washout):
+        y = targets[t0 : t0 + rows.shape[1]]
+        for b, f in enumerate(rows):
+            gram[b] += f.T @ f
+            moment[b] += f.T @ y
     mask = _extended_mask(w.out_mask, cfg.n_in)
     return np.stack([
         _solve_masked_ridge(gram[b], moment[b], mask, cfg.ridge_lambda) for b in range(batch)
@@ -387,10 +393,11 @@ def fit_readout(
 ) -> np.ndarray:
     """Ridge-train the masked readout over a target region.
 
-    The design matrix per step is [state, window, 1], and the first
-    ``cfg.washout`` steps are discarded. The normal equations are
-    accumulated chunk by chunk, so memory stays bounded for arbitrarily
-    long frames. This is the one-observation case of fit_readout_batch.
+    Each step is one design row [state | window | 1]; the region's first
+    ``cfg.washout`` steps are the stream's warm-up and are not trained
+    on. The normal equations are accumulated chunk by chunk as
+    ``rows.T @ rows``, so memory stays bounded for arbitrarily long
+    frames. This is the one-observation case of fit_readout_batch.
     """
     return fit_readout_batch([obs], frame, w, cfg, first_target, last_target)[0]
 
@@ -413,17 +420,9 @@ def equalize_batch(
     """
     first, n_steps = _batch_region(observations, frame, cfg, first_target, last_target)
     estimates = np.empty((len(observations), n_steps, cfg.n_out))
-    x = np.zeros((len(observations), cfg.n_res))
-    if cfg.washout > 0 and n_steps > 0:
-        warm = _gather_inputs(observations, cfg, first, -cfg.washout, 0)
-        x = _fold(warm @ w.w_in.T, w.w_res, cfg.leak, x, np.empty(warm.shape[:2] + (cfg.n_res,)))
-    state_part = w_outs[:, :, : cfg.n_res].swapaxes(1, 2)
-    window_part = w_outs[:, :, cfg.n_res : cfg.n_res + cfg.n_in].swapaxes(1, 2)
-    bias = w_outs[:, None, :, -1]
-    for t0, inputs, states in _step_stream(observations, w, cfg, first, n_steps, x):
-        estimates[:, t0 : t0 + states.shape[1]] = (
-            states @ state_part + inputs @ window_part + bias
-        )
+    w_t = w_outs.swapaxes(1, 2)
+    for t0, rows in _step_stream(observations, w, cfg, first, n_steps, cfg.washout):
+        np.matmul(rows, w_t, out=estimates[:, t0 : t0 + rows.shape[1]])
     return estimates.reshape(len(observations), -1), first
 
 
@@ -437,14 +436,14 @@ def equalize(
 ) -> tuple[np.ndarray, int]:
     """Soft symbol estimates over a target region of one frame.
 
-    The state starts from zero for every call, so processing order
-    across frames cannot leak between them. Before the first emitted
-    window the reservoir is warmed on the `washout` windows preceding
-    the region (zero-padded where they fall off the frame); without
-    this the first estimates would read a cold-start transient that
-    training never saw. Returns the estimate sequence and the absolute
-    index of the first estimated symbol; estimate j belongs to symbol
-    first_index + j. This is the one-observation case of equalize_batch.
+    Each estimate is a design row [state | window | 1] times ``w.w_out``.
+    The state starts from zero ``washout`` windows before the region
+    (zero-padded where they fall off the frame), which emit nothing;
+    without this warm-up the first estimates would read a cold-start
+    transient that training never saw, and no state leaks between calls.
+    Returns the estimates and the absolute index of the first estimated
+    symbol; estimate j belongs to symbol first_index + j. This is the
+    one-observation case of equalize_batch.
     """
     estimates, first = equalize_batch(
         [obs], frame, w, w.w_out[None], cfg, first_target, last_target

@@ -126,6 +126,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must not be empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError("seeds must be non-negative")
         # run the link and equalizer validators now, not once per point
         try:
             for length in self.fiber_length_km:
@@ -467,10 +469,18 @@ def sweep_groups(
     rows are retried. With ``parallel`` > 1 the frames run as pool tasks
     and come back in completion order; if the pool breaks, every frame
     it did not finish comes back as error rows, which a resume retries.
+    A ``parallel`` below 1 raises ValueError here, before any frame runs.
     """
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
     tasks = [(cfg, seed, points) for (_, seed), points in pending_frames(cfg, existing).items()]
+    return _frame_groups(cfg, parallel, tasks)
+
+
+def _frame_groups(
+    cfg: ExperimentConfig, parallel: int, tasks: list[tuple]
+) -> Iterator[list[SweepRecord]]:
+    """The generator behind sweep_groups."""
     if parallel == 1 or len(tasks) <= 1:
         yield from map(_run_group, tasks)
         return

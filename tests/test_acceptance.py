@@ -249,13 +249,11 @@ def test_criterion_7_numerical_invariants():
     targets = rng.normal(size=(10, 2))
     mask = np.array([[1, 0, 1, 0], [0, 1, 1, 1]], dtype=bool)
     d = cfg.n_res + cfg.n_in
-    gram = np.zeros((d + 1, d + 1))
-    moment = np.zeros((d + 1, 2))
-    esn._accumulate_gram(gram, moment, np.hstack([states, inputs]), targets)
-    w_out = esn._solve_masked_ridge(
-        gram, moment, esn._extended_mask(mask, cfg.n_in), cfg.ridge_lambda
-    )
     design = np.hstack([states, inputs, np.ones((10, 1))])
+    w_out = esn._solve_masked_ridge(
+        design.T @ design, design.T @ targets,
+        esn._extended_mask(mask, cfg.n_in), cfg.ridge_lambda,
+    )
     expected = np.zeros_like(w_out)
     full_mask = np.hstack([mask, np.ones((2, cfg.n_in), dtype=bool)])
     for r in range(2):

@@ -66,11 +66,9 @@ def fold(inputs: np.ndarray, w: EsnWeights, leak: float, x=None) -> np.ndarray:
 
 
 def solve_readout(states, inputs, targets, mask, lam):
-    """esn's normal-equation accumulation and masked solve on given rows."""
-    d = states.shape[1] + inputs.shape[1]
-    gram = np.zeros((d + 1, d + 1))
-    moment = np.zeros((d + 1, targets.shape[1]))
-    esn._accumulate_gram(gram, moment, np.hstack([states, inputs]), targets)
+    """esn's masked solve on the normal equations of given design rows."""
+    design = np.hstack([states, inputs, np.ones((states.shape[0], 1))])
+    gram, moment = design.T @ design, design.T @ targets
     return esn._solve_masked_ridge(
         gram, moment, esn._extended_mask(mask, inputs.shape[1]), lam
     )
@@ -340,14 +338,17 @@ def test_reservoir_fold_matches_loop_oracle(monkeypatch):
     # one chunk, and chunks of two steps that must carry the state
     for chunk, starts in ((esn._CHUNK_STEPS, [0]), (2, [0, 2, 4])):
         monkeypatch.setattr(esn, "_CHUNK_STEPS", chunk)
-        # each chunk's arrays are overwritten by the next, so keep copies
-        chunks = [(t0, inputs[0].copy(), states[0].copy()) for t0, inputs, states
-                  in esn._step_stream([obs], w, cfg, first, n_steps, np.zeros((1, cfg.n_res)))]
-        assert [t0 for t0, _, _ in chunks] == starts
-        inputs = np.vstack([c[1] for c in chunks])
-        states = np.vstack([c[2] for c in chunks])
-        assert np.array_equal(inputs, expected_inputs)
-        assert np.max(np.abs(states - expected)) < 1e-12
+        # each chunk's rows are overwritten by the next, so keep copies
+        chunks = [(t0, rows[0].copy())
+                  for t0, rows in esn._step_stream([obs], w, cfg, first, n_steps, 0)]
+        assert [t0 for t0, _ in chunks] == starts
+        rows = np.vstack([c[1] for c in chunks])
+        assert rows.shape == (n_steps, cfg.n_res + cfg.n_in + 1)
+        # the window columns are written through views of the rows: a
+        # copy anywhere on the way would leave them unset
+        assert np.array_equal(rows[:, cfg.n_res : -1], expected_inputs)
+        assert np.max(np.abs(rows[:, : cfg.n_res] - expected)) < 1e-12
+        assert np.array_equal(rows[:, -1], np.ones(n_steps))
 
 
 def test_reservoir_empty_and_zero_inputs():
@@ -355,7 +356,7 @@ def test_reservoir_empty_and_zero_inputs():
     w = random_weights(cfg)
     assert fold(np.zeros((0, cfg.n_in)), w, cfg.leak).shape == (0, cfg.n_res)
     obs = make_obs(np.zeros((1, 20)), sps=1)
-    assert not list(esn._step_stream([obs], w, cfg, 0, 0, np.zeros((1, cfg.n_res))))
+    assert not list(esn._step_stream([obs], w, cfg, 0, 0, 0))
     assert not fold(np.zeros((7, cfg.n_in)), w, cfg.leak).any()
 
 
@@ -366,8 +367,8 @@ def test_recorded_states_bounded_on_real_data():
     obs = make_obs(rng.normal(size=(1, 500)) * 3.0, sps=1)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 500))
     first, n_steps = esn._target_region(obs, frame, cfg, 10, 490)
-    chunks = esn._step_stream([obs], w, cfg, first, n_steps, np.zeros((1, cfg.n_res)))
-    states = np.vstack([c[2][0].copy() for c in chunks])
+    chunks = esn._step_stream([obs], w, cfg, first, n_steps, 0)
+    states = np.vstack([rows[0, :, : cfg.n_res].copy() for _, rows in chunks])
     assert states.shape == (480, cfg.n_res)
     assert np.max(np.abs(states)) < 1.0
 
@@ -592,6 +593,28 @@ def test_equalize_warm_start_matches_longer_run():
     est_b, first_b = equalize(obs, frame, w, cfg, 702 - 4 * cfg.n_out, 1002)
     overlap = est_b[(first_a - first_b) :]
     assert np.max(np.abs(est_a - overlap[: est_a.size])) < 1e-9
+
+
+@pytest.mark.parametrize("chunk", [esn._CHUNK_STEPS, 7])
+@pytest.mark.parametrize("first", [5, 300])
+def test_equalize_warm_up_is_the_stream_before_the_region(monkeypatch, chunk, first):
+    # the state folds from zero washout * n_out symbols before the region
+    # and the warm-up rows are dropped; at first=5 the warm-up runs off
+    # the frame's left edge into zero-padded windows
+    monkeypatch.setattr(esn, "_CHUNK_STEPS", chunk)
+    cfg = EsnConfig(n_out=3, washout=20, seed=25)
+    w = init_weights(cfg)
+    rng = substream(25, 0)
+    n_sym, n_steps = 600, 40
+    obs = make_obs(rng.normal(size=(4, n_sym * 2)), sps=2)
+    frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
+    w.w_out = rng.normal(size=w.w_out.shape)
+    est, start = equalize(obs, frame, w, cfg, first, first + n_steps * cfg.n_out)
+    inputs = oracle_windows(obs, cfg, first - cfg.washout * cfg.n_out, cfg.washout + n_steps)
+    states = oracle_fold(inputs, w, cfg.leak)
+    design = np.hstack([states, inputs, np.ones((inputs.shape[0], 1))])[cfg.washout :]
+    assert start == first
+    assert np.max(np.abs(est - (design @ w.w_out.T).ravel())) < 1e-12
 
 
 def test_equalize_readout_uses_state_window_and_bias():

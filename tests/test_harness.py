@@ -96,6 +96,8 @@ def test_type_errors_name_the_field():
     # 2k+1 = 23 outputs at most under the default k=11
     with pytest.raises(ConfigError, match="n_out=30"):
         config_from_dict({"fiber_length_km": [0], "n_out": [1, 30]})
+    with pytest.raises(ConfigError, match="seeds"):
+        config_from_dict({"fiber_length_km": [0], "seeds": [0, -1]})
 
 
 def test_grid_ordering_enforced():
@@ -680,12 +682,24 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     for text, field in (
         ("link: {rolloff: 2.0}\n", "rolloff"),
         ("n_out: [30]\n", "n_out"),
+        # kept small, so a regression that runs the sweep ends quickly
+        ("seeds: [0, -1]\nsnr_db: [30]\nn_out: [1]\ntotal_symbols: 4096\n", "seeds"),
     ):
         bad.write_text("fiber_length_km: [0]\n" + text)
         out_dir = tmp_path / "run"
         assert cli_main(["sweep", "--config", str(bad), "--out", str(out_dir)]) == 1
         assert field in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def test_cli_sweep_refuses_parallel_below_one_before_writing(tmp_path, capsys):
+    config = tmp_path / "toy.yaml"
+    config.write_text("fiber_length_km: [0]\nsnr_db: [30]\nn_out: [1]\ntotal_symbols: 4096\n")
+    out_dir = tmp_path / "run"
+    args = ["sweep", "--config", str(config), "--out", str(out_dir), "--parallel", "0"]
+    assert cli_main(args) == 1
+    assert "parallel" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_sweep_survives_interruption(tmp_path, capsys):
