@@ -23,6 +23,21 @@ steps before its first row. Several observations of one frame (the SNR
 points of a sweep frame, which share the weight draw) can run through it
 side by side as a batch; each row of a batch gets exactly the numbers it
 would get alone, and fit_readout and equalize are that batch at size 1.
+
+The state update is a Python loop, one step per window slide, whose cost
+per step hardly depends on how many rows it carries. So the stream folds
+each chunk in segments side by side. The reservoir forgets its start
+state (the echo state property), so a segment's start state is guessed
+by folding from zero over the steps just before it, and the guess is then
+checked bit for bit against the true state that ends the previous
+segment; a row whose guess fails is refolded from the true state. Since
+a row of the fold never depends on the other rows of its batch, the
+states are exactly those of one sequential fold. At the defaults every
+guess holds (on desk frames a zero-started state meets the true one bit
+for bit within 120-155 steps, and stays equal) and a 2048-step chunk
+takes 448 loop steps. Two guards keep the plain sequential fold where
+segments do not pay: a batch of more than 240 state entries (B * n_res),
+and a stream whose guesses mostly fail, which stops guessing.
 """
 
 from __future__ import annotations
@@ -41,6 +56,16 @@ from .rng import STREAM_OUT_MASK, STREAM_W_IN, STREAM_W_RES, substream
 # the same at every batch size B, so how a row's steps are chunked, and
 # with it every sum the row's numbers come from, never depends on B.
 _CHUNK_STEPS = 2048
+
+# Segmented fold (see _fold_segments): segment length, and the steps a
+# segment's zero-started guess folds before it. A stream folds in
+# segments only while its batch holds at most _SPECULATE_MAX_STATE state
+# entries (B * n_res): the segments save fixed per-step cost but fold
+# about 1.7x the row-steps, which stops paying past about B * n_res = 240
+# (n_res 30 at B 8, n_res 64 at B 3-4, n_res 100-128 at B 1).
+_SEGMENT_STEPS = 256
+_WARM_STEPS = 192
+_SPECULATE_MAX_STATE = 240
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,6 +270,52 @@ def _fold(
     return x
 
 
+def _fold_segments(
+    proj: np.ndarray, w_res: np.ndarray, leak: float, x: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """_fold of a (B, T, n_res) chunk, its segments folded side by side.
+
+    The chunk's first S * L steps split into S segments of L steps.
+    Segment 0 continues from ``x``; every later segment guesses its start
+    state by folding from zero over the W steps before it. All guesses
+    fold as one batch, then all segments as one batch, both straight into
+    ``out`` (the segment pass overwrites the guesses' rows). Segment s
+    then holds the true states if its guess equals, bit for bit, the true
+    state that ends segment s-1; a row that does not is refolded over the
+    segment from that state. A row of _fold does not depend on the other
+    rows of its batch, so the result is _fold's over the whole chunk. The
+    remaining T - S * L steps fold after the check, and a chunk of fewer
+    than two segments folds as one _fold.
+
+    Returns the final state, and whether at most half of the guesses
+    were refolded (the stream's cue to keep guessing).
+    """
+    batch, n_steps, n = proj.shape
+    span, warm = _SEGMENT_STEPS, _WARM_STEPS
+    segs = n_steps // span
+    if segs < 2:
+        return _fold(proj, w_res, leak, x, out), True
+    head = segs * span
+    seg_proj = proj[:, :head].reshape(batch, segs, span, n, copy=False)
+    seg_out = out[:, :head].reshape(batch, segs, span, n, copy=False)
+    starts = np.zeros((batch, segs, n))
+    starts[:, 0] = x
+    _fold(seg_proj[:, :-1, -warm:], w_res, leak, starts[:, 1:], seg_out[:, :-1, -warm:])
+    _fold(seg_proj, w_res, leak, starts.copy(), seg_out)
+    guesses = starts.view(np.uint64)
+    refolded = 0
+    for s in range(1, segs):
+        true = seg_out[:, s - 1, -1]
+        bad = np.flatnonzero((guesses[:, s] != true.view(np.uint64)).any(axis=1))
+        if bad.size:
+            redo = np.empty((bad.size, span, n))
+            _fold(seg_proj[bad, s], w_res, leak, true[bad], redo)
+            seg_out[bad, s] = redo
+            refolded += bad.size
+    x = _fold(proj[:, head:], w_res, leak, out[:, head - 1].copy(), out[:, head:])
+    return x, 2 * refolded <= batch * (segs - 1)
+
+
 def _step_stream(
     observations: Sequence[SlicedObservation],
     w: EsnWeights,
@@ -261,6 +332,11 @@ def _step_stream(
     chunks start; those warm-up steps (zero-padded off the frame) are
     folded but not yielded. The rows are views of one buffer that the
     next chunk overwrites, so copy what must outlive a chunk.
+
+    Each chunk folds in verified segments (_fold_segments) while the
+    batch holds at most _SPECULATE_MAX_STATE state entries, and as one
+    sequential _fold otherwise or once a chunk has refolded more than
+    half of its guesses. The states are the same either way.
     """
     if n_steps <= 0:
         return
@@ -269,12 +345,16 @@ def _step_stream(
     buf[..., d] = 1.0
     proj_buf = np.empty(buf.shape[:2] + (cfg.n_res,))
     x = np.zeros((len(observations), cfg.n_res))
+    speculate = len(observations) * cfg.n_res <= _SPECULATE_MAX_STATE
     for t0 in range(-washout, n_steps, _CHUNK_STEPS):
         t1 = min(t0 + _CHUNK_STEPS, n_steps)
         rows, proj = buf[:, : t1 - t0], proj_buf[:, : t1 - t0]
         inputs = _gather_inputs(observations, cfg, first, t0, t1, out=rows[..., cfg.n_res : d])
         np.matmul(inputs, w.w_in.T, out=proj)
-        x = _fold(proj, w.w_res, cfg.leak, x, rows[..., : cfg.n_res])
+        if speculate:
+            x, speculate = _fold_segments(proj, w.w_res, cfg.leak, x, rows[..., : cfg.n_res])
+        else:
+            x = _fold(proj, w.w_res, cfg.leak, x, rows[..., : cfg.n_res])
         if t1 > 0:
             yield max(t0, 0), rows[:, max(-t0, 0) :]
 

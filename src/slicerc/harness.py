@@ -610,17 +610,24 @@ def _package_version() -> str:
 
 
 def _git_commit() -> str:
+    """HEAD of the package's own checkout (the work tree whose top holds
+    ``src/slicerc``), or "unknown". A copy of the package inside some
+    other git work tree would otherwise report that tree's HEAD."""
+    root = Path(__file__).resolve().parents[2]
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "rev-parse", "--show-toplevel", "--short", "HEAD"],
             capture_output=True,
             text=True,
             timeout=5,
             cwd=Path(__file__).parent,
         )
-        return out.stdout.strip() if out.returncode == 0 else "unknown"
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         return "unknown"
+    lines = out.stdout.split("\n")
+    if out.returncode != 0 or len(lines) < 2 or Path(lines[0]).resolve() != root:
+        return "unknown"
+    return lines[1].strip()
 
 
 def read_results(csv_path: str | Path) -> list[SweepRecord]:

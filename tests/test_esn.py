@@ -9,6 +9,8 @@ deletion). The streaming path and its parts (``_gather_inputs``,
 instances.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +26,14 @@ from slicerc.esn import (
     fit_readout_batch,
     init_weights,
 )
-from slicerc.link import SlicedObservation, SymbolFrame
+from slicerc.harness import ExperimentConfig, run_sweep
+from slicerc.link import (
+    LinkConfig,
+    SlicedObservation,
+    SymbolFrame,
+    detect_frame,
+    load_noise_batch,
+)
 from slicerc.rng import substream
 
 
@@ -633,19 +642,38 @@ def test_equalize_readout_uses_state_window_and_bias():
 # ---------------------------------------------------------------- batching
 
 def test_batched_fold_rows_equal_single_folds():
+    # the segmented fold's exactness rests on this: a row of _fold is the
+    # row folded alone, bit for bit, whatever the batch's size and layout
+    def assert_rows_alone(proj, w_res, leak, x0, out):
+        last = esn._fold(proj, w_res, leak, x0.copy(), out)
+        for idx in np.ndindex(proj.shape[:-2]):
+            alone = np.empty(proj.shape[-2:])
+            x = esn._fold(proj[idx].copy(), w_res, leak, x0[idx].copy(), alone)
+            assert np.array_equal(out[idx], alone)
+            assert np.array_equal(last[idx], x)
+
+    n_steps = 40
     for seed, n_res in ((0, 30), (1, 100), (2, 30)):
         cfg = EsnConfig(n_res=n_res, seed=seed)
         w = init_weights(cfg)
         rng = substream(seed, 5)
-        proj = rng.normal(size=(3, 40, n_res))
-        x0 = rng.uniform(-0.5, 0.5, (3, n_res))
-        states = np.empty_like(proj)
-        last = esn._fold(proj, w.w_res, cfg.leak, x0.copy(), states)
-        for b in range(3):
-            alone = np.empty((40, n_res))
-            x = esn._fold(proj[b], w.w_res, cfg.leak, x0[b].copy(), alone)
-            assert np.array_equal(states[b], alone)
-            assert np.array_equal(last[b], x)
+        for rows in (1, 2, 7, 24, 57):
+            proj = rng.normal(size=(rows, n_steps, n_res))
+            x0 = rng.uniform(-0.5, 0.5, (rows, n_res))
+            assert_rows_alone(proj, w.w_res, cfg.leak, x0, np.empty_like(proj))
+        # (B, S, L, n) segment views of a chunk, writing into the state
+        # columns of a (B, T, n_res + n_in + 1) design-row buffer
+        batch, segs, span = 3, 4, 10
+        buf = np.full((batch, segs * span, cfg.n_res + cfg.n_in + 1), np.nan)
+        proj = rng.normal(size=(batch, segs * span, n_res))
+        seg_proj = proj.reshape(batch, segs, span, n_res, copy=False)
+        seg_out = buf[..., :n_res].reshape(batch, segs, span, n_res, copy=False)
+        starts = rng.uniform(-0.5, 0.5, (batch, segs + 1, n_res))
+        assert_rows_alone(seg_proj, w.w_res, cfg.leak, starts[:, 1:], seg_out)
+        # and the warm-up layout: the last steps of every segment but one
+        assert_rows_alone(
+            seg_proj[:, :-1, -3:], w.w_res, cfg.leak, starts[:, 2:], seg_out[:, :-1, -3:]
+        )
 
 
 @pytest.mark.parametrize("n_out", [1, 17, 23])
@@ -698,3 +726,151 @@ def test_batch_refuses_mixed_regions_and_empty_batches():
         fit_readout_batch([a, b], frame, w, cfg)
     with pytest.raises(ValueError, match="at least one"):
         equalize_batch([], frame, w, w.w_out[None], cfg)
+
+
+# ------------------------------------------------------- segmented fold
+
+def _fold_calls(monkeypatch):
+    """Record the shape of every projection esn._fold is called on."""
+    calls = []
+    real = esn._fold
+
+    def recorded(proj, *args):
+        calls.append(proj.shape)
+        return real(proj, *args)
+
+    monkeypatch.setattr(esn, "_fold", recorded)
+    return calls
+
+
+def _refolds(calls):
+    """Segment refolds among recorded _fold calls.
+
+    A segment pass is 4-D and folds _SEGMENT_STEPS steps; without a
+    refold the next call is the chunk's tail, shorter than a segment.
+    """
+    span, count, after_segments = esn._SEGMENT_STEPS, 0, False
+    for call in calls:
+        refold = after_segments and len(call) == 3 and call[-2] == span
+        count += refold
+        after_segments = refold or (len(call) == 4 and call[-2] == span)
+    return count
+
+
+@pytest.fixture(scope="module")
+def desk():
+    """Observations of the 0 and 50 km desk frames at 9, 10 and 11 dB."""
+    frames = {}
+    for length_km in (0.0, 50.0):
+        cfg = LinkConfig(fiber_length_km=length_km, snr_db=10.0, n_symbols=2**15)
+        rows, frame = detect_frame(cfg)
+        cfgs = [replace(cfg, snr_db=snr) for snr in (9.0, 10.0, 11.0)]
+        frames[length_km] = load_noise_batch(rows, cfgs), frame
+    return frames
+
+
+def _stream_rows(observations, w, cfg, first, n_steps):
+    chunks = esn._step_stream(observations, w, cfg, first, n_steps, cfg.washout)
+    return np.concatenate([rows.copy() for _, rows in chunks], axis=1)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("n_out", [1, 17])
+@pytest.mark.parametrize("length_km", [0.0, 50.0])
+def test_segmented_stream_equals_sequential_fold(monkeypatch, desk, length_km, n_out, batch):
+    observations, frame = desk[length_km]
+    cfg = EsnConfig(n_out=n_out)
+    w = init_weights(cfg)
+    first, n_steps = esn._target_region(observations[0], frame, cfg, None, None)
+    calls = _fold_calls(monkeypatch)
+    segmented = _stream_rows(observations[:batch], w, cfg, first, n_steps)
+    assert any(len(call) == 4 for call in calls)
+    # the same stream with every chunk folded as one sequential _fold
+    monkeypatch.setattr(esn, "_SPECULATE_MAX_STATE", 0)
+    calls.clear()
+    sequential = _stream_rows(observations[:batch], w, cfg, first, n_steps)
+    assert all(len(call) == 3 for call in calls)
+    assert np.array_equal(segmented, sequential)
+
+
+@pytest.mark.parametrize("n_steps", [2048, 1000, 700, 400])
+def test_segmented_fold_equals_fold_at_any_chunk_length(monkeypatch, desk, n_steps):
+    # 1000 and 700 leave a tail shorter than a segment; 400 holds one
+    # segment, so it folds in one sequential _fold
+    observations, frame = desk[50.0]
+    cfg = EsnConfig(n_out=1)
+    w = init_weights(cfg)
+    proj = esn._gather_inputs(observations, cfg, 3000, 0, n_steps) @ w.w_in.T
+    x0 = esn._fold(proj[:, :50], w.w_res, cfg.leak, np.zeros((3, cfg.n_res)),
+                   np.empty((3, 50, cfg.n_res)))
+    expected = np.empty_like(proj)
+    last = esn._fold(proj, w.w_res, cfg.leak, x0.copy(), expected)
+    calls = _fold_calls(monkeypatch)
+    out = np.full((3, n_steps, cfg.n_res + 1), np.nan)
+    got, keep = esn._fold_segments(proj, w.w_res, cfg.leak, x0.copy(), out[..., :-1])
+    assert np.array_equal(out[..., :-1], expected)
+    assert np.array_equal(got, last)
+    assert keep and _refolds(calls) == 0
+    assert any(len(call) == 4 for call in calls) == (n_steps >= 2 * esn._SEGMENT_STEPS)
+
+
+@pytest.mark.parametrize("n_res, leak", [(300, 0.7), (30, 0.05)])
+def test_segmented_fold_refolds_a_reservoir_that_does_not_forget(monkeypatch, desk, n_res, leak):
+    # neither reservoir forgets its start within _WARM_STEPS, so the
+    # guesses fail their check and the true states come from refolds
+    observations, frame = desk[50.0]
+    cfg = EsnConfig(n_out=1, n_res=n_res, leak=leak)
+    w = init_weights(cfg)
+    n_steps = 4 * esn._SEGMENT_STEPS + 10
+    proj = esn._gather_inputs(observations, cfg, 3000, 0, n_steps) @ w.w_in.T
+    x0 = np.zeros((3, n_res))
+    expected = np.empty_like(proj)
+    last = esn._fold(proj, w.w_res, leak, x0.copy(), expected)
+    calls = _fold_calls(monkeypatch)
+    out = np.empty_like(proj)
+    got, keep = esn._fold_segments(proj, w.w_res, leak, x0.copy(), out)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(got, last)
+    assert _refolds(calls) > 0
+    assert not keep
+
+
+def test_stream_falls_back_to_the_sequential_fold(monkeypatch, desk):
+    # after a chunk whose guesses mostly failed, the stream folds every
+    # later chunk in one sequential _fold, with unchanged states
+    observations, frame = desk[50.0]
+    cfg = EsnConfig(n_out=1, leak=0.05)
+    w = init_weights(cfg)
+    first, n_steps = esn._target_region(observations[0], frame, cfg, None, None)
+    calls = _fold_calls(monkeypatch)
+    segmented = _stream_rows(observations, w, cfg, first, n_steps)
+    refolds = _refolds(calls)
+    assert refolds > 0
+    # the first chunk: guesses, segments, refolds and its (empty) tail
+    assert [len(call) for call in calls[:2]] == [4, 4]
+    assert calls[2 + refolds][-2] == 0
+    total, chunk = cfg.washout + n_steps, esn._CHUNK_STEPS
+    later = [call[-2] for call in calls[3 + refolds :]]
+    assert later == [min(chunk, total - t0) for t0 in range(chunk, total, chunk)]
+    monkeypatch.setattr(esn, "_SPECULATE_MAX_STATE", 0)
+    assert np.array_equal(segmented, _stream_rows(observations, w, cfg, first, n_steps))
+
+
+def test_default_sweep_folds_in_segments_without_refolds(monkeypatch):
+    # at the default equalizer every guess holds: a shorter _WARM_STEPS,
+    # or a guard that gives up on segments without need, fails here
+    calls = _fold_calls(monkeypatch)
+    cfg = ExperimentConfig(
+        fiber_length_km=(0.0, 50.0),
+        snr_db=(9.0, 10.0, 11.0),
+        n_out=(1, 17, 23),
+        seeds=(0,),
+        total_symbols=2**15,
+    )
+    records = run_sweep(cfg)
+    assert all(rec.ok for rec in records)
+    assert _refolds(calls) == 0
+    # only a chunk of fewer than two segments folds in one sequential
+    # _fold; every other call folds at most one segment
+    assert any(len(call) == 4 for call in calls)
+    assert max(call[-2] for call in calls) < 2 * esn._SEGMENT_STEPS

@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -630,6 +631,43 @@ def test_cli_sweep_reports_progress_and_environment(tmp_path, capsys):
     assert manifest["environment"]["cpu_count"] == os.cpu_count()
     assert manifest["environment"]["blas"]
     assert "environment" not in manifest["config"]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_manifest_commit_is_the_package_checkouts_own(tmp_path):
+    def git(cwd, *args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=cwd, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    def commit_seen_by(checkout):
+        shutil.copytree(
+            Path(slicerc.__file__).parent, checkout / "src" / "slicerc",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+        return subprocess.run(
+            [sys.executable, "-c", "from slicerc import harness; print(harness._git_commit())"],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    # a copy inside another repository must not report that repository's HEAD
+    outer = tmp_path / "outer"
+    outer.mkdir()
+    git(outer, "init", "-q")
+    (outer / "README").write_text("another project\n")
+    git(outer, "add", "README")
+    git(outer, "commit", "-q", "-m", "other")
+    assert commit_seen_by(outer / "vendor" / "copy") == "unknown"
+    # a copy that is its own checkout reports its HEAD
+    own = tmp_path / "own"
+    own.mkdir()
+    git(own, "init", "-q")
+    (own / "README").write_text("slicerc\n")
+    git(own, "add", "README")
+    git(own, "commit", "-q", "-m", "own")
+    assert commit_seen_by(own) == git(own, "rev-parse", "--short", "HEAD")
 
 
 def test_cli_sweep_refuses_resume_under_other_settings(tmp_path, capsys):
