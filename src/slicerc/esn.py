@@ -23,6 +23,9 @@ steps before its first row. Several observations of one frame (the SNR
 points of a sweep frame, which share the weight draw) can run through it
 side by side as a batch; each row of a batch gets exactly the numbers it
 would get alone, and fit_readout and equalize are that batch at size 1.
+The observations of one frame share its clean rows and its noise draw,
+and each chunk adds an observation's scaled noise to the samples it
+reads, so a batch of any size holds no noisy copy of the frame.
 
 The state update is a Python loop, one step per window slide, whose cost
 per step hardly depends on how many rows it carries. So the stream folds
@@ -197,7 +200,7 @@ def _target_region(
     """
     if obs.num_slices != cfg.num_slices or obs.sps != cfg.sps:
         raise ValueError("observation geometry does not match the config")
-    if obs.data.shape[1] != frame.n_symbols * cfg.sps:
+    if obs.rows.shape[1] != frame.n_symbols * cfg.sps:
         raise ValueError("observation is misaligned with the frame")
     if frame.n_symbols < cfg.m:
         raise ValueError("frame must hold at least one full window")
@@ -223,24 +226,35 @@ def _gather_inputs(
 
     Feature order is slice-major, then window symbol, then sample within
     the symbol. Window positions outside the frame contribute zeros: the
-    chunk's symbol span is copied into a zero-padded buffer, whose
-    windows are strided views copied into place.
+    chunk's symbol span of noisy samples is written into a zero-padded
+    buffer, whose windows are strided views copied into place. The noisy
+    samples are made there, as the scaled shared noise plus the clean
+    rows: ``fl(g * sigma) + clean``, the same bits as a noisy copy of
+    the whole frame, which is never made.
     """
     sps, n_steps = cfg.sps, max(t1 - t0, 0)
     width = cfg.m * sps
     inputs = np.empty((len(observations), n_steps, cfg.n_in)) if out is None else out
+    if n_steps == 0 or not observations:
+        return inputs
     lo = first_target + t0 * cfg.n_out - (cfg.m - cfg.n_out) // 2
     hi = lo + (n_steps - 1) * cfg.n_out + cfg.m
-    for row, obs in enumerate(observations if n_steps else ()):
-        span = np.zeros((cfg.num_slices, (hi - lo) * sps))
-        a, b = max(lo, 0), min(hi, obs.n_symbols)
-        if a < b:
-            span[:, (a - lo) * sps : (b - lo) * sps] = obs.data[:, a * sps : b * sps]
-        windows = sliding_window_view(span, width, axis=1)[:, :: cfg.n_out * sps]
+    # one span serves every observation: they share the frame, so they
+    # share its padding and the in-frame part is overwritten in full
+    span = np.zeros((cfg.num_slices, (hi - lo) * sps))
+    a = max(lo, 0)
+    b = max(min(hi, observations[0].n_symbols), a)
+    inside, src = span[:, (a - lo) * sps : (b - lo) * sps], slice(a * sps, b * sps)
+    windows = sliding_window_view(span, width, axis=1)[:, :: cfg.n_out * sps].swapaxes(0, 1)
+    for row, obs in enumerate(observations):
+        # slice by slice, so each product is still in cache when its row
+        # is added to it
+        for dst, noise, std, clean in zip(inside, obs.noise[:, src], obs.noise_std, obs.rows[:, src]):
+            np.multiply(noise, std, out=dst)
+            dst += clean
         # a row's window columns are contiguous even inside the design
         # rows, so this is a view; copy=False raises rather than copy
-        target = inputs[row].reshape(n_steps, cfg.num_slices, width, copy=False)
-        target[...] = windows.swapaxes(0, 1)
+        inputs[row].reshape(n_steps, cfg.num_slices, width, copy=False)[...] = windows
     return inputs
 
 

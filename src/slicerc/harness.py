@@ -3,11 +3,12 @@
 A sweep is the Cartesian product of the fiber-length grid, the n_out
 variant list, the SNR grid, and the seed list. It runs one task per
 (fiber length, seed) frame with bounded parallelism: the noiseless link
-runs once per frame, each of its SNRs loads its noise once, and every
-n_out of the frame reads those same noisy observations, so a point adds
+runs once per frame, its noise is drawn once for all of its SNRs, and
+every n_out of the frame reads those same observations, so a point adds
 only its own training and scoring. The SNR points of one n_out share the
-weight draw, so they train and equalize side by side as one batch. The
-SNRs load in batches capped by the memory their observations take.
+weight draw, so they train and equalize side by side as one batch, at
+any frame length: the observations share the frame's rows and noise
+draw, and the equalizer adds each one's scaled noise as it reads.
 Records always come back in deterministic grid order (lengths
 outermost, then n_out, then SNR, then seeds) no matter how the frames
 were scheduled, and a failed point becomes an error row instead of
@@ -64,12 +65,6 @@ class ConfigError(ValueError):
 # field is shared by the whole sweep and read from the config file
 _PER_POINT_LINK = {"fiber_length_km", "snr_db", "n_symbols", "seed"}
 _PER_POINT_ESN = {"n_out", "sps", "num_slices", "seed"}
-
-# Bytes of noisy observations that one noise batch of a frame's SNRs
-# may hold at once. With 4 slices at 2 samples per symbol, an observation
-# of 2^18 symbols takes 16 MiB, so eight SNRs share a batch; from 2^21
-# symbols on, every SNR loads alone.
-_BATCH_BYTES = 2**27
 
 
 def _shared_params(name: str, cls: type, per_point: set[str], doc: str) -> type:
@@ -373,75 +368,36 @@ def _evaluate_or_split(
             for rec in _evaluate_or_split(cfg, [point], seed, [observation], frame, share)]
 
 
-def _load_and_evaluate(
-    cfg: ExperimentConfig,
-    points: list[GridPoint],
-    seed: int,
-    rows: np.ndarray,
-    frame: SymbolFrame,
-    share: float,
-) -> list[SweepRecord]:
-    """Load the noise of every SNR among ``points`` onto the frame's rows
-    once, then evaluate the points of each n_out on those observations.
+def _run_group(args: tuple[ExperimentConfig, int, list[GridPoint]]) -> list[SweepRecord]:
+    """Evaluate the points of one (fiber length, seed) frame.
 
-    The load's time is shared equally by the points it served. When the
-    load fails, each SNR loads alone, and an SNR whose load still fails
-    gives an error row for each of its points.
+    The noiseless front half of the link runs once and the noise of all
+    the frame's pending SNRs is drawn once; every n_out of the frame then
+    trains and equalizes its SNR points as one batch on those shared
+    observations. Each point's wall_time_s adds an equal share of the
+    front half and the draw. A failure becomes an error row for the
+    points it hit, or for every point when the front half or the draw
+    fails. Records come back in the order of ``points``.
     """
-    snrs = list(dict.fromkeys(point.snr_db for point in points))
+    cfg, seed, points = args
     started = time.perf_counter()
+    snrs = list(dict.fromkeys(point.snr_db for point in points))
     try:
+        rows, frame = detect_frame(cfg.link_config(points[0], seed))
         observations = load_noise_batch(
             rows, [cfg.link_config(points[0]._replace(snr_db=snr), seed) for snr in snrs]
         )
     except Exception as exc:
-        if len(snrs) == 1:
-            return [_error_row(cfg, point, seed, exc) for point in points]
-    else:
-        by_snr = dict(zip(snrs, observations))
-        share += (time.perf_counter() - started) / len(points)
-        records = []
-        for _, group in groupby(points, key=lambda point: point.n_out):
-            group = list(group)
-            records += _evaluate_or_split(
-                cfg, group, seed, [by_snr[point.snr_db] for point in group], frame, share
-            )
-        return records
-    # outside the except block, so a failed batch's copies are freed
-    # before the one-SNR loads
-    return [rec for snr in snrs
-            for rec in _load_and_evaluate(
-                cfg, [point for point in points if point.snr_db == snr], seed, rows, frame, share)]
-
-
-def _run_group(args: tuple[ExperimentConfig, int, list[GridPoint]]) -> list[SweepRecord]:
-    """Evaluate the points of one (fiber length, seed) frame.
-
-    The noiseless front half of the link runs once. The frame's pending
-    SNRs then load their noise in batches that hold at most _BATCH_BYTES
-    of noisy observations, and every n_out of the frame reads the same
-    observations. Each point's wall_time_s adds an equal share of the
-    front half. A failure becomes an error row for the points it hit, or
-    for every point when the front half fails. Records come back in the
-    order of ``points``.
-    """
-    cfg, seed, points = args
-    started = time.perf_counter()
-    try:
-        rows, frame = detect_frame(cfg.link_config(points[0], seed))
-    except Exception as exc:
         return [_error_row(cfg, point, seed, exc) for point in points]
+    by_snr = dict(zip(snrs, observations))
     share = (time.perf_counter() - started) / len(points)
-    # every observation has the shape of the noiseless rows
-    per_batch = max(1, _BATCH_BYTES // rows.nbytes)
-    snrs = list(dict.fromkeys(point.snr_db for point in points))
-    records = {}
-    for i in range(0, len(snrs), per_batch):
-        batch = set(snrs[i : i + per_batch])
-        for rec in _load_and_evaluate(cfg, [point for point in points if point.snr_db in batch],
-                                      seed, rows, frame, share):
-            records[rec.key] = rec
-    return [records[(*point, seed)] for point in points]
+    records = []
+    for _, group in groupby(points, key=lambda point: point.n_out):
+        group = list(group)
+        records += _evaluate_or_split(
+            cfg, group, seed, [by_snr[point.snr_db] for point in group], frame, share
+        )
+    return records
 
 
 def pending_frames(

@@ -16,9 +16,11 @@ seed. Bit generation and each slice's noise use separate named
 substreams, so the transmitted data does not change when the number of
 slices changes. The chain splits before the noise: :func:`detect_frame`
 returns the noiseless detected rows, which depend on every setting but
-the SNR, and :func:`load_noise_batch` loads any number of SNRs' noise
-onto copies of them, drawing each slice's noise once; :func:`load_noise`
-is its one-SNR call.
+the SNR, and :func:`load_noise_batch` draws each slice's standard normal
+noise once for any number of SNRs; :func:`load_noise` is its one-SNR
+call. No noisy copy of the rows is made: an observation holds the shared
+rows, the shared draw and its own per-slice noise scale, and whoever
+reads it adds the scaled noise to the samples it reads.
 
 :func:`detect_frame` runs dispersion, slicing and detection as one
 spectral pass over the MZM field's spectrum and takes the carrier from
@@ -157,25 +159,42 @@ class Waveform:
 
 @dataclass(eq=False, slots=True)
 class SlicedObservation:
-    """Photodetected, noise-loaded outputs of every spectral slice.
+    """Photodetected outputs of every spectral slice, with their noise.
 
-    ``data[i, j]`` is slice i at sample j. Sample ``i * sps + p`` of any
-    row belongs to symbol i of the frame (p < sps). ``guard_symbols`` is
-    the per-edge discard count inherited from the link configuration.
+    ``rows[i, j]`` is the noiseless detected slice i at sample j and
+    ``noise[i, j]`` a standard normal draw; the observed sample is
+    ``rows[i, j] + noise[i, j] * noise_std[i]``. The SNR points of one
+    frame share ``rows`` and ``noise`` and differ only in ``noise_std``,
+    so neither array is ever written. Sample ``i * sps + p`` of any row
+    belongs to symbol i of the frame (p < sps). ``guard_symbols`` is the
+    per-edge discard count inherited from the link configuration.
     """
 
-    data: np.ndarray
+    rows: np.ndarray
+    noise: np.ndarray
+    noise_std: np.ndarray
     sample_rate: float
     sps: int
     guard_symbols: int
 
     @property
     def num_slices(self) -> int:
-        return self.data.shape[0]
+        return self.rows.shape[0]
 
     @property
     def n_symbols(self) -> int:
-        return self.data.shape[1] // self.sps
+        return self.rows.shape[1] // self.sps
+
+    @property
+    def data(self) -> np.ndarray:
+        """The noisy samples ``rows + noise * noise_std[:, None]``.
+
+        Allocates a new array of the rows' size on every access; the
+        equalizer adds the noise chunk by chunk instead.
+        """
+        out = np.multiply(self.noise, self.noise_std[:, None])
+        out += self.rows
+        return out
 
 
 def generate_frame(n_symbols: int, rng: np.random.Generator) -> SymbolFrame:
@@ -419,14 +438,15 @@ def photodetect(fields: np.ndarray) -> np.ndarray:
 
 
 def load_noise(rows: np.ndarray, cfg: LinkConfig, seed: int | None = None) -> SlicedObservation:
-    """Add white Gaussian noise to a copy of the detected rows.
+    """White Gaussian noise on the detected rows at the config's SNR.
 
     Noise power for slice i is set from that slice's own photodetected
     signal: ``sigma_i^2 = var(rows[i]) / 10^(snr_db / 10)``, where the
     variance removes the mean, so a constant row stays noiseless. Each
     slice draws from its own named substream of the master seed, so one
-    set of noiseless rows can be loaded at any number of SNRs. ``rows``
-    is never modified. This is :func:`load_noise_batch` of one config.
+    set of noiseless rows can be loaded at any number of SNRs. The
+    observation holds ``rows`` itself, never writes it, and makes no
+    noisy copy. This is :func:`load_noise_batch` of one config.
     """
     return load_noise_batch(rows, [cfg], seed)[0]
 
@@ -438,12 +458,14 @@ def load_noise_batch(
 
     The configs are the SNR points of one frame and must agree on every
     other setting. A slice's noise substream is keyed by (seed, slice),
-    not by SNR, so each slice draws its standard normals ``g`` once and
-    every copy adds ``sigma_i * g`` at its own ``sigma_i``. That is what
-    ``normal(0.0, sigma_i, n)`` computes, so each observation is
-    bit-identical to its own :func:`load_noise` call. Besides the copies,
-    one slice's draw and one slice-sized product are alive at a time; the
-    last config scales the draw in place.
+    not by SNR, so each slice draws its standard normals ``g`` once into
+    one array that every observation shares, with ``rows``; only the
+    per-slice scales ``sigma_i`` differ. A reader adds ``sigma_i * g`` to
+    the clean sample, which is what ``normal(0.0, sigma_i, n)`` draws, so
+    each observation's samples are bit-identical to a noisy copy loaded
+    at its own SNR. Memory is one draw of the rows' size, whatever the
+    number of configs. Both shared arrays are handed out as read-only
+    views.
     """
     if not cfgs:
         raise ValueError("load_noise_batch needs at least one config")
@@ -455,32 +477,38 @@ def load_noise_batch(
         raise ValueError("field row count must equal num_slices")
     if seed is None:
         seed = first.seed
-    noisy = [clean.copy() for _ in cfgs]
-    scales = [10.0 ** (cfg.snr_db / 10.0) for cfg in cfgs]
-    scaled = np.empty(clean.shape[1]) if len(cfgs) > 1 else None
-    for i, row in enumerate(clean):
-        var = row.var()
-        noise = substream(seed, STREAM_SLICE_NOISE, i).standard_normal(clean.shape[1])
-        for data, scale in zip(noisy[:-1], scales):
-            np.multiply(noise, np.sqrt(var / scale), out=scaled)
-            data[i] += scaled
-        noise *= np.sqrt(var / scales[-1])
-        noisy[-1][i] += noise
+    noise = np.empty(clean.shape)
+    for i, row in enumerate(noise):
+        substream(seed, STREAM_SLICE_NOISE, i).standard_normal(out=row)
+    var = np.array([row.var() for row in clean])
+    clean = clean.view()  # the caller's array keeps its own flags
+    clean.flags.writeable = noise.flags.writeable = False
     return [
         SlicedObservation(
-            data=data,
+            rows=clean,
+            noise=noise,
+            noise_std=np.sqrt(var / 10.0 ** (cfg.snr_db / 10.0)),
             sample_rate=first.sample_rate,
             sps=first.sps,
             guard_symbols=first.guard_symbols,
         )
-        for data in noisy
+        for cfg in cfgs
     ]
 
 
 def photodetect_and_load_noise(
     fields: np.ndarray, cfg: LinkConfig, seed: int | None = None
 ) -> SlicedObservation:
-    """:func:`photodetect` followed by :func:`load_noise`."""
+    """:func:`photodetect` followed by :func:`load_noise`.
+
+    Nothing in the package calls this composition. It stays because the
+    benchmark's tracer (``perfbench/spans.py``) wraps it by name as a
+    link stage, as it wraps ``simulate_link(cfg)`` and binds the ``obs``,
+    ``frame``, ``cfg``, ``first_target`` and ``last_target`` parameters of
+    ``fit_readout``/``equalize`` and ``obs.guard_symbols``;
+    ``tests/test_perfbench_tracer.py`` checks those names. Removing it,
+    or renaming any of them, is a change to the benchmark.
+    """
     return load_noise(photodetect(fields), cfg, seed)
 
 

@@ -49,8 +49,12 @@ def small_cfg(**kw) -> EsnConfig:
 
 
 def make_obs(data: np.ndarray, sps: int, guard: int = 0) -> SlicedObservation:
+    """An observation whose samples are ``data``: zero noise at zero scale."""
+    rows = np.asarray(data, dtype=float)
     return SlicedObservation(
-        data=np.asarray(data, dtype=float),
+        rows=rows,
+        noise=np.zeros(rows.shape),
+        noise_std=np.zeros(rows.shape[0]),
         sample_rate=1.0,
         sps=sps,
         guard_symbols=guard,
@@ -714,6 +718,38 @@ def test_batch_rows_equal_single_observation_runs(monkeypatch):
         est, start = equalize(obs, frame, _with_readout(w, alone), cfg, 720)
         assert start == first
         assert np.array_equal(estimates[b], est)
+
+
+def test_shared_draw_batches_equal_materialised_observations():
+    # a frame of several chunks, equalized from its guard so that the
+    # washout starts off the frame
+    link_cfg = LinkConfig(fiber_length_km=10.0, snr_db=10.0, n_symbols=3 * esn._CHUNK_STEPS)
+    rows, frame = detect_frame(link_cfg)
+    shared = load_noise_batch(rows, [replace(link_cfg, snr_db=s) for s in (8.0, 10.0, 12.0)])
+    # the same samples, each held as one noisy copy of the frame's rows
+    copies = [make_obs(obs.data, obs.sps, obs.guard_symbols) for obs in shared]
+    cfg = EsnConfig(n_out=1)
+    w = init_weights(cfg)
+    first, n_steps = esn._target_region(shared[0], frame, cfg, None, None)
+    assert n_steps > esn._CHUNK_STEPS and first < cfg.washout * cfg.n_out
+    w_outs = fit_readout_batch(shared, frame, w, cfg, None, 2 * esn._CHUNK_STEPS)
+    assert np.array_equal(w_outs, fit_readout_batch(copies, frame, w, cfg, None, 2 * esn._CHUNK_STEPS))
+    estimates, start = equalize_batch(shared, frame, w, w_outs, cfg)
+    assert (estimates.shape[1], start) == (n_steps, first)
+    assert np.array_equal(estimates, equalize_batch(copies, frame, w, w_outs, cfg)[0])
+
+
+def test_load_noise_batch_shares_its_rows_and_draw():
+    link_cfg = LinkConfig(fiber_length_km=10.0, snr_db=10.0, n_symbols=1024)
+    rows, _ = detect_frame(link_cfg)
+    before = rows.copy()
+    observations = load_noise_batch(rows, [replace(link_cfg, snr_db=s) for s in (8.0, 10.0, 12.0)])
+    for obs in observations:
+        assert np.shares_memory(obs.rows, rows)
+        assert np.shares_memory(obs.noise, observations[0].noise)
+        assert not (obs.rows.flags.writeable or obs.noise.flags.writeable)
+    assert len({tuple(obs.noise_std) for obs in observations}) == 3
+    assert np.array_equal(rows, before)
 
 
 def test_batch_refuses_mixed_regions_and_empty_batches():

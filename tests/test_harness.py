@@ -314,48 +314,64 @@ def _counting_batches(monkeypatch):
     return sizes
 
 
-def test_snr_points_share_a_batch_within_the_byte_budget(monkeypatch):
-    cfg = toy_config(n_out=(1, 3), snr_db=(28.0, 29.0, 30.0), seeds=(0, 1))
+def test_snr_points_share_one_batch_per_frame_and_n_out(monkeypatch):
+    # no byte budget splits a frame's SNRs: the batch of each (frame,
+    # n_out) holds all of its SNR points at either frame length
     sizes = _counting_batches(monkeypatch)
-    batched = run_sweep(cfg)
-    # one batch per (frame, n_out)
-    assert sizes == [3] * 4
-    # a budget of two observations splits each run of three SNR points
-    observation_bytes = cfg.link.num_slices * cfg.total_symbols * cfg.link.sps * 8
-    sizes.clear()
-    monkeypatch.setattr(harness, "_BATCH_BYTES", 2 * observation_bytes)
-    pairs = run_sweep(cfg)
-    # SNR batches are the outer loop: each n_out reads 28/29 dB, then 30 dB
-    assert sizes == [2, 2, 1, 1] * 2
-    # and a budget smaller than one observation runs every point alone
-    sizes.clear()
-    monkeypatch.setattr(harness, "_BATCH_BYTES", 1)
-    alone = run_sweep(cfg)
-    assert sizes == [1] * 12
-    assert _without_wall_time(batched) == _without_wall_time(alone)
-    assert _without_wall_time(pairs) == _without_wall_time(alone)
-    # a reference-scale (2^22-symbol) observation is over the budget alone
-    assert cfg.link.num_slices * 2**22 * cfg.link.sps * 8 > harness._BATCH_BYTES
+    for total_symbols in (2048, 8192):
+        cfg = toy_config(n_out=(1, 3), snr_db=(28.0, 29.0, 30.0), seeds=(0, 1),
+                         total_symbols=total_symbols)
+        sizes.clear()
+        batched = run_sweep(cfg)
+        assert sizes == [3] * 4
+        alone = [run_experiment(cfg, p, s) for p, s in grid_points(cfg)]
+        assert _without_wall_time(batched) == _without_wall_time(alone)
 
 
 def test_a_point_failing_inside_a_batch_gets_its_own_error_row(monkeypatch):
     cfg = toy_config(n_out=(1, 3), snr_db=(28.0, 29.0, 30.0))
     clean = run_sweep(cfg)
-    real = harness.load_noise_batch
+    real_load, real_fit = harness.load_noise_batch, harness.fit_readout_batch
+    broken = []
 
-    def fail_at_29_db(rows, link_cfgs, *args, **kwargs):
-        if any(link_cfg.snr_db == 29.0 for link_cfg in link_cfgs):
-            raise RuntimeError("noise broke")
-        return real(rows, link_cfgs, *args, **kwargs)
+    def mark_29_db(rows, link_cfgs, *args, **kwargs):
+        observations = real_load(rows, link_cfgs, *args, **kwargs)
+        broken.extend(obs for obs, link_cfg in zip(observations, link_cfgs)
+                      if link_cfg.snr_db == 29.0)
+        return observations
 
-    monkeypatch.setattr(harness, "load_noise_batch", fail_at_29_db)
+    def fail_at_29_db(observations, *args, **kwargs):
+        if any(obs is bad for obs in observations for bad in broken):
+            raise RuntimeError("training broke")
+        return real_fit(observations, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_noise_batch", mark_29_db)
+    monkeypatch.setattr(harness, "fit_readout_batch", fail_at_29_db)
     records = run_sweep(cfg)
     assert [r.key for r in records] == [r.key for r in clean]
     for rec, ref in zip(records, clean):
         if rec.snr_db == 29.0:
-            assert rec.error == "RuntimeError: noise broke"
+            assert rec.error == "RuntimeError: training broke"
         else:
             assert _without_wall_time([rec]) == _without_wall_time([ref])
+
+
+def test_noise_draw_failure_fails_every_point_of_its_frame(monkeypatch):
+    real = harness.load_noise_batch
+
+    def fail_at_seed_1(rows, link_cfgs, *args, **kwargs):
+        if link_cfgs[0].seed == 1:
+            raise RuntimeError("noise broke")
+        return real(rows, link_cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_noise_batch", fail_at_seed_1)
+    cfg = toy_config(n_out=(1, 3), snr_db=(29.0, 30.0), seeds=(0, 1))
+    records = run_sweep(cfg)
+    assert len(records) == 8
+    for rec in records:
+        assert rec.ok == (rec.seed == 0)
+        if rec.seed == 1:
+            assert rec.error == "RuntimeError: noise broke"
 
 
 def test_each_frame_loads_its_noise_once_for_every_n_out(monkeypatch):
@@ -373,6 +389,33 @@ def test_each_frame_loads_its_noise_once_for_every_n_out(monkeypatch):
     # one load per frame serves both n_out; a load per point would make 12
     assert loads == [(0, [28.0, 29.0, 30.0]), (1, [28.0, 29.0, 30.0])]
     assert _without_wall_time(records) == _without_wall_time(alone)
+
+
+def test_sweep_memory_does_not_grow_with_the_snr_count():
+    # peak RSS growth of a fresh process running one 2^19-symbol frame at
+    # n_out 17: six SNR points may take less than one more copy of the
+    # frame's rows than one SNR point does
+    script = (
+        "import json, resource, sys\n"
+        "from slicerc.harness import ExperimentConfig, run_sweep\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "snrs = tuple(float(s) for s in range(10, 10 + int(sys.argv[1])))\n"
+        "cfg = ExperimentConfig(fiber_length_km=(10.0,), snr_db=snrs, n_out=(17,),\n"
+        "                       total_symbols=2**19)\n"
+        "assert all(rec.ok for rec in run_sweep(cfg))\n"
+        "grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) * 1024\n"
+        "rows = cfg.link.num_slices * cfg.total_symbols * cfg.link.sps * 8\n"
+        "print(json.dumps({'grown': grown, 'rows': rows}))\n"
+    )
+    src = str(Path(slicerc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    got = {}
+    for n_snr in (1, 6):
+        proc = subprocess.run([sys.executable, "-c", script, str(n_snr)], capture_output=True,
+                              text=True, env=env, check=True)
+        got[n_snr] = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got[6]["grown"] - got[1]["grown"] < got[1]["rows"], got
 
 
 def test_broken_pool_turns_unfinished_frames_into_error_rows(monkeypatch):
