@@ -23,6 +23,9 @@ steps before its first row. Several observations of one frame (the SNR
 points of a sweep frame, which share the weight draw) can run through it
 side by side as a batch; each row of a batch gets exactly the numbers it
 would get alone, and fit_readout and equalize are that batch at size 1.
+equalize_stream hands out the estimates chunk by chunk as the stream
+makes them, so a caller that scores them as they come never holds a
+frame's estimates; equalize_batch gathers the same chunks into one array.
 The observations of one frame share its clean rows and its noise draw,
 and each chunk adds an observation's scaled noise to the samples it
 reads, so a batch of any size holds no noisy copy of the frame.
@@ -271,10 +274,9 @@ def _fold(
     fold. Buffers are reused; no per-step allocation.
     """
     z = np.empty_like(x)
-    x_col, z_col = x[..., None], z[..., None]
     keep = 1.0 - leak
     for proj_t, out_t in zip(np.moveaxis(proj, -2, 0), np.moveaxis(out, -2, 0)):
-        np.matmul(w_res, x_col, out=z_col)
+        np.matvec(w_res, x, out=z)
         z += proj_t
         np.tanh(z, out=z)
         z *= leak
@@ -496,6 +498,35 @@ def fit_readout(
     return fit_readout_batch([obs], frame, w, cfg, first_target, last_target)[0]
 
 
+def equalize_stream(
+    observations: Sequence[SlicedObservation],
+    frame: SymbolFrame,
+    w: EsnWeights,
+    w_outs: np.ndarray,
+    cfg: EsnConfig,
+    first_target: int | None = None,
+    last_target: int | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Soft estimates of one frame chunk by chunk, as the step stream
+    yields them.
+
+    ``w_outs[b]`` reads ``observations[b]``, which all share the frame
+    and the fixed weights of ``w``. Yields ``(start, estimates)`` per
+    chunk: (B, n) estimates whose column j belongs to symbol start + j.
+    The estimates are views of one buffer that the next chunk
+    overwrites, so a caller that keeps them copies them; one that scores
+    them as they come never holds more than a chunk.
+    """
+    first, n_steps = _batch_region(observations, frame, cfg, first_target, last_target)
+    batch = len(observations)
+    buf = np.empty((batch, min(_CHUNK_STEPS, n_steps), cfg.n_out))
+    w_t = w_outs.swapaxes(1, 2)
+    for t0, rows in _step_stream(observations, w, cfg, first, n_steps, cfg.washout):
+        estimates = buf[:, : rows.shape[1]]
+        np.matmul(rows, w_t, out=estimates)
+        yield first + t0 * cfg.n_out, estimates.reshape(batch, -1, copy=False)
+
+
 def equalize_batch(
     observations: Sequence[SlicedObservation],
     frame: SymbolFrame,
@@ -507,17 +538,17 @@ def equalize_batch(
 ) -> tuple[np.ndarray, int]:
     """Soft estimates of one frame for each observation and its readout.
 
-    ``w_outs[b]`` reads ``observations[b]``, which all share the frame
-    and the fixed weights of ``w``. Returns (B, n) estimates and the
-    absolute index of the first estimated symbol; row b equals what
-    equalize gives for that observation alone.
+    The chunks of equalize_stream, gathered into one (B, n) array.
+    Returns the estimates and the absolute index of the first estimated
+    symbol; row b equals what equalize gives for that observation alone.
     """
     first, n_steps = _batch_region(observations, frame, cfg, first_target, last_target)
-    estimates = np.empty((len(observations), n_steps, cfg.n_out))
-    w_t = w_outs.swapaxes(1, 2)
-    for t0, rows in _step_stream(observations, w, cfg, first, n_steps, cfg.washout):
-        np.matmul(rows, w_t, out=estimates[:, t0 : t0 + rows.shape[1]])
-    return estimates.reshape(len(observations), -1), first
+    estimates = np.empty((len(observations), n_steps * cfg.n_out))
+    for start, chunk in equalize_stream(
+        observations, frame, w, w_outs, cfg, first_target, last_target
+    ):
+        estimates[:, start - first : start - first + chunk.shape[1]] = chunk
+    return estimates, first
 
 
 def equalize(

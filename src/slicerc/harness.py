@@ -8,7 +8,9 @@ every n_out of the frame reads those same observations, so a point adds
 only its own training and scoring. The SNR points of one n_out share the
 weight draw, so they train and equalize side by side as one batch, at
 any frame length: the observations share the frame's rows and noise
-draw, and the equalizer adds each one's scaled noise as it reads.
+draw, and the equalizer adds each one's scaled noise as it reads. Each
+chunk of estimates is scored as the equalizer yields it, so a batch
+never holds its estimates either.
 Records always come back in deterministic grid order (lengths
 outermost, then n_out, then SNR, then seeds) no matter how the frames
 were scheduled, and a failed point becomes an error row instead of
@@ -35,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple, get_args, get_origin, get_typ
 import numpy as np
 import yaml
 
-from .esn import EsnConfig, equalize_batch, fit_readout_batch, init_weights
+from .esn import EsnConfig, equalize_stream, fit_readout_batch, init_weights
 from .link import (
     LinkConfig,
     SlicedObservation,
@@ -46,12 +48,12 @@ from .link import (
 )
 from .metrics import (
     BerSnrCurve,
+    ErrorTally,
     FecThreshold,
     NonMonotone,
     NotBracketed,
     ber_floor,
     complexity_rmps,
-    count_errors,
     hard_decision,
     snr_at_threshold,
 )
@@ -290,8 +292,10 @@ def _evaluate(
 
     The points share the frame and n_out, so they share the weight draw
     and run through one step stream; each record equals what its point
-    gives alone. A record's time is an equal share of the batch's time
-    plus ``share``. The observations are read, never modified.
+    gives alone. Each chunk of estimates is decided and counted as the
+    stream yields it, so the batch never holds its estimates. A record's
+    time is an equal share of the batch's time plus ``share``. The
+    observations are read, never modified.
     """
     started = time.perf_counter()
     esn_cfg = cfg.esn_config(points[0].n_out, seed)
@@ -309,11 +313,14 @@ def _evaluate(
         raise ValueError("no test region left after the training split")
     weights = init_weights(esn_cfg)
     w_outs = fit_readout_batch(observations, frame, weights, esn_cfg, train_first, train_last)
-    estimates, first = equalize_batch(
+    tallies = [ErrorTally(esn_cfg.n_out) for _ in observations]
+    for start, estimates in equalize_stream(
         observations, frame, weights, w_outs, esn_cfg, test_first, test_last
-    )
-    truth = frame.levels[first : first + estimates.shape[1]]
-    reports = [count_errors(hard_decision(row), truth, esn_cfg.n_out) for row in estimates]
+    ):
+        truth = frame.levels[start : start + estimates.shape[1]]
+        for tally, row in zip(tallies, estimates):
+            tally.add(hard_decision(row), truth)
+    reports = [tally.report() for tally in tallies]
     n_train_steps = n_train // esn_cfg.n_out
     wall_time_s = (time.perf_counter() - started) / len(points) + share
     return [

@@ -346,27 +346,47 @@ def _dispersion_factor(f: np.ndarray, cfg: LinkConfig) -> np.ndarray:
     return np.exp(factor, out=factor)
 
 
-def _slice_masks(f: np.ndarray, fs: float, cfg: LinkConfig) -> list[np.ndarray]:
-    """Boolean masks over the bins at frequencies f, one per slice.
+def _slice_bins(f: np.ndarray, fs: float, cfg: LinkConfig) -> list[tuple[int, int]]:
+    """Signed bin ranges ``[a, b)`` of an FFT, one per slice.
 
-    The occupied band ``[-B/2, +B/2]`` splits into ``num_slices`` equal
-    intervals. Each is half-open and the last one also holds its top
-    edge, so every in-band bin, f = 0 included, lies in exactly one slice.
+    ``f`` holds the bin frequencies in ascending order, as
+    ``np.fft.fftshift(np.fft.fftfreq(n, 1 / fs))`` gives them, so bin k
+    (stored at index k mod n) sits at ``f[k + n // 2]``. The occupied band
+    ``[-B/2, +B/2]`` splits into ``num_slices`` equal intervals. Each is
+    half-open and the last one also holds its top edge, so every in-band
+    bin, f = 0 included, lies in exactly one slice and each range starts
+    where the one before it ends.
     """
     b = cfg.occupied_bandwidth
     if b > fs:
         raise ValueError("occupied bandwidth exceeds the sampling rate")
     edges = -b / 2.0 + b * np.arange(cfg.num_slices + 1) / cfg.num_slices
-    masks = [(f >= edges[i]) & (f < edges[i + 1]) for i in range(cfg.num_slices - 1)]
-    masks.append((f >= edges[-2]) & (f <= edges[-1]))
-    return masks
+    # the first bin at or above each edge, and past the top one
+    starts = np.searchsorted(f, edges, side="left")
+    starts[-1] = np.searchsorted(f, edges[-1], side="right")
+    starts -= f.size // 2
+    return list(zip(starts[:-1].tolist(), starts[1:].tolist()))
 
 
-def _band_field(spectrum: np.ndarray, mask: np.ndarray, out: np.ndarray) -> None:
-    """Inverse FFT of the masked spectrum, written into ``out``."""
+def _bin_frequencies(n: int, fs: float) -> np.ndarray:
+    """Frequencies of an n-point FFT's bins in ascending order."""
+    return np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / fs))
+
+
+def _in_band(spectrum: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bins lo..hi-1 of a spectrum (lo <= 0 < hi) in ascending frequency
+    order, as a new compact array."""
+    return np.concatenate((spectrum[spectrum.size + lo :], spectrum[:hi]))
+
+
+def _place_bins(band: np.ndarray, lo: int, a: int, b: int, out: np.ndarray) -> None:
+    """Write bins a..b-1 of ``band`` (whose first bin is lo) into the
+    spectrum ``out`` and zero every other bin."""
     out.fill(0.0)
-    np.copyto(out, spectrum, where=mask)
-    np.fft.ifft(out, out=out)
+    for k0, k1 in ((a, min(b, 0)), (max(a, 0), b)):
+        if k0 < k1:
+            start = k0 % out.size
+            out[start : start + k1 - k0] = band[k0 - lo : k1 - lo]
 
 
 def _square_law(field: np.ndarray, offset: complex, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -409,10 +429,14 @@ def slice_spectrum(wave: Waveform, cfg: LinkConfig) -> np.ndarray:
         Complex array of shape ``(num_slices, n_samples)``.
     """
     spectrum = np.fft.fft(np.asarray(wave.samples, dtype=complex))
-    f = np.fft.fftfreq(spectrum.size, d=1.0 / wave.sample_rate)
+    f = _bin_frequencies(spectrum.size, wave.sample_rate)
+    slices = _slice_bins(f, wave.sample_rate, cfg)
+    lo = slices[0][0]
+    band = _in_band(spectrum, lo, slices[-1][1])
     fields = np.empty((cfg.num_slices, spectrum.size), dtype=complex)
-    for field, mask in zip(fields, _slice_masks(f, wave.sample_rate, cfg)):
-        _band_field(spectrum, mask, out=field)
+    for field, (a, b) in zip(fields, slices):
+        _place_bins(band, lo, a, b, out=field)
+        np.fft.ifft(field, out=field)
     return fields
 
 
@@ -520,34 +544,45 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     The MZM drive is the shaped waveform normalized by its own peak, which
     keeps |v| <= 1 for any frame content.
 
-    Dispersion, slicing and detection run as one spectral pass: one
-    forward FFT of the MZM field, the dispersion factor applied to it in
-    place, then per slice one inverse FFT of its band into a reused buffer,
-    detected into its row at once. The carrier is the DC bin,
-    ``spectrum[0] / n``, the mean of the dispersed field; only the slice
-    that holds f = 0 has a nonzero mean, so that slice is squared as it is
-    and every other slice on the carrier. This is
+    Dispersion, slicing and detection run as one spectral pass. The MZM
+    field is copied into a complex buffer and transformed there in place.
+    The in-band bins are gathered into one compact array, ascending in
+    frequency, and only they get the dispersion factor; the full
+    spectrum's buffer is then reused as each slice's field: its band
+    placed, one inverse FFT in place, detected into its row at once. The
+    carrier is the DC bin divided by n, the mean of the dispersed field;
+    only the slice that holds f = 0 has a nonzero mean, so that slice is
+    squared as it is and every other slice on the carrier. This is
     ``photodetect(slice_spectrum(propagate_cd(field)))`` up to rounding,
     without the round trip to the time domain and without the slice
     fields ever existing together.
+
+    The peak is the last slice's inverse FFT: the rows, one complex
+    spectrum and the FFT's own scratch of two more spectra. The compact
+    band is freed before that transform, so it never adds to the peak.
     """
     frame = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
     shaped = pulse_shape(frame, cfg).samples
     drive = Waveform(samples=shaped / np.max(np.abs(shaped)), sample_rate=cfg.sample_rate)
     del shaped
-    spectrum = np.fft.fft(mzm_modulate(drive, cfg).samples)
+    field = mzm_modulate(drive, cfg).samples.astype(complex)
     del drive
-    n = spectrum.size
-    f = np.fft.fftfreq(n, d=1.0 / cfg.sample_rate)
-    spectrum *= _dispersion_factor(f, cfg)
-    masks = _slice_masks(f, cfg.sample_rate, cfg)
+    np.fft.fft(field, out=field)
+    n = field.size
+    f = _bin_frequencies(n, cfg.sample_rate)
+    slices = _slice_bins(f, cfg.sample_rate, cfg)
+    lo, hi = slices[0][0], slices[-1][1]
+    band = _in_band(field, lo, hi)
+    band *= _dispersion_factor(f[lo + n // 2 : hi + n // 2], cfg)
     del f
-    carrier = spectrum[0] / n
+    carrier = band[-lo] / n
     rows = np.empty((cfg.num_slices, n))
-    field = np.empty_like(spectrum)
-    for row, mask in zip(rows, masks):
-        _band_field(spectrum, mask, out=field)
-        _square_law(field, 0.0 if mask[0] else carrier, row, field)
+    for i, (row, (a, b)) in enumerate(zip(rows, slices)):
+        _place_bins(band, lo, a, b, out=field)
+        if i == len(slices) - 1:
+            del band
+        np.fft.ifft(field, out=field)
+        _square_law(field, 0.0 if a <= 0 < b else carrier, row, field)
     return rows, frame
 
 

@@ -17,6 +17,10 @@ from .link import PAM4_LEVELS, demap_gray_pam4, level_indices
 
 KP4_BER = 2.26e-4
 
+# Values that hard_decision and ErrorTally work through at a time, which
+# bounds their temporaries at a few times _BLOCK * 8 bytes
+_BLOCK = 1 << 16
+
 # _GRAY_BIT_DIFFERENCES[4 * i + j]: bits in which the Gray labels of
 # levels i and j (indices into PAM4_LEVELS) differ
 _GRAY_LABELS = demap_gray_pam4(PAM4_LEVELS).reshape(4, 2)
@@ -106,14 +110,91 @@ def hard_decision(estimates: np.ndarray) -> np.ndarray:
     """Nearest PAM4 level with thresholds {-2, 0, +2}.
 
     An estimate exactly on a threshold rounds toward the lower level.
+    Works through the estimates in blocks of ``_BLOCK``, so its
+    temporaries stay bounded whatever their number.
     """
     estimates = np.asarray(estimates, dtype=float)
-    if estimates.size and not np.all(np.isfinite(estimates)):
-        raise ValueError("estimates must be finite")
-    idx = (estimates > -2.0).astype(np.intp)
-    idx += estimates > 0.0
-    idx += estimates > 2.0
-    return PAM4_LEVELS[idx]
+    levels = np.empty(estimates.shape)
+    flat, out = estimates.reshape(-1), levels.reshape(-1)
+    for a in range(0, flat.size, _BLOCK):
+        block = flat[a : a + _BLOCK]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("estimates must be finite")
+        idx = (block > -2.0).astype(np.intp)
+        idx += block > 0.0
+        idx += block > 2.0
+        PAM4_LEVELS.take(idx, out=out[a : a + _BLOCK])
+    return levels
+
+
+class ErrorTally:
+    """Running bit and symbol error counts of one equalized region.
+
+    Aligned blocks of decided and true levels are added in order, and
+    symbol i of the region (counted over every block added) is attributed
+    to position i mod n_out, matching the stride of the multi-symbol
+    readout. The counts are integers, so any split of the region into
+    blocks gives the same report.
+    """
+
+    def __init__(self, n_out: int = 1) -> None:
+        if n_out < 1:
+            raise ValueError("n_out must be >= 1")
+        self.n_symbols = 0
+        self.n_bit_errors = 0
+        self.n_symbol_errors = 0
+        self.errors_at = np.zeros(n_out, dtype=np.int64)
+
+    def add(self, pred_levels: np.ndarray, true_levels: np.ndarray) -> None:
+        """Count the errors of the next aligned levels of the region.
+
+        Raises ``ValueError`` when the lengths differ or a value is not
+        one of the four levels; the tally is then left partly updated.
+        """
+        pred = np.asarray(pred_levels, dtype=float)
+        true = np.asarray(true_levels, dtype=float)
+        if pred.shape != true.shape:
+            raise ValueError("sequences must have equal length")
+        pred, true = pred.reshape(-1), true.reshape(-1)
+        for a in range(0, pred.size, _BLOCK):
+            pairs = level_indices(pred[a : a + _BLOCK]) * np.uint8(4)
+            pairs += level_indices(true[a : a + _BLOCK])
+            self._add_bit_errors(_GRAY_BIT_DIFFERENCES.take(pairs))
+
+    def _add_bit_errors(self, bit_errors: np.ndarray) -> None:
+        n_out = self.errors_at.size
+        position = self.n_symbols % n_out
+        self.n_symbols += bit_errors.size
+        self.n_bit_errors += int(bit_errors.sum(dtype=np.int64))
+        # Gray labels of two different levels differ in at least one bit
+        self.n_symbol_errors += int(np.count_nonzero(bit_errors))
+        # the first symbols finish the current row of n_out positions,
+        # the rest start at position 0
+        head = min(-position % n_out, bit_errors.size)
+        self.errors_at[position : position + head] += bit_errors[:head]
+        full, rest = divmod(bit_errors.size - head, n_out)
+        aligned = bit_errors[head : head + full * n_out].reshape(full, n_out)
+        self.errors_at += aligned.sum(axis=0, dtype=np.int64)
+        self.errors_at[:rest] += bit_errors[head + full * n_out :]
+
+    def report(self) -> BerReport:
+        """The counts so far as a BerReport."""
+        n_out, n_symbols = self.errors_at.size, self.n_symbols
+        full, rest = divmod(n_symbols, n_out)
+        symbols_at = np.full(n_out, full)
+        symbols_at[:rest] += 1
+        per_position = np.zeros(n_out)
+        np.divide(self.errors_at, 2 * symbols_at, out=per_position, where=symbols_at > 0)
+        n_bits = 2 * n_symbols
+        return BerReport(
+            ber=self.n_bit_errors / n_bits if n_bits else 0.0,
+            ser=self.n_symbol_errors / n_symbols if n_symbols else 0.0,
+            n_bits=n_bits,
+            n_bit_errors=self.n_bit_errors,
+            n_symbols=n_symbols,
+            n_symbol_errors=self.n_symbol_errors,
+            per_position_ber=per_position,
+        )
 
 
 def count_errors(
@@ -123,39 +204,13 @@ def count_errors(
 
     Both sequences must already exclude guard symbols. Symbol i is
     attributed to position i mod n_out for the per-position breakdown,
-    matching the stride of the multi-symbol readout.
+    matching the stride of the multi-symbol readout. This is one
+    :class:`ErrorTally` fed the whole sequences, which it counts in
+    blocks of ``_BLOCK`` symbols.
     """
-    pred_levels = np.asarray(pred_levels, dtype=float)
-    true_levels = np.asarray(true_levels, dtype=float)
-    if pred_levels.shape != true_levels.shape:
-        raise ValueError("sequences must have equal length")
-    if n_out < 1:
-        raise ValueError("n_out must be >= 1")
-    pairs = level_indices(pred_levels).reshape(-1) * np.uint8(4)
-    pairs += level_indices(true_levels).reshape(-1)
-    bit_errors = _GRAY_BIT_DIFFERENCES.take(pairs)
-    n_symbols = bit_errors.size
-    n_bit_errors = int(bit_errors.sum())
-    # Gray labels of two different levels differ in at least one bit
-    n_symbol_errors = int(np.count_nonzero(bit_errors))
-    # symbol i sits at row i // n_out, column i % n_out
-    full, rest = divmod(n_symbols, n_out)
-    errors_at = bit_errors[: full * n_out].reshape(full, n_out).sum(axis=0, dtype=np.int64)
-    errors_at[:rest] += bit_errors[full * n_out :]
-    symbols_at = np.full(n_out, full)
-    symbols_at[:rest] += 1
-    per_position = np.zeros(n_out)
-    np.divide(errors_at, 2 * symbols_at, out=per_position, where=symbols_at > 0)
-    n_bits = 2 * n_symbols
-    return BerReport(
-        ber=n_bit_errors / n_bits if n_bits else 0.0,
-        ser=n_symbol_errors / n_symbols if n_symbols else 0.0,
-        n_bits=n_bits,
-        n_bit_errors=n_bit_errors,
-        n_symbols=n_symbols,
-        n_symbol_errors=n_symbol_errors,
-        per_position_ber=per_position,
-    )
+    tally = ErrorTally(n_out)
+    tally.add(pred_levels, true_levels)
+    return tally.report()
 
 
 def snr_at_threshold(curve: BerSnrCurve, fec: FecThreshold | float) -> float:

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 import slicerc
-from slicerc import harness
+from slicerc import esn, harness
 from slicerc.cli import main as cli_main
-from slicerc.esn import EsnConfig
+from slicerc.esn import EsnConfig, equalize_batch
 from slicerc.harness import (
     ConfigError,
     EsnParams,
@@ -40,7 +40,8 @@ from slicerc.harness import (
     series_curve,
     write_results,
 )
-from slicerc.metrics import complexity_rmps, curve_from_points
+from slicerc.link import detect_frame, load_noise_batch
+from slicerc.metrics import complexity_rmps, count_errors, curve_from_points, hard_decision
 
 
 def toy_config(**kw) -> ExperimentConfig:
@@ -328,6 +329,35 @@ def test_snr_points_share_one_batch_per_frame_and_n_out(monkeypatch):
         assert _without_wall_time(batched) == _without_wall_time(alone)
 
 
+@pytest.mark.parametrize("n_out", [1, 17, 23])
+def test_streamed_scores_equal_scores_of_the_whole_estimates(monkeypatch, n_out):
+    # 64-step chunks, so the test region streams through several of them
+    monkeypatch.setattr(esn, "_CHUNK_STEPS", 64)
+    cfg = toy_config(fiber_length_km=(10.0,), n_out=(n_out,), snr_db=(6.0, 8.0, 10.0),
+                     total_symbols=8192)
+    points = [GridPoint(10.0, n_out, snr) for snr in cfg.snr_db]
+    rows, frame = detect_frame(cfg.link_config(points[0], 0))
+    observations = load_noise_batch(rows, [cfg.link_config(point, 0) for point in points])
+    streams = []
+    real = harness.equalize_stream
+
+    def recorded(*args):
+        streams.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "equalize_stream", recorded)
+    records = harness._evaluate(cfg, points, 0, observations, frame, 0.0)
+    (args,) = streams
+    estimates, first = equalize_batch(*args)
+    truth = frame.levels[first : first + estimates.shape[1]]
+    assert len(records) == len(estimates) == 3
+    for rec, row in zip(records, estimates):
+        report = count_errors(hard_decision(row), truth, n_out)
+        assert report.n_bit_errors > 0
+        assert (rec.ber, rec.ser, rec.test_symbols, rec.per_position_ber) == (
+            report.ber, report.ser, report.n_symbols, tuple(report.per_position_ber))
+
+
 def test_a_point_failing_inside_a_batch_gets_its_own_error_row(monkeypatch):
     cfg = toy_config(n_out=(1, 3), snr_db=(28.0, 29.0, 30.0))
     clean = run_sweep(cfg)
@@ -416,6 +446,39 @@ def test_sweep_memory_does_not_grow_with_the_snr_count():
                               text=True, env=env, check=True)
         got[n_snr] = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got[6]["grown"] - got[1]["grown"] < got[1]["rows"], got
+
+
+def test_scoring_a_frame_does_not_hold_its_estimates():
+    # peak RSS growth of a fresh process while one 2^19-symbol frame at
+    # 12 SNRs, n_out 1, is equalized and scored, above the peak its
+    # training reached. Holding the (12, test symbols) float64 estimates
+    # grows it by about their size (42.8 MB); scoring chunk by chunk
+    # grows it by almost nothing, and the bound is half their size
+    script = (
+        "import json, resource\n"
+        "from slicerc import harness\n"
+        "def peak():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+        "trained = []\n"
+        "def fit(*args):\n"
+        "    w_outs = real_fit(*args)\n"
+        "    trained.append(peak())\n"
+        "    return w_outs\n"
+        "real_fit, harness.fit_readout_batch = harness.fit_readout_batch, fit\n"
+        "cfg = harness.ExperimentConfig(fiber_length_km=(10.0,), n_out=(1,),\n"
+        "    snr_db=tuple(float(s) for s in range(8, 20)), total_symbols=2**19)\n"
+        "records = harness.run_sweep(cfg)\n"
+        "assert all(rec.ok for rec in records) and len(trained) == 1\n"
+        "estimates = sum(rec.test_symbols for rec in records) * 8\n"
+        "print(json.dumps({'grown': peak() - trained[0], 'estimates': estimates}))\n"
+    )
+    src = str(Path(slicerc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["grown"] < got["estimates"] / 2, got
 
 
 def test_broken_pool_turns_unfinished_frames_into_error_rows(monkeypatch):

@@ -348,6 +348,34 @@ def test_single_slice_is_inband_filter():
     assert np.allclose(fields[0], four.sum(axis=0), atol=1e-12)
 
 
+def oracle_slice_masks(n, fs, cfg):
+    """The slice rule as boolean masks over ``fftfreq`` bins."""
+    f = np.fft.fftfreq(n, d=1.0 / fs)
+    b = cfg.occupied_bandwidth
+    edges = -b / 2.0 + b * np.arange(cfg.num_slices + 1) / cfg.num_slices
+    masks = [(f >= edges[i]) & (f < edges[i + 1]) for i in range(cfg.num_slices - 1)]
+    masks.append((f >= edges[-2]) & (f <= edges[-1]))
+    return masks
+
+
+@pytest.mark.parametrize("n", [64, 65, 1001, 4096])
+@pytest.mark.parametrize("num_slices", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "sps,rolloff,baud_rate",
+    [(2, 0.1, 32e9), (1, 0.0, 32e9), (2, 1.0, 32e9), (3, 0.35, 32e9), (2, 0.5, 2.0**30)],
+)
+def test_slice_bin_ranges_equal_the_frequency_masks(n, num_slices, sps, rolloff, baud_rate):
+    # (1, 0.0) and (2, 1.0) put the band edges on +-fs/2; at a baud rate
+    # of 2^30 the bins of n = 64 and 4096 fall exactly on the band edges
+    cfg = cfg_with(num_slices=num_slices, sps=sps, rolloff=rolloff, baud_rate=baud_rate)
+    rng = np.random.default_rng(n)
+    samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fields = slice_spectrum(Waveform(samples=samples, sample_rate=cfg.sample_rate), cfg)
+    spectrum = np.fft.fft(samples)
+    for field, mask in zip(fields, oracle_slice_masks(n, cfg.sample_rate, cfg), strict=True):
+        assert np.array_equal(field, np.fft.ifft(np.where(mask, spectrum, 0.0)))
+
+
 def test_slice_rejects_undersampled_band():
     cfg = cfg_with()
     wave = Waveform(samples=np.zeros(64, dtype=complex), sample_rate=cfg.baud_rate)
@@ -501,6 +529,30 @@ def test_detect_frame_memory_stays_bounded():
     )
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["grown"] <= 5 * got["rows"], got
+
+
+def test_detect_frame_memory_at_reference_scale():
+    # at 2^21 symbols every full-size array (rows, spectrum, band) lies
+    # above glibc's 32 MiB mmap ceiling, so peak RSS follows live memory:
+    # the rows, one complex spectrum, the compact band and the FFT's
+    # scratch measured 2.3-2.5x the rows (2.5x at 2^22), and a pass that
+    # also holds a second complex spectrum 2.9-3.1x
+    script = (
+        "import json, resource\n"
+        "from slicerc.link import LinkConfig, detect_frame\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "rows, _ = detect_frame(LinkConfig(10.0, 12.0, 2**21))\n"
+        "grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) * 1024\n"
+        "print(json.dumps({'grown': grown, 'rows': rows.nbytes}))\n"
+    )
+    src = str(Path(slicerc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["grown"] <= 2.7 * got["rows"], got
 
 
 # ------------------------------------------------------------ end to end

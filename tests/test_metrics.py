@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicerc import metrics
 from slicerc.esn import EsnConfig
 from slicerc.link import demap_gray_pam4
 from slicerc.metrics import (
     KP4_BER,
     BerSnrCurve,
+    ErrorTally,
     FecThreshold,
     NonMonotone,
     NotBracketed,
@@ -159,6 +161,55 @@ def test_count_errors_rejects_values_off_the_levels(bad):
 def test_count_errors_rejects_length_mismatch():
     with pytest.raises(ValueError):
         count_errors(np.array([1.0]), np.array([1.0, 3.0]))
+
+
+def report_fields(report):
+    return (report.ber, report.ser, report.n_bits, report.n_bit_errors, report.n_symbols,
+            report.n_symbol_errors, report.per_position_ber.tolist())
+
+
+@pytest.mark.parametrize("n_out", [1, 17, 23])
+@pytest.mark.parametrize("n", [63, 64, 65, 1000])
+def test_blockwise_decisions_and_counts_equal_the_whole_array(monkeypatch, n, n_out):
+    # 64-value blocks: the sizes straddle a block edge, and 17 and 23 do
+    # not divide the block, so symbols reach later blocks mid-row
+    rng = np.random.default_rng(n * n_out)
+    estimates = rng.normal(0.0, 2.5, n)
+    estimates[::7] = rng.choice([-2.0, 0.0, 2.0], estimates[::7].size)
+    truth = rng.choice(LEVELS, n)
+    whole_levels = hard_decision(estimates)
+    whole = report_fields(count_errors(whole_levels, truth, n_out))
+    monkeypatch.setattr(metrics, "_BLOCK", 64)
+    levels = hard_decision(estimates)
+    assert np.array_equal(levels, whole_levels)
+    assert np.array_equal(hard_decision(estimates.reshape(-1, 1)), whole_levels.reshape(-1, 1))
+    assert report_fields(count_errors(levels, truth, n_out)) == whole
+    # a tally fed in uneven pieces counts what one call over the whole does
+    tally = ErrorTally(n_out)
+    for a, b in zip([0, 5, 69, 70, 500], [5, 69, 70, 500, n]):
+        tally.add(levels[a:b], truth[a:b])
+    assert report_fields(tally.report()) == whole
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_estimate_in_a_later_block_still_raises(monkeypatch, bad):
+    monkeypatch.setattr(metrics, "_BLOCK", 64)
+    estimates = np.zeros(200)
+    estimates[150] = bad
+    with pytest.raises(ValueError, match="finite"):
+        hard_decision(estimates)
+
+
+@pytest.mark.parametrize("bad", [2.0, np.nan])
+def test_a_value_off_the_levels_in_a_later_block_still_raises(monkeypatch, bad):
+    monkeypatch.setattr(metrics, "_BLOCK", 64)
+    good = np.resize(LEVELS, 200)
+    off = good.copy()
+    off[150] = bad
+    with pytest.raises(ValueError):
+        count_errors(off, good, 17)
+    with pytest.raises(ValueError):
+        count_errors(good, off, 17)
 
 
 # ------------------------------------------------------------------ curves
