@@ -22,13 +22,14 @@ per step, from one chunked step stream whose zero state starts ``washout``
 steps before its first row. Several observations of one frame (the SNR
 points of a sweep frame, which share the weight draw) can run through it
 side by side as a batch; each row of a batch gets exactly the numbers it
-would get alone, and fit_readout and equalize are that batch at size 1.
-equalize_stream hands out the estimates chunk by chunk as the stream
-makes them, so a caller that scores them as they come never holds a
-frame's estimates; equalize_batch gathers the same chunks into one array.
+would get alone. fit_readout is that batch at size 1. equalize_stream
+hands out the estimates chunk by chunk as the stream makes them, so a
+caller that scores them as they come never holds a frame's estimates;
+equalize gathers the chunks of one observation into one array.
 The observations of one frame share its clean rows and its noise draw,
-and each chunk adds an observation's scaled noise to the samples it
-reads, so a batch of any size holds no noisy copy of the frame.
+and each chunk has an observation write only the noisy samples it reads
+(SlicedObservation.write_samples), so a batch of any size holds no noisy
+copy of the frame.
 
 The state update is a Python loop, one step per window slide, whose cost
 per step hardly depends on how many rows it carries. So the stream folds
@@ -189,28 +190,35 @@ def init_weights(cfg: EsnConfig, seed: int | None = None) -> EsnWeights:
 
 
 def _target_region(
-    obs: SlicedObservation,
+    observations: Sequence[SlicedObservation],
     frame: SymbolFrame,
     cfg: EsnConfig,
     first_target: int | None,
     last_target: int | None,
 ) -> tuple[int, int]:
-    """First target symbol and step count of a checked region.
+    """First target symbol and step count of the checked region that
+    every observation of a batch shares.
 
     Targets default to the guard-trimmed usable region and advance by
     n_out per step, so each appears once; a remainder shorter than n_out
     at the region end is left untargeted.
     """
-    if obs.num_slices != cfg.num_slices or obs.sps != cfg.sps:
-        raise ValueError("observation geometry does not match the config")
-    if obs.rows.shape[1] != frame.n_symbols * cfg.sps:
-        raise ValueError("observation is misaligned with the frame")
+    if len(observations) == 0:
+        raise ValueError("a batch needs at least one observation")
+    guard = observations[0].guard_symbols
+    for obs in observations:
+        if obs.num_slices != cfg.num_slices or obs.sps != cfg.sps:
+            raise ValueError("observation geometry does not match the config")
+        if obs.rows.shape[1] != frame.n_symbols * cfg.sps:
+            raise ValueError("observation is misaligned with the frame")
+        if obs.guard_symbols != guard:
+            raise ValueError("observations of one batch must share their target region")
     if frame.n_symbols < cfg.m:
         raise ValueError("frame must hold at least one full window")
     if first_target is None:
-        first_target = obs.guard_symbols
+        first_target = guard
     if last_target is None:
-        last_target = frame.n_symbols - obs.guard_symbols
+        last_target = frame.n_symbols - guard
     if not 0 <= first_target <= last_target <= frame.n_symbols:
         raise ValueError("target region must lie within the frame")
     return first_target, (last_target - first_target) // cfg.n_out
@@ -228,12 +236,9 @@ def _gather_inputs(
     observation, written into ``out`` when it is given.
 
     Feature order is slice-major, then window symbol, then sample within
-    the symbol. Window positions outside the frame contribute zeros: the
-    chunk's symbol span of noisy samples is written into a zero-padded
-    buffer, whose windows are strided views copied into place. The noisy
-    samples are made there, as the scaled shared noise plus the clean
-    rows: ``fl(g * sigma) + clean``, the same bits as a noisy copy of
-    the whole frame, which is never made.
+    the symbol. Window positions outside the frame contribute zeros: each
+    observation writes the chunk's symbol span of noisy samples into a
+    zero-padded buffer, whose windows are strided views copied into place.
     """
     sps, n_steps = cfg.sps, max(t1 - t0, 0)
     width = cfg.m * sps
@@ -247,14 +252,10 @@ def _gather_inputs(
     span = np.zeros((cfg.num_slices, (hi - lo) * sps))
     a = max(lo, 0)
     b = max(min(hi, observations[0].n_symbols), a)
-    inside, src = span[:, (a - lo) * sps : (b - lo) * sps], slice(a * sps, b * sps)
+    inside = span[:, (a - lo) * sps : (b - lo) * sps]
     windows = sliding_window_view(span, width, axis=1)[:, :: cfg.n_out * sps].swapaxes(0, 1)
     for row, obs in enumerate(observations):
-        # slice by slice, so each product is still in cache when its row
-        # is added to it
-        for dst, noise, std, clean in zip(inside, obs.noise[:, src], obs.noise_std, obs.rows[:, src]):
-            np.multiply(noise, std, out=dst)
-            dst += clean
+        obs.write_samples(a * sps, b * sps, out=inside)
         # a row's window columns are contiguous even inside the design
         # rows, so this is a view; copy=False raises rather than copy
         inputs[row].reshape(n_steps, cfg.num_slices, width, copy=False)[...] = windows
@@ -427,22 +428,6 @@ def _extended_mask(mask: np.ndarray, n_in: int) -> np.ndarray:
     return np.hstack([mask, np.ones((mask.shape[0], n_in), dtype=bool)])
 
 
-def _batch_region(
-    observations: Sequence[SlicedObservation],
-    frame: SymbolFrame,
-    cfg: EsnConfig,
-    first_target: int | None,
-    last_target: int | None,
-) -> tuple[int, int]:
-    """The checked target region shared by every observation of a batch."""
-    if len(observations) == 0:
-        raise ValueError("a batch needs at least one observation")
-    regions = {_target_region(obs, frame, cfg, first_target, last_target) for obs in observations}
-    if len(regions) != 1:
-        raise ValueError("observations of one batch must share their target region")
-    return regions.pop()
-
-
 def fit_readout_batch(
     observations: Sequence[SlicedObservation],
     frame: SymbolFrame,
@@ -458,7 +443,7 @@ def fit_readout_batch(
     row b of the result is the readout of ``observations[b]``, equal to
     what that observation alone gives. Returns (B, n_out, n_res + n_in + 1).
     """
-    first, n_steps = _batch_region(observations, frame, cfg, first_target, last_target)
+    first, n_steps = _target_region(observations, frame, cfg, first_target, last_target)
     if cfg.washout >= n_steps:
         raise ValueError("washout must be smaller than the step count")
     # the region's first washout steps warm the state and are not trained on
@@ -517,7 +502,7 @@ def equalize_stream(
     overwrites, so a caller that keeps them copies them; one that scores
     them as they come never holds more than a chunk.
     """
-    first, n_steps = _batch_region(observations, frame, cfg, first_target, last_target)
+    first, n_steps = _target_region(observations, frame, cfg, first_target, last_target)
     batch = len(observations)
     buf = np.empty((batch, min(_CHUNK_STEPS, n_steps), cfg.n_out))
     w_t = w_outs.swapaxes(1, 2)
@@ -525,30 +510,6 @@ def equalize_stream(
         estimates = buf[:, : rows.shape[1]]
         np.matmul(rows, w_t, out=estimates)
         yield first + t0 * cfg.n_out, estimates.reshape(batch, -1, copy=False)
-
-
-def equalize_batch(
-    observations: Sequence[SlicedObservation],
-    frame: SymbolFrame,
-    w: EsnWeights,
-    w_outs: np.ndarray,
-    cfg: EsnConfig,
-    first_target: int | None = None,
-    last_target: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Soft estimates of one frame for each observation and its readout.
-
-    The chunks of equalize_stream, gathered into one (B, n) array.
-    Returns the estimates and the absolute index of the first estimated
-    symbol; row b equals what equalize gives for that observation alone.
-    """
-    first, n_steps = _batch_region(observations, frame, cfg, first_target, last_target)
-    estimates = np.empty((len(observations), n_steps * cfg.n_out))
-    for start, chunk in equalize_stream(
-        observations, frame, w, w_outs, cfg, first_target, last_target
-    ):
-        estimates[:, start - first : start - first + chunk.shape[1]] = chunk
-    return estimates, first
 
 
 def equalize(
@@ -567,10 +528,13 @@ def equalize(
     without this warm-up the first estimates would read a cold-start
     transient that training never saw, and no state leaks between calls.
     Returns the estimates and the absolute index of the first estimated
-    symbol; estimate j belongs to symbol first_index + j. This is the
-    one-observation case of equalize_batch.
+    symbol; estimate j belongs to symbol first_index + j. These are the
+    chunks of equalize_stream for this one observation, gathered.
     """
-    estimates, first = equalize_batch(
+    first, n_steps = _target_region([obs], frame, cfg, first_target, last_target)
+    estimates = np.empty(n_steps * cfg.n_out)
+    for start, chunk in equalize_stream(
         [obs], frame, w, w.w_out[None], cfg, first_target, last_target
-    )
-    return estimates[0], first
+    ):
+        estimates[start - first : start - first + chunk.shape[1]] = chunk[0]
+    return estimates, first

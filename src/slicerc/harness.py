@@ -42,6 +42,7 @@ from .link import (
     LinkConfig,
     SlicedObservation,
     SymbolFrame,
+    check_filter_span,
     detect_frame,
     load_noise_batch,
     simulate_link,
@@ -125,14 +126,23 @@ class ExperimentConfig:
             raise ConfigError("seeds must be unique")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError("seeds must be non-negative")
-        # run the link and equalizer validators now, not once per point
+        # run the link and equalizer validators and size every frame's
+        # filter span and train/test split now, not once per point
         try:
+            guards = {}
             for length in self.fiber_length_km:
                 where = f"link at fiber_length_km={length}"
-                self.link_config(GridPoint(length, self.n_out[0], self.snr_db[0]), self.seeds[0])
+                link_cfg = self.link_config(
+                    GridPoint(length, self.n_out[0], self.snr_db[0]), self.seeds[0]
+                )
+                check_filter_span(link_cfg, self.total_symbols)
+                guards[length] = link_cfg.guard_symbols
             for n_out in self.n_out:
                 where = f"esn at n_out={n_out}"
-                self.esn_config(n_out, self.seeds[0])
+                esn_cfg = self.esn_config(n_out, self.seeds[0])
+                for length, guard in guards.items():
+                    where = f"split at fiber_length_km={length}, n_out={n_out}"
+                    _split(self, esn_cfg, guard)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
@@ -279,6 +289,29 @@ def run_experiment(cfg: ExperimentConfig, point: GridPoint, seed: int) -> SweepR
     return _evaluate(cfg, [point], seed, [observation], frame, time.perf_counter() - started)[0]
 
 
+def _split(cfg: ExperimentConfig, esn_cfg: EsnConfig, guard: int) -> tuple[int, int, int, int]:
+    """Training and test regions ``(train_first, train_last, test_first,
+    test_last)`` of a sweep frame whose edges lose ``guard`` symbols each,
+    laid out as run_experiment describes. Raises ValueError unless the
+    training region outlasts the washout and the test region holds a step.
+    """
+    usable = cfg.total_symbols - 2 * guard
+    if usable < esn_cfg.m:
+        raise ValueError("frame too short after guard discard")
+    n_train = int(cfg.train_fraction * usable)
+    train_first, train_last = guard, guard + n_train
+    steps = n_train // esn_cfg.n_out
+    if steps <= esn_cfg.washout:
+        raise ValueError(f"washout must be smaller than the {steps} training steps")
+    test_first = train_last + esn_cfg.k
+    # scored windows must not hang off the burst end, so the test region
+    # stops k symbols short of the guard boundary
+    test_last = cfg.total_symbols - guard - esn_cfg.k
+    if test_last - test_first < esn_cfg.n_out:
+        raise ValueError("no test region left after the training split")
+    return train_first, train_last, test_first, test_last
+
+
 def _evaluate(
     cfg: ExperimentConfig,
     points: list[GridPoint],
@@ -299,18 +332,9 @@ def _evaluate(
     """
     started = time.perf_counter()
     esn_cfg = cfg.esn_config(points[0].n_out, seed)
-    guard = observations[0].guard_symbols
-    usable = frame.n_symbols - 2 * guard
-    if usable < esn_cfg.m:
-        raise ValueError("frame too short after guard discard")
-    n_train = int(cfg.train_fraction * usable)
-    train_first, train_last = guard, guard + n_train
-    test_first = train_last + esn_cfg.k
-    # scored windows must not hang off the burst end, so the test region
-    # stops k symbols short of the guard boundary
-    test_last = frame.n_symbols - guard - esn_cfg.k
-    if test_first >= test_last:
-        raise ValueError("no test region left after the training split")
+    train_first, train_last, test_first, test_last = _split(
+        cfg, esn_cfg, observations[0].guard_symbols
+    )
     weights = init_weights(esn_cfg)
     w_outs = fit_readout_batch(observations, frame, weights, esn_cfg, train_first, train_last)
     tallies = [ErrorTally(esn_cfg.n_out) for _ in observations]
@@ -321,7 +345,7 @@ def _evaluate(
         for tally, row in zip(tallies, estimates):
             tally.add(hard_decision(row), truth)
     reports = [tally.report() for tally in tallies]
-    n_train_steps = n_train // esn_cfg.n_out
+    n_train_steps = (train_last - train_first) // esn_cfg.n_out
     wall_time_s = (time.perf_counter() - started) / len(points) + share
     return [
         SweepRecord(
@@ -632,6 +656,26 @@ def series_curve(records: list[SweepRecord]) -> BerSnrCurve:
     )
 
 
+# columns of each plot file, in the order emit_plot_data writes the files
+_PLOT_COLUMNS = {
+    "ber_vs_snr": ["fiber_length_km", "n_out", "n_res", "snr_db", "ber_median", "floored",
+                   "n_seeds"],
+    "snr_penalty": ["fiber_length_km", "n_out", "n_res", "snr_at_threshold_db", "penalty_db",
+                    "note"],
+    "complexity": ["n_out", "n_res", "rmps"],
+    "per_position": ["fiber_length_km", "n_out", "n_res", "snr_db", "position", "ber_median",
+                     "n_seeds"],
+}
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> Path:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def emit_plot_data(
     records: list[SweepRecord],
     out_dir: str | Path,
@@ -646,6 +690,10 @@ def emit_plot_data(
     complexity.csv: multiplications per symbol per equalizer variant.
     per_position.csv: median-seed BER of each window position per series
     and SNR.
+
+    All four come from one table of each series' records, curve and
+    crossing (or the exception instead), built with the reference before
+    any file is written: a failure leaves the directory as it was.
     """
     groups: dict[tuple, list[SweepRecord]] = {}
     for rec in records:
@@ -653,83 +701,42 @@ def emit_plot_data(
             groups.setdefault((rec.fiber_length_km, rec.n_out, rec.n_res), []).append(rec)
     if not groups:
         raise ValueError("no successful records to plot")
-    # resolve the penalty reference before any file is written, so an
-    # unusable reference leaves the directory as it was
-    references = [key for key in groups if key[0] == 0.0 and key[1] == 1]
+    table: dict[tuple, tuple[list[SweepRecord], BerSnrCurve, float | Exception]] = {}
+    for key, group in sorted(groups.items()):
+        curve = series_curve(group)
+        try:
+            crossing = snr_at_threshold(curve, fec)
+        except (NotBracketed, NonMonotone) as exc:
+            crossing = exc
+        table[key] = (group, curve, crossing)
+    references = [key for key in table if key[0] == 0.0 and key[1] == 1]
     if len(references) != 1:
         raise ValueError(
             "penalty reference requires exactly one n_out=1 series at 0 km, "
             f"found {len(references)}"
         )
-    try:
-        ref_snr = snr_at_threshold(series_curve(groups[references[0]]), fec)
-    except (NotBracketed, NonMonotone) as exc:
-        raise ValueError(f"reference series unusable: {exc}") from exc
+    ref_snr = table[references[0]][2]
+    if isinstance(ref_snr, Exception):
+        raise ValueError(f"reference series unusable: {ref_snr}") from ref_snr
+
+    rows = {name: [] for name in _PLOT_COLUMNS}
+    for (length, n_out, n_res), (group, curve, crossing) in table.items():
+        series = [repr(float(length)), n_out, n_res]
+        for snr, ber, floored in zip(curve.snr_db, curve.ber, curve.floored):
+            at_snr = [r for r in group if r.snr_db == snr]
+            rows["ber_vs_snr"].append(series + [repr(float(snr)), repr(float(ber)), int(floored),
+                                                len({r.seed for r in at_snr})])
+            profiles = [r.per_position_ber for r in at_snr]
+            for position, median in enumerate(np.median(profiles, axis=0)):
+                rows["per_position"].append(series + [repr(float(snr)), position,
+                                                      repr(float(median)), len(profiles)])
+        if isinstance(crossing, Exception):
+            rows["snr_penalty"].append(series + ["", "", type(crossing).__name__])
+        else:
+            rows["snr_penalty"].append(series + [repr(crossing), repr(crossing - ref_snr), ""])
+    variants = sorted({(r.n_out, r.n_res, r.rmps) for r in records if r.ok})
+    rows["complexity"] = [[n_out, n_res, repr(float(rmps))] for n_out, n_res, rmps in variants]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    ber_path = out / "ber_vs_snr.csv"
-    with ber_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["fiber_length_km", "n_out", "n_res", "snr_db", "ber_median", "floored", "n_seeds"]
-        )
-        for (length, n_out, n_res), group in sorted(groups.items()):
-            curve = series_curve(group)
-            for snr, ber, floored in zip(curve.snr_db, curve.ber, curve.floored):
-                n_seeds = len({r.seed for r in group if r.snr_db == snr})
-                writer.writerow(
-                    [repr(float(length)), n_out, n_res, repr(float(snr)),
-                     repr(float(ber)), int(floored), n_seeds]
-                )
-
-    penalty_path = out / "snr_penalty.csv"
-    with penalty_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["fiber_length_km", "n_out", "n_res", "snr_at_threshold_db", "penalty_db", "note"]
-        )
-        for (length, n_out, n_res), group in sorted(groups.items()):
-            try:
-                snr = snr_at_threshold(series_curve(group), fec)
-            except (NotBracketed, NonMonotone) as exc:
-                writer.writerow(
-                    [repr(float(length)), n_out, n_res, "", "", type(exc).__name__]
-                )
-                continue
-            writer.writerow(
-                [repr(float(length)), n_out, n_res, repr(float(snr)),
-                 repr(float(snr - ref_snr)), ""]
-            )
-
-    rmps_path = out / "complexity.csv"
-    with rmps_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_out", "n_res", "rmps"])
-        variants = sorted(
-            {(r.n_out, r.n_res, r.rmps) for r in records if r.ok}
-        )
-        for n_out, n_res, rmps in variants:
-            writer.writerow([n_out, n_res, repr(float(rmps))])
-
-    position_path = out / "per_position.csv"
-    with position_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["fiber_length_km", "n_out", "n_res", "snr_db", "position", "ber_median", "n_seeds"]
-        )
-        for (length, n_out, n_res), group in sorted(groups.items()):
-            for snr in sorted({r.snr_db for r in group}):
-                profiles = [r.per_position_ber for r in group if r.snr_db == snr]
-                for position, ber in enumerate(np.median(profiles, axis=0)):
-                    writer.writerow(
-                        [repr(float(length)), n_out, n_res, repr(float(snr)), position,
-                         repr(float(ber)), len(profiles)]
-                    )
-
-    return {
-        "ber_vs_snr": ber_path,
-        "snr_penalty": penalty_path,
-        "complexity": rmps_path,
-        "per_position": position_path,
-    }
+    return {name: _write_csv(out / f"{name}.csv", columns, rows[name])
+            for name, columns in _PLOT_COLUMNS.items()}

@@ -17,10 +17,10 @@ substreams, so the transmitted data does not change when the number of
 slices changes. The chain splits before the noise: :func:`detect_frame`
 returns the noiseless detected rows, which depend on every setting but
 the SNR, and :func:`load_noise_batch` draws each slice's standard normal
-noise once for any number of SNRs; :func:`load_noise` is its one-SNR
-call. No noisy copy of the rows is made: an observation holds the shared
-rows, the shared draw and its own per-slice noise scale, and whoever
-reads it adds the scaled noise to the samples it reads.
+noise once for any number of SNRs. No noisy copy of the rows is made: an
+observation holds the shared rows, the shared draw and its own per-slice
+noise scale, and :meth:`SlicedObservation.write_samples` is the one place
+that turns them into the samples of any span a reader asks for.
 
 :func:`detect_frame` runs dispersion, slicing and detection as one
 spectral pass over the MZM field's spectrum and takes the carrier from
@@ -185,16 +185,23 @@ class SlicedObservation:
     def n_symbols(self) -> int:
         return self.rows.shape[1] // self.sps
 
+    def write_samples(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Write the noisy samples ``start:stop`` of every slice into ``out``,
+        shaped (num_slices, stop - start): ``fl(noise * noise_std) + rows``,
+        the bits of a ``normal(0, sigma)`` draw added to the clean sample.
+        Slice by slice, so each product is still in cache when its row is added."""
+        for dst, noise, std, clean in zip(
+            out, self.noise[:, start:stop], self.noise_std, self.rows[:, start:stop]
+        ):
+            np.multiply(noise, std, out=dst)
+            dst += clean
+        return out
+
     @property
     def data(self) -> np.ndarray:
-        """The noisy samples ``rows + noise * noise_std[:, None]``.
-
-        Allocates a new array of the rows' size on every access; the
-        equalizer adds the noise chunk by chunk instead.
-        """
-        out = np.multiply(self.noise, self.noise_std[:, None])
-        out += self.rows
-        return out
+        """The noisy samples of the whole frame, as a new array on every
+        access; the equalizer writes only each chunk's span instead."""
+        return self.write_samples(0, self.rows.shape[1], np.empty(self.rows.shape))
 
 
 def generate_frame(n_symbols: int, rng: np.random.Generator) -> SymbolFrame:
@@ -290,6 +297,16 @@ def rrc_taps(rolloff: float, sps: int, span_symbols: int) -> np.ndarray:
     return h / np.sqrt(np.sum(h**2))
 
 
+def check_filter_span(cfg: LinkConfig, n_symbols: int) -> None:
+    """Refuse a frame of ``n_symbols`` that holds fewer samples than the
+    RRC filter of :func:`pulse_shape` has taps."""
+    taps, n = 2 * cfg.rrc_span_symbols * cfg.sps + 1, n_symbols * cfg.sps
+    if taps > n:
+        raise ValueError(
+            f"frame too short for the filter span; need at least {taps} samples, got {n}"
+        )
+
+
 def pulse_shape(frame: SymbolFrame, cfg: LinkConfig) -> Waveform:
     """Upsample the frame by zero insertion and apply the RRC filter.
 
@@ -297,13 +314,9 @@ def pulse_shape(frame: SymbolFrame, cfg: LinkConfig) -> Waveform:
     delay is compensated, so sample ``i * sps`` of the output aligns
     with symbol i. Output length is ``n_symbols * sps``.
     """
+    check_filter_span(cfg, frame.n_symbols)
     taps = rrc_taps(cfg.rolloff, cfg.sps, cfg.rrc_span_symbols)
     n = frame.n_symbols * cfg.sps
-    if taps.size > n:
-        raise ValueError(
-            "frame too short for the filter span; need at least "
-            f"{taps.size} samples, got {n}"
-        )
     up = np.zeros(n)
     up[:: cfg.sps] = frame.levels
     # Roll the centered taps so the center tap sits at lag zero, which
@@ -461,35 +474,23 @@ def photodetect(fields: np.ndarray) -> np.ndarray:
     return rows
 
 
-def load_noise(rows: np.ndarray, cfg: LinkConfig, seed: int | None = None) -> SlicedObservation:
-    """White Gaussian noise on the detected rows at the config's SNR.
-
-    Noise power for slice i is set from that slice's own photodetected
-    signal: ``sigma_i^2 = var(rows[i]) / 10^(snr_db / 10)``, where the
-    variance removes the mean, so a constant row stays noiseless. Each
-    slice draws from its own named substream of the master seed, so one
-    set of noiseless rows can be loaded at any number of SNRs. The
-    observation holds ``rows`` itself, never writes it, and makes no
-    noisy copy. This is :func:`load_noise_batch` of one config.
-    """
-    return load_noise_batch(rows, [cfg], seed)[0]
-
-
 def load_noise_batch(
     rows: np.ndarray, cfgs: list[LinkConfig], seed: int | None = None
 ) -> list[SlicedObservation]:
-    """:func:`load_noise` at each config's SNR, drawing the noise once.
+    """White Gaussian noise on the detected rows at each config's SNR.
 
-    The configs are the SNR points of one frame and must agree on every
-    other setting. A slice's noise substream is keyed by (seed, slice),
-    not by SNR, so each slice draws its standard normals ``g`` once into
-    one array that every observation shares, with ``rows``; only the
-    per-slice scales ``sigma_i`` differ. A reader adds ``sigma_i * g`` to
-    the clean sample, which is what ``normal(0.0, sigma_i, n)`` draws, so
+    Slice i gets ``sigma_i^2 = var(rows[i]) / 10^(snr_db / 10)``, so a
+    constant row stays noiseless. The configs are the SNR points of one
+    frame and must agree on every other setting. A slice's noise
+    substream is keyed by (seed, slice), not by SNR, so each slice draws
+    its standard normals ``g`` once into one array that every observation
+    shares, with ``rows``; only the per-slice scales ``sigma_i`` differ.
+    :meth:`SlicedObservation.write_samples` adds ``sigma_i * g`` to the
+    clean sample, which is what ``normal(0.0, sigma_i, n)`` draws, so
     each observation's samples are bit-identical to a noisy copy loaded
     at its own SNR. Memory is one draw of the rows' size, whatever the
     number of configs. Both shared arrays are handed out as read-only
-    views.
+    views; ``rows`` is never written.
     """
     if not cfgs:
         raise ValueError("load_noise_batch needs at least one config")
@@ -523,7 +524,7 @@ def load_noise_batch(
 def photodetect_and_load_noise(
     fields: np.ndarray, cfg: LinkConfig, seed: int | None = None
 ) -> SlicedObservation:
-    """:func:`photodetect` followed by :func:`load_noise`.
+    """:func:`photodetect` followed by :func:`load_noise_batch` of one config.
 
     Nothing in the package calls this composition. It stays because the
     benchmark's tracer (``perfbench/spans.py``) wraps it by name as a
@@ -533,7 +534,7 @@ def photodetect_and_load_noise(
     ``tests/test_perfbench_tracer.py`` checks those names. Removing it,
     or renaming any of them, is a change to the benchmark.
     """
-    return load_noise(photodetect(fields), cfg, seed)
+    return load_noise_batch(photodetect(fields), [cfg], seed)[0]
 
 
 def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
@@ -589,4 +590,4 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
 def simulate_link(cfg: LinkConfig) -> tuple[SlicedObservation, SymbolFrame]:
     """Run the full chain for one frame. Deterministic in (cfg, cfg.seed)."""
     rows, frame = detect_frame(cfg)
-    return load_noise(rows, cfg), frame
+    return load_noise_batch(rows, [cfg])[0], frame

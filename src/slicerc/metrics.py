@@ -94,18 +94,6 @@ class BerSnrCurve:
             raise ValueError("ber values must lie in (0, 1]")
 
 
-def curve_from_points(
-    snr_db: np.ndarray, ber: np.ndarray, n_bits: np.ndarray | int
-) -> BerSnrCurve:
-    """Build a curve, replacing zero-error points with the flagged floor."""
-    snr_db = np.asarray(snr_db, dtype=float)
-    ber = np.asarray(ber, dtype=float)
-    n_bits = np.broadcast_to(np.asarray(n_bits), ber.shape)
-    floored = ber == 0
-    ber = np.where(floored, ber_floor(n_bits), ber)
-    return BerSnrCurve(snr_db=snr_db, ber=ber, floored=floored)
-
-
 def hard_decision(estimates: np.ndarray) -> np.ndarray:
     """Nearest PAM4 level with thresholds {-2, 0, +2}.
 

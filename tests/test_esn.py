@@ -22,7 +22,7 @@ from slicerc.esn import (
     EsnWeights,
     equalize,
     fit_readout,
-    equalize_batch,
+    equalize_stream,
     fit_readout_batch,
     init_weights,
 )
@@ -223,7 +223,7 @@ def test_windows_match_loop_oracle():
     n_sym = 40
     obs = make_obs(rng.normal(size=(2, n_sym * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
-    first, n_steps = esn._target_region(obs, frame, cfg, None, None)
+    first, n_steps = esn._target_region([obs], frame, cfg, None, None)
     assert (first, n_steps) == (0, n_sym // cfg.n_out)
     inputs = esn._gather_inputs([obs], cfg, first, 0, n_steps)[0]
     expected = oracle_windows(obs, cfg, 0, n_steps)
@@ -236,7 +236,7 @@ def test_window_stride_arithmetic():
     rng = substream(2, 0)
     obs = make_obs(rng.normal(size=(4, n_sym * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
-    first, n_steps = esn._target_region(obs, frame, cfg, cfg.k, cfg.k + 1700)
+    first, n_steps = esn._target_region([obs], frame, cfg, cfg.k, cfg.k + 1700)
     assert (first, n_steps) == (cfg.k, 100)
     # step t reads the window of the n_out symbols from first + t * n_out
     inputs = esn._gather_inputs([obs], cfg, first, 0, n_steps)[0]
@@ -252,7 +252,7 @@ def test_first_window_zero_padded_on_the_left():
     cfg = small_cfg(k=3, n_out=1, sps=1)
     obs = make_obs(np.arange(1, 21, dtype=float)[None, :], sps=1)
     frame = make_frame(np.ones(20))
-    assert esn._target_region(obs, frame, cfg, 0, 20) == (0, 20)
+    assert esn._target_region([obs], frame, cfg, 0, 20) == (0, 20)
     inputs = esn._gather_inputs([obs], cfg, 0, 0, 20)[0]
     # first target at symbol 0: the k leading window positions fall off
     # the frame and must read zero
@@ -344,7 +344,7 @@ def test_reservoir_fold_matches_loop_oracle(monkeypatch):
     rng = substream(4, 0)
     obs = make_obs(rng.normal(size=(2, 30 * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 30))
-    first, n_steps = esn._target_region(obs, frame, cfg, 5, 10)
+    first, n_steps = esn._target_region([obs], frame, cfg, 5, 10)
     assert n_steps == 5
     expected_inputs = oracle_windows(obs, cfg, first, n_steps)
     expected = oracle_fold(expected_inputs, w, cfg.leak)
@@ -379,7 +379,7 @@ def test_recorded_states_bounded_on_real_data():
     rng = substream(8, 0)
     obs = make_obs(rng.normal(size=(1, 500)) * 3.0, sps=1)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 500))
-    first, n_steps = esn._target_region(obs, frame, cfg, 10, 490)
+    first, n_steps = esn._target_region([obs], frame, cfg, 10, 490)
     chunks = esn._step_stream([obs], w, cfg, first, n_steps, 0)
     states = np.vstack([rows[0, :, : cfg.n_res].copy() for _, rows in chunks])
     assert states.shape == (480, cfg.n_res)
@@ -710,14 +710,17 @@ def test_batch_rows_equal_single_observation_runs(monkeypatch):
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
     observations = [make_obs(rng.normal(size=(4, n_sym * 2)), sps=2, guard=30) for _ in range(3)]
     w_outs = fit_readout_batch(observations, frame, w, cfg, None, 700)
-    estimates, first = equalize_batch(observations, frame, w, w_outs, cfg, 720)
     assert w_outs.shape == (3,) + w.w_out.shape
     for b, obs in enumerate(observations):
         alone = fit_readout(obs, frame, w, cfg, None, 700)
         assert np.array_equal(w_outs[b], alone)
-        est, start = equalize(obs, frame, _with_readout(w, alone), cfg, 720)
-        assert start == first
-        assert np.array_equal(estimates[b], est)
+        est, first = equalize(obs, frame, _with_readout(w, alone), cfg, 720)
+        end = first
+        for start, chunk in equalize_stream(observations, frame, w, w_outs, cfg, 720):
+            assert start == end
+            assert np.array_equal(chunk[b], est[start - first : start - first + chunk.shape[1]])
+            end += chunk.shape[1]
+        assert end == first + est.size
 
 
 def test_shared_draw_batches_equal_materialised_observations():
@@ -730,13 +733,18 @@ def test_shared_draw_batches_equal_materialised_observations():
     copies = [make_obs(obs.data, obs.sps, obs.guard_symbols) for obs in shared]
     cfg = EsnConfig(n_out=1)
     w = init_weights(cfg)
-    first, n_steps = esn._target_region(shared[0], frame, cfg, None, None)
+    first, n_steps = esn._target_region(shared, frame, cfg, None, None)
     assert n_steps > esn._CHUNK_STEPS and first < cfg.washout * cfg.n_out
     w_outs = fit_readout_batch(shared, frame, w, cfg, None, 2 * esn._CHUNK_STEPS)
     assert np.array_equal(w_outs, fit_readout_batch(copies, frame, w, cfg, None, 2 * esn._CHUNK_STEPS))
-    estimates, start = equalize_batch(shared, frame, w, w_outs, cfg)
-    assert (estimates.shape[1], start) == (n_steps, first)
-    assert np.array_equal(estimates, equalize_batch(copies, frame, w, w_outs, cfg)[0])
+    end = first
+    for (start, chunk), (start_copy, chunk_copy) in zip(
+        equalize_stream(shared, frame, w, w_outs, cfg), equalize_stream(copies, frame, w, w_outs, cfg)
+    ):
+        assert start == start_copy == end
+        assert np.array_equal(chunk, chunk_copy)
+        end += chunk.shape[1]
+    assert end == first + n_steps
 
 
 def test_load_noise_batch_shares_its_rows_and_draw():
@@ -761,7 +769,7 @@ def test_batch_refuses_mixed_regions_and_empty_batches():
     with pytest.raises(ValueError, match="share their target region"):
         fit_readout_batch([a, b], frame, w, cfg)
     with pytest.raises(ValueError, match="at least one"):
-        equalize_batch([], frame, w, w.w_out[None], cfg)
+        next(equalize_stream([], frame, w, w.w_out[None], cfg))
 
 
 # ------------------------------------------------------- segmented fold
@@ -817,7 +825,7 @@ def test_segmented_stream_equals_sequential_fold(monkeypatch, desk, length_km, n
     observations, frame = desk[length_km]
     cfg = EsnConfig(n_out=n_out)
     w = init_weights(cfg)
-    first, n_steps = esn._target_region(observations[0], frame, cfg, None, None)
+    first, n_steps = esn._target_region(observations, frame, cfg, None, None)
     calls = _fold_calls(monkeypatch)
     segmented = _stream_rows(observations[:batch], w, cfg, first, n_steps)
     assert any(len(call) == 4 for call in calls)
@@ -877,7 +885,7 @@ def test_stream_falls_back_to_the_sequential_fold(monkeypatch, desk):
     observations, frame = desk[50.0]
     cfg = EsnConfig(n_out=1, leak=0.05)
     w = init_weights(cfg)
-    first, n_steps = esn._target_region(observations[0], frame, cfg, None, None)
+    first, n_steps = esn._target_region(observations, frame, cfg, None, None)
     calls = _fold_calls(monkeypatch)
     segmented = _stream_rows(observations, w, cfg, first, n_steps)
     refolds = _refolds(calls)

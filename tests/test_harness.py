@@ -20,7 +20,7 @@ import pytest
 import slicerc
 from slicerc import esn, harness
 from slicerc.cli import main as cli_main
-from slicerc.esn import EsnConfig, equalize_batch
+from slicerc.esn import EsnConfig, equalize
 from slicerc.harness import (
     ConfigError,
     EsnParams,
@@ -41,7 +41,7 @@ from slicerc.harness import (
     write_results,
 )
 from slicerc.link import detect_frame, load_noise_batch
-from slicerc.metrics import complexity_rmps, count_errors, curve_from_points, hard_decision
+from slicerc.metrics import ber_floor, complexity_rmps, count_errors, hard_decision
 
 
 def toy_config(**kw) -> ExperimentConfig:
@@ -116,7 +116,7 @@ def test_config_roundtrip(tmp_path):
         n_out=(1, 17),
         seeds=(0, 1),
         link=LinkParams(num_slices=2),
-        esn=EsnParams(ridge_lambda=1e-3),
+        esn=EsnParams(ridge_lambda=1e-3, washout=2),
     )
     path = tmp_path / "round.yaml"
     save_config(cfg, path)
@@ -200,13 +200,24 @@ def test_sweep_retries_error_rows():
     assert records[0].ber == records[0].ber  # not nan
 
 
-def test_failing_point_becomes_error_row():
-    # washout larger than the step count of the training region
-    cfg = toy_config(esn=EsnParams(washout=1000))
-    records = run_sweep(cfg)
+def _break_readout(monkeypatch, n_out):
+    """Make the sweep's readout training raise for points of one n_out."""
+    real = harness.fit_readout_batch
+
+    def broken(observations, frame, w, esn_cfg, *args):
+        if esn_cfg.n_out == n_out:
+            raise RuntimeError(f"readout at n_out={n_out} broke")
+        return real(observations, frame, w, esn_cfg, *args)
+
+    monkeypatch.setattr(harness, "fit_readout_batch", broken)
+
+
+def test_failing_point_becomes_error_row(monkeypatch):
+    _break_readout(monkeypatch, 1)
+    records = run_sweep(toy_config())
     assert len(records) == 1
     assert not records[0].ok
-    assert "washout" in records[0].error
+    assert "n_out=1 broke" in records[0].error
     assert math.isnan(records[0].ber)
 
 
@@ -256,14 +267,11 @@ def test_sweep_shares_each_frame_and_matches_single_points(tmp_path, monkeypatch
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_GRID_SHA256
 
 
-def test_failures_stay_per_point_inside_a_frame():
-    # 614 training symbols: 36 steps at n_out=17, fewer than the washout,
-    # but 614 steps at n_out=1
-    cfg = toy_config(n_out=(1, 17), snr_db=(20.0, 30.0), total_symbols=4096,
-                     esn=EsnParams(washout=100))
-    records = run_sweep(cfg)
+def test_failures_stay_per_point_inside_a_frame(monkeypatch):
+    _break_readout(monkeypatch, 17)
+    records = run_sweep(toy_config(n_out=(1, 17), snr_db=(20.0, 30.0), total_symbols=4096))
     assert [(r.n_out, r.ok) for r in records] == [(1, True), (1, True), (17, False), (17, False)]
-    assert all("washout" in r.error for r in records[2:])
+    assert all("n_out=17 broke" in r.error for r in records[2:])
 
 
 def test_front_half_failure_fails_every_point_of_its_frame(monkeypatch):
@@ -347,11 +355,12 @@ def test_streamed_scores_equal_scores_of_the_whole_estimates(monkeypatch, n_out)
 
     monkeypatch.setattr(harness, "equalize_stream", recorded)
     records = harness._evaluate(cfg, points, 0, observations, frame, 0.0)
-    (args,) = streams
-    estimates, first = equalize_batch(*args)
-    truth = frame.levels[first : first + estimates.shape[1]]
-    assert len(records) == len(estimates) == 3
-    for rec, row in zip(records, estimates):
+    ((observations, frame, weights, w_outs, esn_cfg, first_target, last_target),) = streams
+    assert len(records) == len(observations) == 3
+    for rec, obs, w_out in zip(records, observations, w_outs):
+        row, first = equalize(obs, frame, replace(weights, w_out=w_out), esn_cfg,
+                              first_target, last_target)
+        truth = frame.levels[first : first + row.size]
         report = count_errors(hard_decision(row), truth, n_out)
         assert report.n_bit_errors > 0
         assert (rec.ber, rec.ser, rec.test_symbols, rec.per_position_ber) == (
@@ -661,6 +670,20 @@ def test_emit_plot_data_requires_unique_reference(tmp_path):
     assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == before
 
 
+def test_cli_plotdata_that_fails_leaves_the_plot_files_as_they_were(tmp_path, capsys):
+    write_results(synthetic_records(), tmp_path)
+    assert cli_main(["plotdata", "--out", str(tmp_path)]) == 0
+    plots = ["ber_vs_snr.csv", "snr_penalty.csv", "complexity.csv", "per_position.csv"]
+    before = {name: (tmp_path / name).read_bytes() for name in plots}
+    # a series with one successful SNR has no curve; it sorts between the
+    # 0 and 10 km series
+    lone = replace(synthetic_records()[-1], fiber_length_km=5.0)
+    write_results(synthetic_records() + [lone], tmp_path)
+    assert cli_main(["plotdata", "--out", str(tmp_path)]) == 1
+    assert "two points" in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes() for name in plots} == before
+
+
 def test_series_curve_medians_and_floors():
     base = dict(
         label="s", fiber_length_km=0.0, n_out=1, n_res=30,
@@ -682,7 +705,7 @@ def test_series_curve_medians_and_floors():
     assert curve.floored[1]
     assert curve.ber[1] == pytest.approx(1.0 / (4.0 * 1000))
     # the same floor as a zero-error point of 2 * 1000 bits
-    assert curve.ber[1] == curve_from_points([10.0, 12.0], [1e-2, 0.0], 2 * 1000).ber[1]
+    assert curve.ber[1] == ber_floor(2 * 1000)
 
 
 # --------------------------------------------------------------------- cli
@@ -716,7 +739,8 @@ def test_cli_simulate_and_sweep(tmp_path, capsys):
     assert "resuming: 1 completed" in capsys.readouterr().out
 
 
-def test_cli_sweep_reports_progress_and_environment(tmp_path, capsys):
+def test_cli_sweep_reports_progress_and_environment(tmp_path, capsys, monkeypatch):
+    _break_readout(monkeypatch, 1)  # every point fails
     config = tmp_path / "toy.yaml"
     config.write_text(
         "fiber_length_km: [0, 10]\n"
@@ -724,7 +748,7 @@ def test_cli_sweep_reports_progress_and_environment(tmp_path, capsys):
         "n_out: [1]\n"
         "seeds: [0]\n"
         "total_symbols: 2048\n"
-        "esn: {washout: 1000}\n"  # every point fails: too few training steps
+        "esn: {washout: 2}\n"
     )
     out_dir = tmp_path / "run"
     assert cli_main(["sweep", "--config", str(config), "--out", str(out_dir)]) == 0
@@ -833,6 +857,22 @@ def test_cli_reports_config_errors(tmp_path, capsys):
         out_dir = tmp_path / "run"
         assert cli_main(["sweep", "--config", str(bad), "--out", str(out_dir)]) == 1
         assert field in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def test_cli_sweep_refuses_frames_too_small_before_writing(tmp_path, capsys):
+    config = tmp_path / "small.yaml"
+    for text, reason in (
+        ("fiber_length_km: [0]\ntotal_symbols: 100\n", "filter span"),
+        # 105 training steps at 0 km, but 96 at 50 km, whose guard takes 30
+        # symbols at each edge: fewer than the washout of 100
+        ("fiber_length_km: [0, 50]\nn_out: [1]\ntotal_symbols: 700\n",
+         "fiber_length_km=50.0, n_out=1: washout"),
+    ):
+        config.write_text(text)
+        out_dir = tmp_path / "run"
+        assert cli_main(["sweep", "--config", str(config), "--out", str(out_dir)]) == 1
+        assert reason in capsys.readouterr().err
         assert not out_dir.exists()
 
 

@@ -24,12 +24,10 @@ from slicerc.link import (
     demap_gray_pam4,
     detect_frame,
     generate_frame,
-    load_noise,
     load_noise_batch,
     map_gray_pam4,
     mzm_modulate,
     photodetect,
-    photodetect_and_load_noise,
     propagate_cd,
     pulse_shape,
     rrc_taps,
@@ -389,14 +387,14 @@ def test_single_slice_detection_is_plain_square_law():
     cfg = cfg_with(num_slices=1, snr_db=300.0, n_symbols=64)
     rng = substream(5, 1)
     field = rng.normal(size=128) + 1j * rng.normal(size=128)
-    obs = photodetect_and_load_noise(field[None, :], cfg)
+    obs = load_noise_batch(photodetect(field[None, :]), [cfg])[0]
     assert np.allclose(obs.data[0], np.abs(field) ** 2, atol=1e-9)
 
 
 def test_constant_field_gives_constant_power():
     cfg = cfg_with(num_slices=1, snr_db=10.0, n_symbols=64)
     field = np.full(128, 0.6 + 0j)
-    obs = photodetect_and_load_noise(field[None, :], cfg)
+    obs = load_noise_batch(photodetect(field[None, :]), [cfg])[0]
     # zero AC power means zero noise regardless of SNR
     assert np.allclose(obs.data[0], 0.36)
 
@@ -411,7 +409,7 @@ def test_noise_snr_matches_target():
     )
     field = propagate_cd(mzm_modulate(drive, cfg), cfg)
     fields = slice_spectrum(field, cfg)
-    obs = photodetect_and_load_noise(fields, cfg)
+    obs = load_noise_batch(photodetect(fields), [cfg])[0]
     means = fields.mean(axis=1, keepdims=True)
     clean = np.abs(fields - means + means.sum()) ** 2
     for i in range(cfg.num_slices):
@@ -425,7 +423,7 @@ def test_slices_draw_independent_noise():
     rng = substream(4, 2)
     field = rng.normal(size=128) + 1j * rng.normal(size=128)
     fields = np.vstack([field, field])
-    obs = photodetect_and_load_noise(fields, cfg)
+    obs = load_noise_batch(photodetect(fields), [cfg])[0]
     # identical inputs, same master seed: rows differ only through their
     # per-slice noise substreams
     assert not np.allclose(obs.data[0], obs.data[1])
@@ -434,7 +432,7 @@ def test_slices_draw_independent_noise():
 def test_detection_row_count_must_match_config():
     cfg = cfg_with(num_slices=4)
     with pytest.raises(ValueError):
-        photodetect_and_load_noise(np.zeros((2, 64), dtype=complex), cfg)
+        load_noise_batch(photodetect(np.zeros((2, 64), dtype=complex)), [cfg])[0]
 
 
 def test_load_noise_leaves_rows_alone_and_matches_simulate_link():
@@ -443,7 +441,7 @@ def test_load_noise_leaves_rows_alone_and_matches_simulate_link():
     before = rows.copy()
     for snr in (9.0, 14.0):
         at_snr = cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=3, snr_db=snr)
-        obs = load_noise(rows, at_snr)
+        obs = load_noise_batch(rows, [at_snr])[0]
         assert np.array_equal(rows, before)
         reference, ref_frame = simulate_link(at_snr)
         assert np.array_equal(obs.data, reference.data)
@@ -473,7 +471,8 @@ def test_load_noise_batch_matches_per_slice_normal_draws():
         )
     # an explicit seed overrides the configs' seed the same way
     reseeded = load_noise_batch(rows, cfgs[:1], seed=8)[0]
-    assert np.array_equal(reseeded.data, load_noise(rows, cfgs[0], seed=8).data)
+    seeded_8 = cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=8, snr_db=snrs[0])
+    assert np.array_equal(reseeded.data, load_noise_batch(rows, [seeded_8])[0].data)
     assert not np.array_equal(reseeded.data, observations[0].data)
 
 

@@ -19,7 +19,6 @@ from slicerc.metrics import (
     NotBracketed,
     complexity_rmps,
     count_errors,
-    curve_from_points,
     hard_decision,
     snr_at_threshold,
     snr_penalty,
@@ -213,14 +212,6 @@ def test_a_value_off_the_levels_in_a_later_block_still_raises(monkeypatch, bad):
 
 
 # ------------------------------------------------------------------ curves
-
-def test_curve_floors_zero_error_points():
-    curve = curve_from_points(
-        np.array([10.0, 12.0]), np.array([1e-3, 0.0]), n_bits=100_000
-    )
-    assert curve.ber[1] == 0.5 / 100_000
-    assert curve.floored.tolist() == [False, True]
-
 
 def test_curve_validation():
     with pytest.raises(ValueError):
