@@ -33,7 +33,7 @@ from .harness import (
     write_manifest,
     write_results,
 )
-from .metrics import FecThreshold, complexity_rmps
+from .metrics import KP4_BER, complexity_rmps
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -132,7 +132,7 @@ def _cmd_complexity(args) -> int:
 def _cmd_plotdata(args) -> int:
     results = Path(args.results) if args.results else Path(args.out) / "results.csv"
     records = read_results(results)
-    paths = emit_plot_data(records, args.out, FecThreshold(args.threshold))
+    paths = emit_plot_data(records, args.out, args.threshold)
     for name, path in paths.items():
         print(f"wrote {path}")
     return 0
@@ -173,7 +173,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plotdata", help="turn results.csv into plot-ready CSVs")
     p.add_argument("--out", required=True, help="directory holding results.csv; plot CSVs land here")
     p.add_argument("--results", default=None, help="explicit results.csv path")
-    p.add_argument("--threshold", type=float, default=FecThreshold().ber_threshold)
+    p.add_argument("--threshold", type=float, default=KP4_BER)
     p.set_defaults(handler=_cmd_plotdata)
     return parser
 

@@ -50,7 +50,7 @@ from .link import (
 from .metrics import (
     BerSnrCurve,
     ErrorTally,
-    FecThreshold,
+    KP4_BER,
     NonMonotone,
     NotBracketed,
     ber_floor,
@@ -258,10 +258,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         name: list(value) if isinstance(value, tuple) else value
         for name, value in asdict(cfg).items()
     }
-
-
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
 
 
 def grid_points(cfg: ExperimentConfig) -> list[tuple[GridPoint, int]]:
@@ -679,7 +675,7 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> Path:
 def emit_plot_data(
     records: list[SweepRecord],
     out_dir: str | Path,
-    fec: FecThreshold = FecThreshold(),
+    threshold: float = KP4_BER,
 ) -> dict[str, Path]:
     """Write the four plot-ready CSV files.
 
@@ -705,7 +701,7 @@ def emit_plot_data(
     for key, group in sorted(groups.items()):
         curve = series_curve(group)
         try:
-            crossing = snr_at_threshold(curve, fec)
+            crossing = snr_at_threshold(curve, threshold)
         except (NotBracketed, NonMonotone) as exc:
             crossing = exc
         table[key] = (group, curve, crossing)

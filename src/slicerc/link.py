@@ -25,10 +25,10 @@ that turns them into the samples of any span a reader asks for.
 :func:`detect_frame` runs dispersion, slicing and detection as one
 spectral pass over the MZM field's spectrum and takes the carrier from
 its DC bin. :func:`propagate_cd`, :func:`slice_spectrum` and
-:func:`photodetect` are the same steps as standalone operators on
-waveforms and slice fields; the pass and the operators share one
-definition of the dispersion phase, the slice bin rule and the
-carrier-distributed square law.
+:func:`photodetect` are the same steps as standalone operators on plain
+arrays that read the sample rate from ``cfg``; the pass and the
+operators share one definition of the dispersion phase, the slice bin
+rule and the carrier-distributed square law.
 """
 
 from __future__ import annotations
@@ -131,30 +131,13 @@ class LinkConfig:
 
 @dataclass(eq=False, slots=True)
 class SymbolFrame:
-    """Transmitted bits and their PAM4 levels."""
+    """Transmitted PAM4 levels; ``demap_gray_pam4(levels)`` gives their bits."""
 
-    bits: np.ndarray
     levels: np.ndarray
 
     @property
     def n_symbols(self) -> int:
         return self.levels.size
-
-    def __post_init__(self) -> None:
-        if self.bits.size != 2 * self.levels.size:
-            raise ValueError("frame must hold exactly two bits per symbol")
-
-
-@dataclass(eq=False, slots=True)
-class Waveform:
-    """Sampled waveform with its sampling rate in Hz."""
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(np.abs(self.samples))):
-            raise ValueError("waveform samples must be finite")
 
 
 @dataclass(eq=False, slots=True)
@@ -173,7 +156,6 @@ class SlicedObservation:
     rows: np.ndarray
     noise: np.ndarray
     noise_std: np.ndarray
-    sample_rate: float
     sps: int
     guard_symbols: int
 
@@ -209,7 +191,7 @@ def generate_frame(n_symbols: int, rng: np.random.Generator) -> SymbolFrame:
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
     bits = rng.integers(0, 2, size=2 * n_symbols, dtype=np.uint8)
-    return SymbolFrame(bits=bits, levels=map_gray_pam4(bits))
+    return SymbolFrame(levels=map_gray_pam4(bits))
 
 
 def map_gray_pam4(bits: np.ndarray) -> np.ndarray:
@@ -307,7 +289,7 @@ def check_filter_span(cfg: LinkConfig, n_symbols: int) -> None:
         )
 
 
-def pulse_shape(frame: SymbolFrame, cfg: LinkConfig) -> Waveform:
+def pulse_shape(frame: SymbolFrame, cfg: LinkConfig) -> np.ndarray:
     """Upsample the frame by zero insertion and apply the RRC filter.
 
     The convolution is circular over the frame and the filter group
@@ -325,21 +307,18 @@ def pulse_shape(frame: SymbolFrame, cfg: LinkConfig) -> Waveform:
     kernel = np.zeros(n)
     kernel[: half + 1] = taps[half:]
     kernel[-half:] = taps[:half]
-    shaped = np.fft.irfft(np.fft.rfft(up) * np.fft.rfft(kernel), n)
-    return Waveform(samples=shaped, sample_rate=cfg.sample_rate)
+    return np.fft.irfft(np.fft.rfft(up) * np.fft.rfft(kernel), n)
 
 
-def mzm_modulate(wave: Waveform, cfg: LinkConfig) -> Waveform:
+def mzm_modulate(drive: np.ndarray, cfg: LinkConfig) -> np.ndarray:
     """Quadrature-biased Mach-Zehnder intensity modulator.
 
     Field transfer ``E = cos((pi / 4) * (1 - m * v))`` with modulation
-    index m. The drive must already be normalized to peak |v| <= 1.
+    index m. The drive must be finite and already normalized to peak |v| <= 1.
     """
-    v = wave.samples
-    if np.max(np.abs(v)) > 1.0 + 1e-9:
-        raise ValueError("drive must be normalized to peak |v| <= 1")
-    field = np.cos((pi / 4.0) * (1.0 - cfg.mzm_mod_index * v))
-    return Waveform(samples=field, sample_rate=wave.sample_rate)
+    if not np.max(np.abs(drive)) <= 1.0 + 1e-9:
+        raise ValueError("drive must be finite and normalized to peak |v| <= 1")
+    return np.cos((pi / 4.0) * (1.0 - cfg.mzm_mod_index * drive))
 
 
 def _dispersion_factor(f: np.ndarray, cfg: LinkConfig) -> np.ndarray:
@@ -359,11 +338,11 @@ def _dispersion_factor(f: np.ndarray, cfg: LinkConfig) -> np.ndarray:
     return np.exp(factor, out=factor)
 
 
-def _slice_bins(f: np.ndarray, fs: float, cfg: LinkConfig) -> list[tuple[int, int]]:
+def _slice_bins(f: np.ndarray, cfg: LinkConfig) -> list[tuple[int, int]]:
     """Signed bin ranges ``[a, b)`` of an FFT, one per slice.
 
     ``f`` holds the bin frequencies in ascending order, as
-    ``np.fft.fftshift(np.fft.fftfreq(n, 1 / fs))`` gives them, so bin k
+    :func:`_bin_frequencies` gives them, so bin k
     (stored at index k mod n) sits at ``f[k + n // 2]``. The occupied band
     ``[-B/2, +B/2]`` splits into ``num_slices`` equal intervals. Each is
     half-open and the last one also holds its top edge, so every in-band
@@ -371,8 +350,6 @@ def _slice_bins(f: np.ndarray, fs: float, cfg: LinkConfig) -> list[tuple[int, in
     where the one before it ends.
     """
     b = cfg.occupied_bandwidth
-    if b > fs:
-        raise ValueError("occupied bandwidth exceeds the sampling rate")
     edges = -b / 2.0 + b * np.arange(cfg.num_slices + 1) / cfg.num_slices
     # the first bin at or above each edge, and past the top one
     starts = np.searchsorted(f, edges, side="left")
@@ -381,9 +358,9 @@ def _slice_bins(f: np.ndarray, fs: float, cfg: LinkConfig) -> list[tuple[int, in
     return list(zip(starts[:-1].tolist(), starts[1:].tolist()))
 
 
-def _bin_frequencies(n: int, fs: float) -> np.ndarray:
-    """Frequencies of an n-point FFT's bins in ascending order."""
-    return np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / fs))
+def _bin_frequencies(n: int, cfg: LinkConfig) -> np.ndarray:
+    """Ascending frequencies of an n-point FFT's bins at ``cfg.sample_rate``."""
+    return np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / cfg.sample_rate))
 
 
 def _in_band(spectrum: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -415,19 +392,19 @@ def _square_law(field: np.ndarray, offset: complex, out: np.ndarray, scratch: np
     np.square(out, out=out)
 
 
-def propagate_cd(wave: Waveform, cfg: LinkConfig) -> Waveform:
+def propagate_cd(field: np.ndarray, cfg: LinkConfig) -> np.ndarray:
     """Apply chromatic dispersion as a circular all-pass filter.
 
     The transfer function is ``H(f) = exp(+1j * (beta2 / 2) * (2 pi f)^2
     * L)``, which preserves energy exactly and composes additively in
     fiber length.
     """
-    spectrum = np.fft.fft(np.asarray(wave.samples, dtype=complex))
-    spectrum *= _dispersion_factor(np.fft.fftfreq(spectrum.size, d=1.0 / wave.sample_rate), cfg)
-    return Waveform(samples=np.fft.ifft(spectrum, out=spectrum), sample_rate=wave.sample_rate)
+    spectrum = np.fft.fft(np.asarray(field, dtype=complex))
+    spectrum *= _dispersion_factor(np.fft.fftfreq(spectrum.size, d=1.0 / cfg.sample_rate), cfg)
+    return np.fft.ifft(spectrum, out=spectrum)
 
 
-def slice_spectrum(wave: Waveform, cfg: LinkConfig) -> np.ndarray:
+def slice_spectrum(field: np.ndarray, cfg: LinkConfig) -> np.ndarray:
     """Split the occupied band into equal brick-wall slices.
 
     The band ``[-B/2, +B/2]`` with ``B = (1 + rolloff) * baud_rate`` is
@@ -441,9 +418,8 @@ def slice_spectrum(wave: Waveform, cfg: LinkConfig) -> np.ndarray:
     np.ndarray
         Complex array of shape ``(num_slices, n_samples)``.
     """
-    spectrum = np.fft.fft(np.asarray(wave.samples, dtype=complex))
-    f = _bin_frequencies(spectrum.size, wave.sample_rate)
-    slices = _slice_bins(f, wave.sample_rate, cfg)
+    spectrum = np.fft.fft(np.asarray(field, dtype=complex))
+    slices = _slice_bins(_bin_frequencies(spectrum.size, cfg), cfg)
     lo = slices[0][0]
     band = _in_band(spectrum, lo, slices[-1][1])
     fields = np.empty((cfg.num_slices, spectrum.size), dtype=complex)
@@ -513,7 +489,6 @@ def load_noise_batch(
             rows=clean,
             noise=noise,
             noise_std=np.sqrt(var / 10.0 ** (cfg.snr_db / 10.0)),
-            sample_rate=first.sample_rate,
             sps=first.sps,
             guard_symbols=first.guard_symbols,
         )
@@ -563,15 +538,17 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     band is freed before that transform, so it never adds to the peak.
     """
     frame = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
-    shaped = pulse_shape(frame, cfg).samples
-    drive = Waveform(samples=shaped / np.max(np.abs(shaped)), sample_rate=cfg.sample_rate)
+    shaped = pulse_shape(frame, cfg)
+    # a new array: dividing in place frees nothing at the frame's later peak
+    # and measured 1.5-5.5 MB more peak RSS on 2^18-symbol sweeps (heap layout)
+    drive = shaped / np.max(np.abs(shaped))
     del shaped
-    field = mzm_modulate(drive, cfg).samples.astype(complex)
+    field = mzm_modulate(drive, cfg).astype(complex)
     del drive
     np.fft.fft(field, out=field)
     n = field.size
-    f = _bin_frequencies(n, cfg.sample_rate)
-    slices = _slice_bins(f, cfg.sample_rate, cfg)
+    f = _bin_frequencies(n, cfg)
+    slices = _slice_bins(f, cfg)
     lo, hi = slices[0][0], slices[-1][1]
     band = _in_band(field, lo, hi)
     band *= _dispersion_factor(f[lo + n // 2 : hi + n // 2], cfg)

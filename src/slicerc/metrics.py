@@ -1,9 +1,9 @@
 """Decision, error counting, FEC-threshold SNR reading, and complexity.
 
-BER curves are read at a FEC threshold by interpolating log10(BER)
-linearly in SNR. Zero-error measurements are stored at the floor
-1 / (2 n_bits) and flagged, so curves stay interpolable without
-pretending the floor is a measurement.
+BER curves are read at a FEC threshold (a pre-FEC BER, KP4 by default)
+by interpolating log10(BER) linearly in SNR. Zero-error measurements
+are stored at the floor 1 / (2 n_bits) and flagged, so curves stay
+interpolable without pretending the floor is a measurement.
 """
 
 from __future__ import annotations
@@ -35,17 +35,6 @@ class NotBracketed(Exception):
 
 class NonMonotone(Exception):
     """The threshold is crossed but on no monotone-decreasing segment."""
-
-
-@dataclass(frozen=True, slots=True)
-class FecThreshold:
-    """Pre-FEC BER below which the outer code is taken as error free."""
-
-    ber_threshold: float = KP4_BER
-
-    def __post_init__(self) -> None:
-        if not 0 < self.ber_threshold < 1:
-            raise ValueError("ber_threshold must lie in (0, 1)")
 
 
 @dataclass(eq=False, slots=True)
@@ -201,46 +190,40 @@ def count_errors(
     return tally.report()
 
 
-def snr_at_threshold(curve: BerSnrCurve, fec: FecThreshold | float) -> float:
+def snr_at_threshold(curve: BerSnrCurve, threshold: float = KP4_BER) -> float:
     """SNR in dB where the curve crosses the FEC threshold.
 
     Interpolates linearly in (snr_db, log10 ber) on the first
     monotone-decreasing segment that brackets the threshold, scanning
     from low SNR. A point whose BER equals the threshold is returned
     directly. Segments whose endpoints are both floor flags carry no
-    information and are skipped.
+    information and are skipped. The threshold must lie in (0, 1).
     """
-    thr = fec.ber_threshold if isinstance(fec, FecThreshold) else float(fec)
+    if not 0 < threshold < 1:
+        raise ValueError(f"FEC threshold must lie in (0, 1), got {threshold!r}")
     ber = curve.ber
-    exact = np.flatnonzero(ber == thr)
+    exact = np.flatnonzero(ber == threshold)
     if exact.size:
         return float(curve.snr_db[exact[0]])
     bracketing = False
     for i in range(ber.size - 1):
-        if not (ber[i] > thr > ber[i + 1]):
+        if not (ber[i] > threshold > ber[i + 1]):
             continue
         bracketing = True
         if curve.floored[i] and curve.floored[i + 1]:
             continue
         lo, hi = np.log10(ber[i]), np.log10(ber[i + 1])
-        t = (np.log10(thr) - lo) / (hi - lo)
+        t = (np.log10(threshold) - lo) / (hi - lo)
         return float(curve.snr_db[i] + t * (curve.snr_db[i + 1] - curve.snr_db[i]))
-    if bracketing or ber.min() < thr < ber.max():
+    if bracketing or ber.min() < threshold < ber.max():
         raise NonMonotone(
             "threshold lies inside the curve range but no usable "
             "decreasing segment brackets it"
         )
     raise NotBracketed(
         f"curve spans [{ber.min():.3g}, {ber.max():.3g}] and never crosses "
-        f"{thr:.3g}; widen the SNR sweep"
+        f"{threshold:.3g}; widen the SNR sweep"
     )
-
-
-def snr_penalty(
-    curve: BerSnrCurve, reference: BerSnrCurve, fec: FecThreshold | float
-) -> float:
-    """Extra SNR the curve needs over the reference at the threshold."""
-    return snr_at_threshold(curve, fec) - snr_at_threshold(reference, fec)
 
 
 def complexity_rmps(cfg: EsnConfig) -> float:

@@ -28,7 +28,7 @@ from slicerc.harness import (
     run_sweep,
     series_curve,
 )
-from slicerc.link import LinkConfig, Waveform
+from slicerc.link import LinkConfig
 from slicerc.metrics import (
     KP4_BER,
     NonMonotone,
@@ -200,26 +200,25 @@ def test_criterion_7_numerical_invariants():
     # dispersion is all-pass: relative energy error and additivity
     cfg = LinkConfig(fiber_length_km=10.0, snr_db=30.0, n_symbols=512)
     field = rng.normal(size=4096) + 1j * rng.normal(size=4096)
-    wave = Waveform(samples=field, sample_rate=cfg.sample_rate)
-    out = link.propagate_cd(wave, cfg)
+    out = link.propagate_cd(field, cfg)
     e_in = np.sum(np.abs(field) ** 2)
-    assert abs(np.sum(np.abs(out.samples) ** 2) / e_in - 1.0) <= 1e-9
+    assert abs(np.sum(np.abs(out) ** 2) / e_in - 1.0) <= 1e-9
 
     two_hops = link.propagate_cd(
-        link.propagate_cd(wave, LinkConfig(7.0, 30.0, 512)),
+        link.propagate_cd(field, LinkConfig(7.0, 30.0, 512)),
         LinkConfig(13.0, 30.0, 512),
     )
-    direct = link.propagate_cd(wave, LinkConfig(20.0, 30.0, 512))
-    scale = np.max(np.abs(direct.samples))
-    assert np.max(np.abs(two_hops.samples - direct.samples)) / scale <= 1e-9
+    direct = link.propagate_cd(field, LinkConfig(20.0, 30.0, 512))
+    scale = np.max(np.abs(direct))
+    assert np.max(np.abs(two_hops - direct)) / scale <= 1e-9
 
     # slices partition the occupied band: fields and energies both add up
     cfg = LinkConfig(fiber_length_km=0.0, snr_db=30.0, n_symbols=1024)
     frame = link.generate_frame(cfg.n_symbols, substream(3, 0))
     shaped = link.pulse_shape(frame, cfg)
     fields = link.slice_spectrum(shaped, cfg)
-    spectrum = np.fft.fft(np.asarray(shaped.samples, dtype=complex))
-    freqs = np.fft.fftfreq(shaped.samples.size, d=1.0 / cfg.sample_rate)
+    spectrum = np.fft.fft(np.asarray(shaped, dtype=complex))
+    freqs = np.fft.fftfreq(shaped.size, d=1.0 / cfg.sample_rate)
     band = cfg.occupied_bandwidth
     inband = np.fft.ifft(spectrum * ((freqs >= -band / 2) & (freqs <= band / 2)))
     assert np.max(np.abs(fields.sum(axis=0) - inband)) / np.max(np.abs(inband)) <= 1e-9
@@ -291,10 +290,7 @@ def test_criterion_7_numerical_invariants():
     )
     frame = link.generate_frame(cfg.n_symbols, substream(cfg.seed, 0))
     shaped = link.pulse_shape(frame, cfg)
-    drive = Waveform(
-        samples=shaped.samples / np.max(np.abs(shaped.samples)),
-        sample_rate=shaped.sample_rate,
-    )
+    drive = shaped / np.max(np.abs(shaped))
     field = link.propagate_cd(link.mzm_modulate(drive, cfg), cfg)
     fields = link.slice_spectrum(field, cfg)
     obs = link.photodetect_and_load_noise(fields, cfg)

@@ -55,15 +55,13 @@ def make_obs(data: np.ndarray, sps: int, guard: int = 0) -> SlicedObservation:
         rows=rows,
         noise=np.zeros(rows.shape),
         noise_std=np.zeros(rows.shape[0]),
-        sample_rate=1.0,
         sps=sps,
         guard_symbols=guard,
     )
 
 
 def make_frame(levels: np.ndarray) -> SymbolFrame:
-    levels = np.asarray(levels, dtype=float)
-    return SymbolFrame(bits=np.zeros(2 * levels.size, dtype=np.uint8), levels=levels)
+    return SymbolFrame(levels=np.asarray(levels, dtype=float))
 
 
 def random_weights(cfg: EsnConfig, seed: int = 0) -> EsnWeights:

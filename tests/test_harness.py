@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import slicerc
 from slicerc import esn, harness
@@ -36,7 +37,6 @@ from slicerc.harness import (
     read_results,
     run_experiment,
     run_sweep,
-    save_config,
     series_curve,
     write_results,
 )
@@ -119,7 +119,7 @@ def test_config_roundtrip(tmp_path):
         esn=EsnParams(ridge_lambda=1e-3, washout=2),
     )
     path = tmp_path / "round.yaml"
-    save_config(cfg, path)
+    path.write_text(yaml.safe_dump(config_to_dict(cfg)))
     assert load_config(path) == cfg
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
@@ -675,6 +675,10 @@ def test_cli_plotdata_that_fails_leaves_the_plot_files_as_they_were(tmp_path, ca
     assert cli_main(["plotdata", "--out", str(tmp_path)]) == 0
     plots = ["ber_vs_snr.csv", "snr_penalty.csv", "complexity.csv", "per_position.csv"]
     before = {name: (tmp_path / name).read_bytes() for name in plots}
+    for bad in ("0", "1", "nan"):
+        assert cli_main(["plotdata", "--out", str(tmp_path), "--threshold", bad]) == 1
+        assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert {name: (tmp_path / name).read_bytes() for name in plots} == before
     # a series with one successful SNR has no curve; it sorts between the
     # 0 and 10 km series
     lone = replace(synthetic_records()[-1], fiber_length_km=5.0)

@@ -14,14 +14,12 @@ from slicerc.metrics import (
     KP4_BER,
     BerSnrCurve,
     ErrorTally,
-    FecThreshold,
     NonMonotone,
     NotBracketed,
     complexity_rmps,
     count_errors,
     hard_decision,
     snr_at_threshold,
-    snr_penalty,
 )
 
 LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
@@ -223,16 +221,20 @@ def test_curve_validation():
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError):
-        FecThreshold(0.0)
-    assert FecThreshold().ber_threshold == KP4_BER == 2.26e-4
+    curve = BerSnrCurve(snr_db=np.array([10.0, 12.0]), ber=np.array([1e-3, 1e-5]))
+    for bad in (0.0, 1.0, 2.0, -1e-4, np.nan, np.inf):
+        with pytest.raises(ValueError, match="threshold"):
+            snr_at_threshold(curve, bad)
+    assert KP4_BER == 2.26e-4
+    at_kp4 = BerSnrCurve(snr_db=np.array([10.0, 12.0]), ber=np.array([1e-2, KP4_BER]))
+    assert snr_at_threshold(at_kp4) == 12.0
 
 
 # ------------------------------------------------------- threshold reading
 
 def test_log_linear_midpoint():
     curve = BerSnrCurve(snr_db=np.array([10.0, 12.0]), ber=np.array([1e-3, 1e-5]))
-    assert snr_at_threshold(curve, FecThreshold(1e-4)) == pytest.approx(11.0, abs=1e-12)
+    assert snr_at_threshold(curve, 1e-4) == pytest.approx(11.0, abs=1e-12)
 
 
 def test_threshold_at_curve_point():
@@ -283,28 +285,6 @@ def test_interpolates_past_a_floored_pair():
         floored=np.array([False, False, False]),
     )
     assert snr_at_threshold(curve, 1e-4) == pytest.approx(11.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------- penalty
-
-def test_penalty_of_curve_against_itself_is_zero():
-    snr = np.array([9.0, 10.0, 11.0, 12.0])
-    curve = BerSnrCurve(snr_db=snr, ber=10.0 ** (-snr / 2.0))
-    assert snr_penalty(curve, curve, 1e-5) == 0.0
-
-
-def test_penalty_of_translated_curve_is_the_shift():
-    snr = np.arange(8.0, 20.0)
-    ref = BerSnrCurve(snr_db=snr, ber=10.0 ** (-snr / 2.0))
-    shifted = BerSnrCurve(snr_db=snr + 2.0, ber=ref.ber)
-    assert snr_penalty(shifted, ref, 1e-4) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_penalty_antisymmetry():
-    snr = np.arange(8.0, 20.0)
-    a = BerSnrCurve(snr_db=snr, ber=10.0 ** (-snr / 2.0))
-    b = BerSnrCurve(snr_db=snr, ber=10.0 ** (-snr / 2.5))
-    assert snr_penalty(a, b, 1e-4) == pytest.approx(-snr_penalty(b, a, 1e-4), abs=1e-12)
 
 
 # ------------------------------------------------------------- complexity
