@@ -367,6 +367,14 @@ def test_slice_bin_ranges_equal_the_frequency_masks(n, num_slices, sps, rolloff,
         assert np.array_equal(field, np.fft.ifft(np.where(mask, spectrum, 0.0)))
 
 
+def test_slice_rejects_undersampled_band():
+    # slice_spectrum reads its sample rate from the config, so a band wider
+    # than the sampling rate is refused before any slicing can happen
+    for rolloff in (0.01, 0.1, 1.0):
+        with pytest.raises(ValueError, match="occupied bandwidth exceeds the sampling rate"):
+            slice_spectrum(np.zeros(64, dtype=complex), cfg_with(sps=1, rolloff=rolloff))
+
+
 # ---------------------------------------------------------- photodetection
 
 def test_single_slice_detection_is_plain_square_law():
