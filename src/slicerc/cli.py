@@ -47,9 +47,9 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    point = GridPoint(cfg.fiber_length_km[0], cfg.n_out[0], cfg.snr_db[0])
-    seed = cfg.seeds[0]
-    rec = run_experiment(cfg, point, seed)
+    rec = run_experiment(
+        cfg, GridPoint(cfg.fiber_length_km[0], cfg.n_out[0], cfg.snr_db[0], cfg.seeds[0])
+    )
     print(
         f"fiber_length_km={rec.fiber_length_km} n_out={rec.n_out} "
         f"n_res={rec.n_res} snr_db={rec.snr_db} seed={rec.seed}"
@@ -91,22 +91,23 @@ def _cmd_sweep(args) -> int:
         _check_resumable(cfg, out)
         existing = read_results(csv_path)
         print(f"resuming: {sum(r.ok for r in existing)} completed points found")
+    frames = pending_frames(cfg, existing)
     # checks its arguments before anything is written
-    groups = sweep_groups(cfg, parallel=args.parallel, existing=existing)
+    groups = sweep_groups(cfg, frames, args.parallel)
     # the manifest's config and the header go down before any point runs,
     # so an interrupted sweep can be resumed from whatever rows it appended
     write_manifest(out, cfg, existing)
     append_results([], csv_path)
     fresh = []
-    n_frames = len(pending_frames(cfg, existing))
     started = time.monotonic()
     for done, group in enumerate(groups, 1):
         append_results(group, csv_path)
         fresh += group
         elapsed = time.monotonic() - started
         print(
-            f"frame {done}/{n_frames} done, {sum(not r.ok for r in fresh)} failed points so far, "
-            f"eta {elapsed / done * (n_frames - done):.0f} s",
+            f"frame {done}/{len(frames)} done, "
+            f"{sum(not r.ok for r in fresh)} failed points so far, "
+            f"eta {elapsed / done * (len(frames) - done):.0f} s",
             file=sys.stderr,
             flush=True,
         )

@@ -144,7 +144,7 @@ class EsnWeights:
     w_out: np.ndarray
 
 
-def init_weights(cfg: EsnConfig, seed: int | None = None) -> EsnWeights:
+def init_weights(cfg: EsnConfig) -> EsnWeights:
     """Draw the fixed random weights for one (topology, seed) pair.
 
     w_in entries are nonzero with probability s_in, values uniform on
@@ -154,13 +154,12 @@ def init_weights(cfg: EsnConfig, seed: int | None = None) -> EsnWeights:
     a row that comes up empty is redrawn so every output keeps at least
     one reservoir tap.
     """
-    seed = cfg.seed if seed is None else seed
-    rng_in = substream(seed, STREAM_W_IN)
+    rng_in = substream(cfg.seed, STREAM_W_IN)
     keep = rng_in.random((cfg.n_res, cfg.n_in)) < cfg.s_in
     values = rng_in.uniform(-cfg.input_scaling, cfg.input_scaling, keep.shape)
     w_in = np.where(keep, values, 0.0)
 
-    rng_res = substream(seed, STREAM_W_RES)
+    rng_res = substream(cfg.seed, STREAM_W_RES)
     for _ in range(2):
         keep = rng_res.random((cfg.n_res, cfg.n_res)) < cfg.s_res
         values = rng_res.uniform(-1.0, 1.0, keep.shape)
@@ -175,7 +174,7 @@ def init_weights(cfg: EsnConfig, seed: int | None = None) -> EsnWeights:
         )
     w_res *= cfg.spectral_radius / radius
 
-    rng_mask = substream(seed, STREAM_OUT_MASK)
+    rng_mask = substream(cfg.seed, STREAM_OUT_MASK)
     out_mask = rng_mask.random((cfg.n_out, cfg.n_res)) < cfg.s_out
     for _ in range(10_000):
         empty = ~out_mask.any(axis=1)

@@ -1,7 +1,8 @@
 """Experiment configuration, seeded sweeps, and result emission.
 
 A sweep is the Cartesian product of the fiber-length grid, the n_out
-variant list, the SNR grid, and the seed list. It runs one task per
+variant list, the SNR grid, and the seed list; a GridPoint holds one of
+each and is the key of its record. It runs one task per
 (fiber length, seed) frame with bounded parallelism: the noiseless link
 runs once per frame, its noise is drawn once for all of its SNRs, and
 every n_out of the frame reads those same observations, so a point adds
@@ -14,7 +15,9 @@ never holds its estimates either.
 Records always come back in deterministic grid order (lengths
 outermost, then n_out, then SNR, then seeds) no matter how the frames
 were scheduled, and a failed point becomes an error row instead of
-aborting the sweep.
+aborting the sweep. A resume is pending_frames (the points an earlier
+run's records leave), sweep_groups over them, and in_grid_order over the
+old and new records together.
 """
 
 from __future__ import annotations
@@ -90,9 +93,12 @@ EsnParams = _shared_params(
 
 
 class GridPoint(NamedTuple):
+    """One point of a sweep, and the key of its record."""
+
     fiber_length_km: float
     n_out: int
     snr_db: float
+    seed: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +139,7 @@ class ExperimentConfig:
             for length in self.fiber_length_km:
                 where = f"link at fiber_length_km={length}"
                 link_cfg = self.link_config(
-                    GridPoint(length, self.n_out[0], self.snr_db[0]), self.seeds[0]
+                    GridPoint(length, self.n_out[0], self.snr_db[0], self.seeds[0])
                 )
                 check_filter_span(link_cfg, self.total_symbols)
                 guards[length] = link_cfg.guard_symbols
@@ -146,13 +152,13 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
-    def link_config(self, point: GridPoint, seed: int) -> LinkConfig:
-        """Link settings of one grid point under one seed."""
+    def link_config(self, point: GridPoint) -> LinkConfig:
+        """Link settings of one grid point."""
         return LinkConfig(
             fiber_length_km=point.fiber_length_km,
             snr_db=point.snr_db,
             n_symbols=self.total_symbols,
-            seed=seed,
+            seed=point.seed,
             **asdict(self.link),
         )
 
@@ -191,8 +197,8 @@ class SweepRecord:
         return self.error == ""
 
     @property
-    def key(self) -> tuple[float, int, float, int]:
-        return (self.fiber_length_km, self.n_out, self.snr_db, self.seed)
+    def key(self) -> GridPoint:
+        return GridPoint(self.fiber_length_km, self.n_out, self.snr_db, self.seed)
 
 
 # column name -> type, in column order; drives both writing and parsing
@@ -218,6 +224,8 @@ def _coerce(value, hint, path: str):
     accepted, noun = _SCALARS[hint]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"'{path}' must be {noun}, got {value!r}")
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(f"'{path}' must be finite, got {value!r}")
     return hint(value)
 
 
@@ -260,10 +268,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def grid_points(cfg: ExperimentConfig) -> list[tuple[GridPoint, int]]:
+def grid_points(cfg: ExperimentConfig) -> list[GridPoint]:
     """Deterministic sweep order: length, n_out, SNR, then seed."""
     return [
-        (GridPoint(length, n_out, snr), seed)
+        GridPoint(length, n_out, snr, seed)
         for length in cfg.fiber_length_km
         for n_out in cfg.n_out
         for snr in cfg.snr_db
@@ -271,8 +279,8 @@ def grid_points(cfg: ExperimentConfig) -> list[tuple[GridPoint, int]]:
     ]
 
 
-def run_experiment(cfg: ExperimentConfig, point: GridPoint, seed: int) -> SweepRecord:
-    """Simulate, train, and evaluate one grid point under one seed.
+def run_experiment(cfg: ExperimentConfig, point: GridPoint) -> SweepRecord:
+    """Simulate, train, and evaluate one grid point.
 
     The frame is split into a contiguous training prefix
     (train_fraction of the usable region), a k-symbol gap, and the test
@@ -281,8 +289,8 @@ def run_experiment(cfg: ExperimentConfig, point: GridPoint, seed: int) -> SweepR
     of a sweep shares the same draw and retrains only the readout.
     """
     started = time.perf_counter()
-    observation, frame = simulate_link(cfg.link_config(point, seed))
-    return _evaluate(cfg, [point], seed, [observation], frame, time.perf_counter() - started)[0]
+    observation, frame = simulate_link(cfg.link_config(point))
+    return _evaluate(cfg, [point], [observation], frame, time.perf_counter() - started)[0]
 
 
 def _split(cfg: ExperimentConfig, esn_cfg: EsnConfig, guard: int) -> tuple[int, int, int, int]:
@@ -311,7 +319,6 @@ def _split(cfg: ExperimentConfig, esn_cfg: EsnConfig, guard: int) -> tuple[int, 
 def _evaluate(
     cfg: ExperimentConfig,
     points: list[GridPoint],
-    seed: int,
     observations: list[SlicedObservation],
     frame: SymbolFrame,
     share: float,
@@ -327,7 +334,7 @@ def _evaluate(
     observations are read, never modified.
     """
     started = time.perf_counter()
-    esn_cfg = cfg.esn_config(points[0].n_out, seed)
+    esn_cfg = cfg.esn_config(points[0].n_out, points[0].seed)
     train_first, train_last, test_first, test_last = _split(
         cfg, esn_cfg, observations[0].guard_symbols
     )
@@ -346,7 +353,7 @@ def _evaluate(
     return [
         SweepRecord(
             label=cfg.label,
-            seed=int(seed),
+            seed=int(point.seed),
             snr_db=float(point.snr_db),
             fiber_length_km=float(point.fiber_length_km),
             n_out=int(point.n_out),
@@ -363,9 +370,9 @@ def _evaluate(
     ]
 
 
-def _error_row(cfg: ExperimentConfig, point: GridPoint, seed: int, exc: Exception) -> SweepRecord:
+def _error_row(cfg: ExperimentConfig, point: GridPoint, exc: Exception) -> SweepRecord:
     return SweepRecord(
-        label=cfg.label, seed=int(seed), snr_db=float(point.snr_db),
+        label=cfg.label, seed=int(point.seed), snr_db=float(point.snr_db),
         fiber_length_km=float(point.fiber_length_km), n_out=int(point.n_out),
         n_res=int(cfg.esn.n_res), ber=math.nan, ser=math.nan, per_position_ber=(),
         rmps=math.nan, train_symbols=0, test_symbols=0, wall_time_s=0.0,
@@ -376,7 +383,6 @@ def _error_row(cfg: ExperimentConfig, point: GridPoint, seed: int, exc: Exceptio
 def _evaluate_or_split(
     cfg: ExperimentConfig,
     points: list[GridPoint],
-    seed: int,
     observations: list[SlicedObservation],
     frame: SymbolFrame,
     share: float,
@@ -385,17 +391,17 @@ def _evaluate_or_split(
     on the same observations so that each gets its own record or error
     row."""
     try:
-        return _evaluate(cfg, points, seed, observations, frame, share)
+        return _evaluate(cfg, points, observations, frame, share)
     except Exception as exc:
         if len(points) == 1:
-            return [_error_row(cfg, points[0], seed, exc)]
+            return [_error_row(cfg, points[0], exc)]
     # outside the except block, so the failed batch's intermediates are
     # freed before the reruns
     return [rec for point, observation in zip(points, observations)
-            for rec in _evaluate_or_split(cfg, [point], seed, [observation], frame, share)]
+            for rec in _evaluate_or_split(cfg, [point], [observation], frame, share)]
 
 
-def _run_group(args: tuple[ExperimentConfig, int, list[GridPoint]]) -> list[SweepRecord]:
+def _run_group(cfg: ExperimentConfig, points: list[GridPoint]) -> list[SweepRecord]:
     """Evaluate the points of one (fiber length, seed) frame.
 
     The noiseless front half of the link runs once and the noise of all
@@ -406,105 +412,94 @@ def _run_group(args: tuple[ExperimentConfig, int, list[GridPoint]]) -> list[Swee
     points it hit, or for every point when the front half or the draw
     fails. Records come back in the order of ``points``.
     """
-    cfg, seed, points = args
     started = time.perf_counter()
     snrs = list(dict.fromkeys(point.snr_db for point in points))
     try:
-        rows, frame = detect_frame(cfg.link_config(points[0], seed))
-        observations = load_noise_batch(
-            rows, [cfg.link_config(points[0]._replace(snr_db=snr), seed) for snr in snrs]
-        )
+        link_cfg = cfg.link_config(points[0])
+        rows, frame = detect_frame(link_cfg)
+        observations = load_noise_batch(rows, link_cfg, snrs)
     except Exception as exc:
-        return [_error_row(cfg, point, seed, exc) for point in points]
+        return [_error_row(cfg, point, exc) for point in points]
     by_snr = dict(zip(snrs, observations))
     share = (time.perf_counter() - started) / len(points)
     records = []
     for _, group in groupby(points, key=lambda point: point.n_out):
         group = list(group)
         records += _evaluate_or_split(
-            cfg, group, seed, [by_snr[point.snr_db] for point in group], frame, share
+            cfg, group, [by_snr[point.snr_db] for point in group], frame, share
         )
     return records
 
 
 def pending_frames(
-    cfg: ExperimentConfig, existing: Iterable[SweepRecord] | None = None
-) -> dict[tuple[float, int], list[GridPoint]]:
-    """Points still to run, grouped by (fiber length, seed) frame in grid
-    order; points with a successful record in ``existing`` are left out."""
-    done = {rec.key for rec in existing or () if rec.ok}
+    cfg: ExperimentConfig, existing: Iterable[SweepRecord] = ()
+) -> list[list[GridPoint]]:
+    """Points still to run, one list per (fiber length, seed) frame, in
+    grid order; points with a successful record in ``existing`` are left
+    out, so error rows are retried."""
+    done = {rec.key for rec in existing if rec.ok}
     frames: dict[tuple[float, int], list[GridPoint]] = {}
-    for point, seed in grid_points(cfg):
-        if (*point, seed) not in done:
-            frames.setdefault((point.fiber_length_km, seed), []).append(point)
-    return frames
+    for point in grid_points(cfg):
+        if point not in done:
+            frames.setdefault((point.fiber_length_km, point.seed), []).append(point)
+    return list(frames.values())
 
 
 def sweep_groups(
-    cfg: ExperimentConfig,
-    parallel: int = 1,
-    existing: Iterable[SweepRecord] | None = None,
+    cfg: ExperimentConfig, frames: list[list[GridPoint]], parallel: int
 ) -> Iterator[list[SweepRecord]]:
-    """Yield the fresh records of each (fiber length, seed) frame as it
-    finishes.
+    """Yield the records of each frame of ``frames`` (as pending_frames
+    gives them) as it finishes.
 
-    Points with a successful record in ``existing`` are skipped; error
-    rows are retried. With ``parallel`` > 1 the frames run as pool tasks
-    and come back in completion order; if the pool breaks, every frame
-    it did not finish comes back as error rows, which a resume retries.
-    A ``parallel`` below 1 raises ValueError here, before any frame runs.
+    With ``parallel`` > 1 the frames run as pool tasks and come back in
+    completion order; if the pool breaks, every frame it did not finish
+    comes back as error rows, which a resume retries. A ``parallel``
+    below 1 raises ValueError here, before any frame runs.
     """
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
-    tasks = [(cfg, seed, points) for (_, seed), points in pending_frames(cfg, existing).items()]
-    return _frame_groups(cfg, parallel, tasks)
+    return _frame_groups(cfg, frames, parallel)
 
 
 def _frame_groups(
-    cfg: ExperimentConfig, parallel: int, tasks: list[tuple]
+    cfg: ExperimentConfig, frames: list[list[GridPoint]], parallel: int
 ) -> Iterator[list[SweepRecord]]:
     """The generator behind sweep_groups."""
-    if parallel == 1 or len(tasks) <= 1:
-        yield from map(_run_group, tasks)
+    if parallel == 1 or len(frames) <= 1:
+        yield from (_run_group(cfg, points) for points in frames)
         return
-    with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
-        futures = {pool.submit(_run_group, task): task for task in tasks}
+    with ProcessPoolExecutor(max_workers=min(parallel, len(frames))) as pool:
+        futures = {pool.submit(_run_group, cfg, points): points for points in frames}
         for future in as_completed(futures):
             try:
                 yield future.result()
             except BrokenProcessPool as exc:
-                _, seed, points = futures[future]
-                yield [_error_row(cfg, point, seed, exc) for point in points]
+                yield [_error_row(cfg, point, exc) for point in futures[future]]
 
 
 def in_grid_order(cfg: ExperimentConfig, records: Iterable[SweepRecord]) -> list[SweepRecord]:
-    """One record per grid point, in grid order.
+    """One record per key: every grid point in grid order, then the keys
+    outside the grid (rows of an earlier run over other grids or seeds)
+    in the order they first appear.
 
     A successful record wins over an error row for the same point, and
     otherwise a later record wins over an earlier one.
     """
-    best: dict[tuple, SweepRecord] = {}
+    best: dict[GridPoint, SweepRecord] = {}
     for rec in records:
         if rec.ok or rec.key not in best or not best[rec.key].ok:
             best[rec.key] = rec
-    return [best[(*point, seed)] for point, seed in grid_points(cfg)]
+    return [best.pop(point) for point in grid_points(cfg)] + list(best.values())
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    parallel: int = 1,
-    existing: Iterable[SweepRecord] | None = None,
-) -> list[SweepRecord]:
-    """Evaluate every grid point under every seed.
+def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> list[SweepRecord]:
+    """Evaluate every grid point, in grid order.
 
     Each (fiber length, seed) frame is simulated once and shared by its
-    n_out and SNR points. ``existing`` records (for example from a partial
-    results.csv) are reused by key and their points are skipped; error
-    rows are retried. Output order is always the deterministic grid order.
+    n_out and SNR points.
     """
-    existing = list(existing or ())
-    fresh = [rec for group in sweep_groups(cfg, parallel, existing) for rec in group]
-    return in_grid_order(cfg, existing + fresh)
+    groups = sweep_groups(cfg, pending_frames(cfg), parallel)
+    return in_grid_order(cfg, [rec for group in groups for rec in group])
 
 
 def _format_cell(value) -> str:
@@ -531,17 +526,23 @@ def _csv_rows(records: Iterable[SweepRecord], header: bool) -> str:
     return buf.getvalue()
 
 
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` to a sibling of ``path`` and move it into place, so
+    that an interrupted write leaves the old file whole."""
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(text, newline="")
+    os.replace(partial, path)
+
+
 def write_results(
-    records: Iterable[SweepRecord],
-    out_dir: str | Path,
-    cfg: ExperimentConfig | None = None,
+    records: Iterable[SweepRecord], out_dir: str | Path, cfg: ExperimentConfig
 ) -> Path:
-    """Write results.csv (RFC 4180) and a run manifest into out_dir."""
+    """Write results.csv (RFC 4180) and a run manifest into out_dir; each
+    file replaces its old version whole."""
     records = list(records)
     write_manifest(out_dir, cfg, records)
     csv_path = Path(out_dir) / "results.csv"
-    with csv_path.open("w", newline="") as fh:
-        fh.write(_csv_rows(records, header=True))
+    _replace_file(csv_path, _csv_rows(records, header=True))
     return csv_path
 
 
@@ -555,7 +556,7 @@ def append_results(records: Iterable[SweepRecord], csv_path: str | Path) -> None
 
 
 def write_manifest(
-    out_dir: str | Path, cfg: ExperimentConfig | None, records: Iterable[SweepRecord] = ()
+    out_dir: str | Path, cfg: ExperimentConfig, records: Iterable[SweepRecord] = ()
 ) -> Path:
     """Write manifest.json into out_dir, creating the directory."""
     out = Path(out_dir)
@@ -568,10 +569,10 @@ def write_manifest(
         "n_records": len(records),
         "seeds": sorted({rec.seed for rec in records}),
         "environment": _environment(),
-        "config": config_to_dict(cfg) if cfg is not None else None,
+        "config": config_to_dict(cfg),
     }
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _replace_file(path, json.dumps(manifest, indent=2, sort_keys=True))
     return path
 
 

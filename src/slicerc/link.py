@@ -33,7 +33,7 @@ rule and the carrier-distributed square law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil, pi
 
 import numpy as np
@@ -451,36 +451,31 @@ def photodetect(fields: np.ndarray) -> np.ndarray:
 
 
 def load_noise_batch(
-    rows: np.ndarray, cfgs: list[LinkConfig], seed: int | None = None
+    rows: np.ndarray, cfg: LinkConfig, snr_db: list[float]
 ) -> list[SlicedObservation]:
-    """White Gaussian noise on the detected rows at each config's SNR.
+    """White Gaussian noise on the detected rows of ``cfg``'s frame, one
+    observation per SNR of ``snr_db``; ``cfg.snr_db`` is not read.
 
     Slice i gets ``sigma_i^2 = var(rows[i]) / 10^(snr_db / 10)``, so a
-    constant row stays noiseless. The configs are the SNR points of one
-    frame and must agree on every other setting. A slice's noise
-    substream is keyed by (seed, slice), not by SNR, so each slice draws
-    its standard normals ``g`` once into one array that every observation
-    shares, with ``rows``; only the per-slice scales ``sigma_i`` differ.
+    constant row stays noiseless. A slice's noise substream is keyed by
+    (seed, slice), not by SNR, so each slice draws its standard normals
+    ``g`` once into one array that every observation shares, with
+    ``rows``; only the per-slice scales ``sigma_i`` differ.
     :meth:`SlicedObservation.write_samples` adds ``sigma_i * g`` to the
     clean sample, which is what ``normal(0.0, sigma_i, n)`` draws, so
     each observation's samples are bit-identical to a noisy copy loaded
     at its own SNR. Memory is one draw of the rows' size, whatever the
-    number of configs. Both shared arrays are handed out as read-only
+    number of SNRs. Both shared arrays are handed out as read-only
     views; ``rows`` is never written.
     """
-    if not cfgs:
-        raise ValueError("load_noise_batch needs at least one config")
-    first = cfgs[0]
-    if any(replace(cfg, snr_db=first.snr_db) != first for cfg in cfgs):
-        raise ValueError("configs of one noise batch may differ only in snr_db")
+    if not snr_db:
+        raise ValueError("load_noise_batch needs at least one SNR")
     clean = np.asarray(np.atleast_2d(rows), dtype=float)
-    if clean.shape[0] != first.num_slices:
+    if clean.shape[0] != cfg.num_slices:
         raise ValueError("field row count must equal num_slices")
-    if seed is None:
-        seed = first.seed
     noise = np.empty(clean.shape)
     for i, row in enumerate(noise):
-        substream(seed, STREAM_SLICE_NOISE, i).standard_normal(out=row)
+        substream(cfg.seed, STREAM_SLICE_NOISE, i).standard_normal(out=row)
     var = np.array([row.var() for row in clean])
     clean = clean.view()  # the caller's array keeps its own flags
     clean.flags.writeable = noise.flags.writeable = False
@@ -488,18 +483,16 @@ def load_noise_batch(
         SlicedObservation(
             rows=clean,
             noise=noise,
-            noise_std=np.sqrt(var / 10.0 ** (cfg.snr_db / 10.0)),
-            sps=first.sps,
-            guard_symbols=first.guard_symbols,
+            noise_std=np.sqrt(var / 10.0 ** (snr / 10.0)),
+            sps=cfg.sps,
+            guard_symbols=cfg.guard_symbols,
         )
-        for cfg in cfgs
+        for snr in snr_db
     ]
 
 
-def photodetect_and_load_noise(
-    fields: np.ndarray, cfg: LinkConfig, seed: int | None = None
-) -> SlicedObservation:
-    """:func:`photodetect` followed by :func:`load_noise_batch` of one config.
+def photodetect_and_load_noise(fields: np.ndarray, cfg: LinkConfig) -> SlicedObservation:
+    """:func:`photodetect` followed by :func:`load_noise_batch` at ``cfg.snr_db``.
 
     Nothing in the package calls this composition. It stays because the
     benchmark's tracer (``perfbench/spans.py``) wraps it by name as a
@@ -509,7 +502,7 @@ def photodetect_and_load_noise(
     ``tests/test_perfbench_tracer.py`` checks those names. Removing it,
     or renaming any of them, is a change to the benchmark.
     """
-    return load_noise_batch(photodetect(fields), [cfg], seed)[0]
+    return load_noise_batch(photodetect(fields), cfg, [cfg.snr_db])[0]
 
 
 def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
@@ -567,4 +560,4 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
 def simulate_link(cfg: LinkConfig) -> tuple[SlicedObservation, SymbolFrame]:
     """Run the full chain for one frame. Deterministic in (cfg, cfg.seed)."""
     rows, frame = detect_frame(cfg)
-    return load_noise_batch(rows, [cfg])[0], frame
+    return load_noise_batch(rows, cfg, [cfg.snr_db])[0], frame

@@ -127,7 +127,7 @@ def test_criterion_2_b2b_zero_errors():
         total_symbols=2**16,
         label="acceptance",
     )
-    rec = run_experiment(cfg, GridPoint(0.0, 1, 40.0), 0)
+    rec = run_experiment(cfg, GridPoint(0.0, 1, 40.0, 0))
     assert rec.ok, rec.error
     assert rec.ber == 0.0
     # a zero-error run is only evidence down to its counting floor, which

@@ -65,7 +65,7 @@ def make_frame(levels: np.ndarray) -> SymbolFrame:
 
 
 def random_weights(cfg: EsnConfig, seed: int = 0) -> EsnWeights:
-    return init_weights(cfg, seed)
+    return init_weights(replace(cfg, seed=seed))
 
 
 def fold(inputs: np.ndarray, w: EsnWeights, leak: float, x=None) -> np.ndarray:
@@ -726,7 +726,7 @@ def test_shared_draw_batches_equal_materialised_observations():
     # washout starts off the frame
     link_cfg = LinkConfig(fiber_length_km=10.0, snr_db=10.0, n_symbols=3 * esn._CHUNK_STEPS)
     rows, frame = detect_frame(link_cfg)
-    shared = load_noise_batch(rows, [replace(link_cfg, snr_db=s) for s in (8.0, 10.0, 12.0)])
+    shared = load_noise_batch(rows, link_cfg, [8.0, 10.0, 12.0])
     # the same samples, each held as one noisy copy of the frame's rows
     copies = [make_obs(obs.data, obs.sps, obs.guard_symbols) for obs in shared]
     cfg = EsnConfig(n_out=1)
@@ -749,7 +749,7 @@ def test_load_noise_batch_shares_its_rows_and_draw():
     link_cfg = LinkConfig(fiber_length_km=10.0, snr_db=10.0, n_symbols=1024)
     rows, _ = detect_frame(link_cfg)
     before = rows.copy()
-    observations = load_noise_batch(rows, [replace(link_cfg, snr_db=s) for s in (8.0, 10.0, 12.0)])
+    observations = load_noise_batch(rows, link_cfg, [8.0, 10.0, 12.0])
     for obs in observations:
         assert np.shares_memory(obs.rows, rows)
         assert np.shares_memory(obs.noise, observations[0].noise)
@@ -806,8 +806,7 @@ def desk():
     for length_km in (0.0, 50.0):
         cfg = LinkConfig(fiber_length_km=length_km, snr_db=10.0, n_symbols=2**15)
         rows, frame = detect_frame(cfg)
-        cfgs = [replace(cfg, snr_db=snr) for snr in (9.0, 10.0, 11.0)]
-        frames[length_km] = load_noise_batch(rows, cfgs), frame
+        frames[length_km] = load_noise_batch(rows, cfg, [9.0, 10.0, 11.0]), frame
     return frames
 
 

@@ -33,11 +33,14 @@ from slicerc.harness import (
     config_to_dict,
     emit_plot_data,
     grid_points,
+    in_grid_order,
     load_config,
+    pending_frames,
     read_results,
     run_experiment,
     run_sweep,
     series_curve,
+    sweep_groups,
     write_results,
 )
 from slicerc.link import detect_frame, load_noise_batch
@@ -100,6 +103,17 @@ def test_type_errors_name_the_field():
         config_from_dict({"fiber_length_km": [0], "n_out": [1, 30]})
     with pytest.raises(ConfigError, match="seeds"):
         config_from_dict({"fiber_length_km": [0], "seeds": [0, -1]})
+    # a range check such as "x < 0" lets NaN through, so a non-finite
+    # number is refused where it enters, with its dotted path
+    for raw, path in (
+        ({"esn": {"spectral_radius": math.nan}}, "esn.spectral_radius"),
+        ({"esn": {"ridge_lambda": math.nan}}, "esn.ridge_lambda"),
+        ({"esn": {"input_scaling": math.inf}}, "esn.input_scaling"),
+        ({"snr_db": [math.nan]}, "snr_db"),
+        ({"fiber_length_km": [math.inf]}, "fiber_length_km"),
+    ):
+        with pytest.raises(ConfigError, match=f"'{path}' must be finite"):
+            config_from_dict({"fiber_length_km": [0], **raw})
 
 
 def test_grid_ordering_enforced():
@@ -135,9 +149,9 @@ def test_malformed_yaml_reports_parse_error(tmp_path):
 
 def test_run_experiment_deterministic():
     cfg = toy_config()
-    point = GridPoint(0.0, 1, 30.0)
-    a = run_experiment(cfg, point, seed=0)
-    b = run_experiment(cfg, point, seed=0)
+    point = GridPoint(0.0, 1, 30.0, 0)
+    a = run_experiment(cfg, point)
+    b = run_experiment(cfg, point)
     assert a.ber == b.ber
     assert a.ser == b.ser
     assert a.per_position_ber == b.per_position_ber
@@ -146,7 +160,7 @@ def test_run_experiment_deterministic():
 
 def test_record_carries_complexity_of_its_variant():
     cfg = toy_config(n_out=(3,))
-    rec = run_experiment(cfg, GridPoint(0.0, 3, 30.0), seed=0)
+    rec = run_experiment(cfg, GridPoint(0.0, 3, 30.0, 0))
     assert rec.rmps == complexity_rmps(
         EsnConfig(n_out=3, washout=2, seed=0)
     )
@@ -160,10 +174,7 @@ def test_sweep_cardinality_and_order():
     )
     records = run_sweep(cfg)
     assert len(records) == 30
-    keys = [(r.fiber_length_km, r.n_out, r.snr_db, r.seed) for r in records]
-    assert keys == [
-        (p.fiber_length_km, p.n_out, p.snr_db, s) for p, s in grid_points(cfg)
-    ]
+    assert [r.key for r in records] == grid_points(cfg)
 
 
 def test_sweep_records_independent_of_parallelism():
@@ -176,13 +187,20 @@ def test_sweep_records_independent_of_parallelism():
         assert a.per_position_ber == b.per_position_ber
 
 
+def _resume(cfg, existing):
+    """The CLI's resume: run the frames ``existing`` leaves pending, then
+    put the old and new records in grid order."""
+    groups = sweep_groups(cfg, pending_frames(cfg, existing), 1)
+    return in_grid_order(cfg, existing + [rec for group in groups for rec in group])
+
+
 def test_sweep_resume_skips_completed_points():
     cfg = toy_config(snr_db=(29.0, 30.0))
     first = run_sweep(cfg)
     # poison one completed record; a resumed sweep must trust it on key
     # match instead of recomputing
     poisoned = replace(first[0], ber=0.123)
-    resumed = run_sweep(cfg, existing=[poisoned])
+    resumed = _resume(cfg, [poisoned])
     assert resumed[0].ber == 0.123
     assert resumed[1].ber == first[1].ber
 
@@ -195,7 +213,7 @@ def test_sweep_retries_error_rows():
         rmps=math.nan, train_symbols=0, test_symbols=0, wall_time_s=0.0,
         error="ValueError: boom",
     )
-    records = run_sweep(cfg, existing=[failed])
+    records = _resume(cfg, [failed])
     assert records[0].ok
     assert records[0].ber == records[0].ber  # not nan
 
@@ -248,7 +266,7 @@ def test_sweep_shares_each_frame_and_matches_single_points(tmp_path, monkeypatch
         fiber_length_km=(0.0, 10.0), snr_db=(10.0, 14.0), n_out=(1, 17), seeds=(0, 1),
         total_symbols=8192,
     )
-    single = [run_experiment(cfg, p, s) for p, s in grid_points(cfg)]
+    single = [run_experiment(cfg, p) for p in grid_points(cfg)]
     calls = _counting_front_half(monkeypatch)
     serial = run_sweep(cfg, parallel=1)
     assert sorted(calls) == [(0.0, 0), (0.0, 1), (10.0, 0), (10.0, 1)]
@@ -333,7 +351,7 @@ def test_snr_points_share_one_batch_per_frame_and_n_out(monkeypatch):
         sizes.clear()
         batched = run_sweep(cfg)
         assert sizes == [3] * 4
-        alone = [run_experiment(cfg, p, s) for p, s in grid_points(cfg)]
+        alone = [run_experiment(cfg, p) for p in grid_points(cfg)]
         assert _without_wall_time(batched) == _without_wall_time(alone)
 
 
@@ -343,9 +361,10 @@ def test_streamed_scores_equal_scores_of_the_whole_estimates(monkeypatch, n_out)
     monkeypatch.setattr(esn, "_CHUNK_STEPS", 64)
     cfg = toy_config(fiber_length_km=(10.0,), n_out=(n_out,), snr_db=(6.0, 8.0, 10.0),
                      total_symbols=8192)
-    points = [GridPoint(10.0, n_out, snr) for snr in cfg.snr_db]
-    rows, frame = detect_frame(cfg.link_config(points[0], 0))
-    observations = load_noise_batch(rows, [cfg.link_config(point, 0) for point in points])
+    points = [GridPoint(10.0, n_out, snr, 0) for snr in cfg.snr_db]
+    link_cfg = cfg.link_config(points[0])
+    rows, frame = detect_frame(link_cfg)
+    observations = load_noise_batch(rows, link_cfg, list(cfg.snr_db))
     streams = []
     real = harness.equalize_stream
 
@@ -354,7 +373,7 @@ def test_streamed_scores_equal_scores_of_the_whole_estimates(monkeypatch, n_out)
         return real(*args)
 
     monkeypatch.setattr(harness, "equalize_stream", recorded)
-    records = harness._evaluate(cfg, points, 0, observations, frame, 0.0)
+    records = harness._evaluate(cfg, points, observations, frame, 0.0)
     ((observations, frame, weights, w_outs, esn_cfg, first_target, last_target),) = streams
     assert len(records) == len(observations) == 3
     for rec, obs, w_out in zip(records, observations, w_outs):
@@ -373,10 +392,9 @@ def test_a_point_failing_inside_a_batch_gets_its_own_error_row(monkeypatch):
     real_load, real_fit = harness.load_noise_batch, harness.fit_readout_batch
     broken = []
 
-    def mark_29_db(rows, link_cfgs, *args, **kwargs):
-        observations = real_load(rows, link_cfgs, *args, **kwargs)
-        broken.extend(obs for obs, link_cfg in zip(observations, link_cfgs)
-                      if link_cfg.snr_db == 29.0)
+    def mark_29_db(rows, link_cfg, snrs):
+        observations = real_load(rows, link_cfg, snrs)
+        broken.extend(obs for obs, snr in zip(observations, snrs) if snr == 29.0)
         return observations
 
     def fail_at_29_db(observations, *args, **kwargs):
@@ -398,10 +416,10 @@ def test_a_point_failing_inside_a_batch_gets_its_own_error_row(monkeypatch):
 def test_noise_draw_failure_fails_every_point_of_its_frame(monkeypatch):
     real = harness.load_noise_batch
 
-    def fail_at_seed_1(rows, link_cfgs, *args, **kwargs):
-        if link_cfgs[0].seed == 1:
+    def fail_at_seed_1(rows, link_cfg, snrs):
+        if link_cfg.seed == 1:
             raise RuntimeError("noise broke")
-        return real(rows, link_cfgs, *args, **kwargs)
+        return real(rows, link_cfg, snrs)
 
     monkeypatch.setattr(harness, "load_noise_batch", fail_at_seed_1)
     cfg = toy_config(n_out=(1, 3), snr_db=(29.0, 30.0), seeds=(0, 1))
@@ -415,13 +433,13 @@ def test_noise_draw_failure_fails_every_point_of_its_frame(monkeypatch):
 
 def test_each_frame_loads_its_noise_once_for_every_n_out(monkeypatch):
     cfg = toy_config(n_out=(1, 3), snr_db=(28.0, 29.0, 30.0), seeds=(0, 1))
-    alone = [run_experiment(cfg, p, s) for p, s in grid_points(cfg)]
+    alone = [run_experiment(cfg, p) for p in grid_points(cfg)]
     loads = []
     real = harness.load_noise_batch
 
-    def counted(rows, link_cfgs, *args, **kwargs):
-        loads.append((link_cfgs[0].seed, [link_cfg.snr_db for link_cfg in link_cfgs]))
-        return real(rows, link_cfgs, *args, **kwargs)
+    def counted(rows, link_cfg, snrs):
+        loads.append((link_cfg.seed, list(snrs)))
+        return real(rows, link_cfg, snrs)
 
     monkeypatch.setattr(harness, "load_noise_batch", counted)
     records = run_sweep(cfg)
@@ -509,7 +527,7 @@ def test_broken_pool_turns_unfinished_frames_into_error_rows(monkeypatch):
     assert not any(r.ok for r in records if r.fiber_length_km == 10.0)
     monkeypatch.undo()
     # a resume retries the frames the pool did not finish
-    resumed = run_sweep(cfg, existing=records)
+    resumed = _resume(cfg, records)
     assert _without_wall_time(resumed) == _without_wall_time(run_sweep(cfg))
 
 
@@ -524,7 +542,7 @@ def test_results_roundtrip(tmp_path):
 
 
 def test_zero_records_writes_header_only(tmp_path):
-    write_results([], tmp_path)
+    write_results([], tmp_path, toy_config())
     lines = (tmp_path / "results.csv").read_text().strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("label,seed,snr_db")
@@ -671,7 +689,7 @@ def test_emit_plot_data_requires_unique_reference(tmp_path):
 
 
 def test_cli_plotdata_that_fails_leaves_the_plot_files_as_they_were(tmp_path, capsys):
-    write_results(synthetic_records(), tmp_path)
+    write_results(synthetic_records(), tmp_path, toy_config())
     assert cli_main(["plotdata", "--out", str(tmp_path)]) == 0
     plots = ["ber_vs_snr.csv", "snr_penalty.csv", "complexity.csv", "per_position.csv"]
     before = {name: (tmp_path / name).read_bytes() for name in plots}
@@ -682,7 +700,7 @@ def test_cli_plotdata_that_fails_leaves_the_plot_files_as_they_were(tmp_path, ca
     # a series with one successful SNR has no curve; it sorts between the
     # 0 and 10 km series
     lone = replace(synthetic_records()[-1], fiber_length_km=5.0)
-    write_results(synthetic_records() + [lone], tmp_path)
+    write_results(synthetic_records() + [lone], tmp_path, toy_config())
     assert cli_main(["plotdata", "--out", str(tmp_path)]) == 1
     assert "two points" in capsys.readouterr().err
     assert {name: (tmp_path / name).read_bytes() for name in plots} == before
@@ -831,10 +849,68 @@ def test_cli_sweep_refuses_resume_under_other_settings(tmp_path, capsys):
     # the seed list only chooses which points run, so it may change
     assert cli_main(sweep + ["--seed", "1"]) == 0
     assert "resuming: 1 completed" in capsys.readouterr().out
+    # a manifest that holds no config was not written by a sweep
+    results = (out_dir / "results.csv").read_bytes()
+    (out_dir / "manifest.json").write_text(json.dumps({"n_records": 2}))
+    assert cli_main(sweep) == 1
+    assert "holds no config" in capsys.readouterr().err
+    assert (out_dir / "results.csv").read_bytes() == results
+
+
+def test_cli_resume_keeps_rows_outside_the_new_grid(tmp_path, capsys):
+    config = tmp_path / "toy.yaml"
+    config.write_text(
+        "fiber_length_km: [0]\n"
+        "snr_db: [30]\n"
+        "n_out: [1]\n"
+        "seeds: [0]\n"
+        "total_symbols: 2048\n"
+        "esn: {washout: 2}\n"
+    )
+    out_dir = tmp_path / "run"
+    sweep = ["sweep", "--config", str(config), "--out", str(out_dir)]
+    assert cli_main(sweep) == 0
+    (seed_0,) = read_results(out_dir / "results.csv")
+    # the seed-0 row lies outside the seed-1 grid; it follows the grid's rows
+    assert cli_main(sweep + ["--seed", "1"]) == 0
+    records = read_results(out_dir / "results.csv")
+    assert [r.seed for r in records] == [1, 0]
+    assert records[1] == seed_0
+    assert json.loads((out_dir / "manifest.json").read_text())["seeds"] == [0, 1]
+    # back on the seed-0 grid, both rows are kept and the seed-0 one leads
+    capsys.readouterr()
+    assert cli_main(sweep) == 0
+    assert "resuming: 2 completed" in capsys.readouterr().out
+    assert read_results(out_dir / "results.csv") == [seed_0, records[0]]
+
+
+def test_cli_final_rewrite_that_fails_keeps_the_appended_rows(tmp_path, monkeypatch):
+    config = tmp_path / "toy.yaml"
+    config.write_text(
+        "fiber_length_km: [0]\n"
+        "snr_db: [29, 30]\n"
+        "n_out: [1]\n"
+        "total_symbols: 2048\n"
+        "esn: {washout: 2}\n"
+    )
+    real = harness._csv_rows
+
+    def fail_on_the_rewrite(records, header):
+        records = list(records)
+        if header and records:  # only the final rewrite has both
+            raise RuntimeError("interrupted while formatting")
+        return real(records, header)
+
+    monkeypatch.setattr(harness, "_csv_rows", fail_on_the_rewrite)
+    out_dir = tmp_path / "run"
+    assert cli_main(["sweep", "--config", str(config), "--out", str(out_dir)]) == 2
+    appended = read_results(out_dir / "results.csv")
+    assert [(r.snr_db, r.ok) for r in appended] == [(29.0, True), (30.0, True)]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "results.csv"]
 
 
 def test_cli_plotdata_from_results(tmp_path, capsys):
-    write_results(synthetic_records(), tmp_path)
+    write_results(synthetic_records(), tmp_path, toy_config())
     assert cli_main(["plotdata", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert (tmp_path / "ber_vs_snr.csv").exists()
@@ -851,13 +927,20 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert "unknown key" in capsys.readouterr().err
     # values the link and equalizer reject stop the sweep before it starts
+    base, small = "fiber_length_km: [0]\n", "n_out: [1]\ntotal_symbols: 4096\n"
     for text, field in (
-        ("link: {rolloff: 2.0}\n", "rolloff"),
-        ("n_out: [30]\n", "n_out"),
+        (base + "link: {rolloff: 2.0}\n", "rolloff"),
+        (base + "n_out: [30]\n", "n_out"),
         # kept small, so a regression that runs the sweep ends quickly
-        ("seeds: [0, -1]\nsnr_db: [30]\nn_out: [1]\ntotal_symbols: 4096\n", "seeds"),
+        (base + "seeds: [0, -1]\nsnr_db: [30]\n" + small, "seeds"),
+        # non-finite numbers are refused where they enter
+        (base + "esn: {spectral_radius: .nan}\nsnr_db: [30]\n" + small, "esn.spectral_radius"),
+        (base + "esn: {ridge_lambda: .nan}\nsnr_db: [30]\n" + small, "esn.ridge_lambda"),
+        (base + "esn: {input_scaling: .inf}\nsnr_db: [30]\n" + small, "esn.input_scaling"),
+        (base + "snr_db: [.nan]\n" + small, "snr_db"),
+        ("fiber_length_km: [.inf]\nsnr_db: [30]\n" + small, "fiber_length_km"),
     ):
-        bad.write_text("fiber_length_km: [0]\n" + text)
+        bad.write_text(text)
         out_dir = tmp_path / "run"
         assert cli_main(["sweep", "--config", str(bad), "--out", str(out_dir)]) == 1
         assert field in capsys.readouterr().err

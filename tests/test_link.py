@@ -27,6 +27,7 @@ from slicerc.link import (
     map_gray_pam4,
     mzm_modulate,
     photodetect,
+    photodetect_and_load_noise,
     propagate_cd,
     pulse_shape,
     rrc_taps,
@@ -381,14 +382,14 @@ def test_single_slice_detection_is_plain_square_law():
     cfg = cfg_with(num_slices=1, snr_db=300.0, n_symbols=64)
     rng = substream(5, 1)
     field = rng.normal(size=128) + 1j * rng.normal(size=128)
-    obs = load_noise_batch(photodetect(field[None, :]), [cfg])[0]
+    obs = photodetect_and_load_noise(field[None, :], cfg)
     assert np.allclose(obs.data[0], np.abs(field) ** 2, atol=1e-9)
 
 
 def test_constant_field_gives_constant_power():
     cfg = cfg_with(num_slices=1, snr_db=10.0, n_symbols=64)
     field = np.full(128, 0.6 + 0j)
-    obs = load_noise_batch(photodetect(field[None, :]), [cfg])[0]
+    obs = photodetect_and_load_noise(field[None, :], cfg)
     # zero AC power means zero noise regardless of SNR
     assert np.allclose(obs.data[0], 0.36)
 
@@ -400,7 +401,7 @@ def test_noise_snr_matches_target():
     drive = shaped / np.max(np.abs(shaped))
     field = propagate_cd(mzm_modulate(drive, cfg), cfg)
     fields = slice_spectrum(field, cfg)
-    obs = load_noise_batch(photodetect(fields), [cfg])[0]
+    obs = photodetect_and_load_noise(fields, cfg)
     means = fields.mean(axis=1, keepdims=True)
     clean = np.abs(fields - means + means.sum()) ** 2
     for i in range(cfg.num_slices):
@@ -414,7 +415,7 @@ def test_slices_draw_independent_noise():
     rng = substream(4, 2)
     field = rng.normal(size=128) + 1j * rng.normal(size=128)
     fields = np.vstack([field, field])
-    obs = load_noise_batch(photodetect(fields), [cfg])[0]
+    obs = photodetect_and_load_noise(fields, cfg)
     # identical inputs, same master seed: rows differ only through their
     # per-slice noise substreams
     assert not np.allclose(obs.data[0], obs.data[1])
@@ -423,7 +424,7 @@ def test_slices_draw_independent_noise():
 def test_detection_row_count_must_match_config():
     cfg = cfg_with(num_slices=4)
     with pytest.raises(ValueError):
-        load_noise_batch(photodetect(np.zeros((2, 64), dtype=complex)), [cfg])[0]
+        photodetect_and_load_noise(np.zeros((2, 64), dtype=complex), cfg)
 
 
 def test_load_noise_leaves_rows_alone_and_matches_simulate_link():
@@ -432,7 +433,7 @@ def test_load_noise_leaves_rows_alone_and_matches_simulate_link():
     before = rows.copy()
     for snr in (9.0, 14.0):
         at_snr = cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=3, snr_db=snr)
-        obs = load_noise_batch(rows, [at_snr])[0]
+        (obs,) = load_noise_batch(rows, cfg, [snr])
         assert np.array_equal(rows, before)
         reference, ref_frame = simulate_link(at_snr)
         assert np.array_equal(obs.data, reference.data)
@@ -445,8 +446,7 @@ def test_load_noise_batch_matches_per_slice_normal_draws():
     rows, _ = detect_frame(cfg)
     before = rows.copy()
     snrs = (9.0, 13.0, 30.0)
-    cfgs = [cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=5, snr_db=snr) for snr in snrs]
-    observations = load_noise_batch(rows, cfgs)
+    observations = load_noise_batch(rows, cfg, list(snrs))
     assert np.array_equal(rows, before)
     assert len(observations) == len(snrs)
     n = rows.shape[1]
@@ -456,25 +456,8 @@ def test_load_noise_batch_matches_per_slice_normal_draws():
             want = rows[i] + substream(5, STREAM_SLICE_NOISE, i).normal(0.0, sigma, n)
             assert np.array_equal(obs.data[i], want)
         assert (obs.sps, obs.guard_symbols) == (cfg.sps, cfg.guard_symbols)
-    # an explicit seed overrides the configs' seed the same way
-    reseeded = load_noise_batch(rows, cfgs[:1], seed=8)[0]
-    seeded_8 = cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=8, snr_db=snrs[0])
-    assert np.array_equal(reseeded.data, load_noise_batch(rows, [seeded_8])[0].data)
-    assert not np.array_equal(reseeded.data, observations[0].data)
-
-
-def test_load_noise_batch_rejects_configs_of_other_frames():
-    cfg = cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=5)
-    rows, _ = detect_frame(cfg)
-    for other in (
-        cfg_with(n_symbols=4096, fiber_length_km=0.0, seed=5),
-        cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=6),
-        cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=5, sps=4),
-    ):
-        with pytest.raises(ValueError, match="snr_db"):
-            load_noise_batch(rows, [cfg, other])
-    with pytest.raises(ValueError):
-        load_noise_batch(rows, [])
+    with pytest.raises(ValueError, match="at least one SNR"):
+        load_noise_batch(rows, cfg, [])
 
 
 @pytest.mark.parametrize("num_slices", [1, 3, 4])
