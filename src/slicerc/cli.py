@@ -60,9 +60,6 @@ def _cmd_simulate(args) -> int:
     )
     print("per_position_ber=" + ";".join(f"{v:.6g}" for v in rec.per_position_ber))
     print(f"rmps={rec.rmps:.6g} wall_time_s={rec.wall_time_s:.2f}")
-    if args.out:
-        path = write_results([rec], args.out, cfg)
-        print(f"wrote {path}")
     return 0
 
 
@@ -148,7 +145,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the first grid point and print its report")
     p.add_argument("--config", required=True, help="YAML experiment file")
-    p.add_argument("--out", default=None, help="optional results directory")
     p.add_argument("--seed", type=int, default=None, help="override the seed list")
     p.add_argument("--symbols", type=int, default=None, help="override total_symbols")
     p.set_defaults(handler=_cmd_simulate)

@@ -8,14 +8,14 @@ update cost over n_out equalized symbols.
 
 Only the readout is trained. It reads the extended state, meaning the
 reservoir state concatenated with the step's own input window, plus an
-unregularized bias. Each readout row solves a ridge regression whose
-reservoir columns are restricted to that row's random mask; the window
-columns are always available. The window columns alone form a linear
-multi-output feed-forward equalizer, and at the default settings they
-do nearly all of the work: over the desk grid (0-50 km, n_out 1/17/23)
-a readout without the reservoir columns crosses the KP4 threshold within
-0.05 dB of the full one, while a readout of the reservoir and bias alone
-never reaches it.
+unregularized bias. Each readout row solves a ridge regression over the
+columns its row of ``out_mask`` selects: a random subset of the
+reservoir columns, every window column and the bias. The window columns
+alone form a linear multi-output feed-forward equalizer, and at the
+default settings they do nearly all of the work: over the desk grid
+(0-50 km, n_out 1/17/23) a readout without the reservoir columns
+crosses the KP4 threshold within 0.05 dB of the full one, while a
+readout of the reservoir and bias alone never reaches it.
 
 Training and equalization read the same design rows, [state | window | 1]
 per step, from one chunked step stream whose zero state starts ``washout``
@@ -133,9 +133,9 @@ class EsnConfig:
 class EsnWeights:
     """Fixed random weights plus the trained readout.
 
-    ``w_out`` has shape (n_out, n_res + n_in + 1): reservoir columns,
-    then window columns, then the bias. Entries of ``w_out[:, :n_res]``
-    are exactly zero wherever ``out_mask`` is zero.
+    ``w_out`` and the boolean ``out_mask`` are (n_out, n_res + n_in + 1):
+    reservoir, window, then bias columns. Row r of ``out_mask`` holds the
+    columns readout row r reads, and ``w_out[~out_mask]`` is exactly zero.
     """
 
     w_in: np.ndarray
@@ -150,9 +150,9 @@ def init_weights(cfg: EsnConfig) -> EsnWeights:
     w_in entries are nonzero with probability s_in, values uniform on
     [-input_scaling, +input_scaling]. w_res is drawn at density s_res
     with values uniform on [-1, 1] and rescaled so its spectral radius
-    equals cfg.spectral_radius. out_mask rows are Bernoulli(s_out);
-    a row that comes up empty is redrawn so every output keeps at least
-    one reservoir tap.
+    equals cfg.spectral_radius. out_mask sets the window and bias columns
+    and draws the reservoir ones Bernoulli(s_out); a row whose reservoir
+    part comes up empty is redrawn so every output keeps a reservoir tap.
     """
     rng_in = substream(cfg.seed, STREAM_W_IN)
     keep = rng_in.random((cfg.n_res, cfg.n_in)) < cfg.s_in
@@ -175,17 +175,17 @@ def init_weights(cfg: EsnConfig) -> EsnWeights:
     w_res *= cfg.spectral_radius / radius
 
     rng_mask = substream(cfg.seed, STREAM_OUT_MASK)
-    out_mask = rng_mask.random((cfg.n_out, cfg.n_res)) < cfg.s_out
+    out_mask = np.ones((cfg.n_out, cfg.n_res + cfg.n_in + 1), dtype=bool)
+    taps = out_mask[:, : cfg.n_res]
+    taps[...] = rng_mask.random(taps.shape) < cfg.s_out
     for _ in range(10_000):
-        empty = ~out_mask.any(axis=1)
+        empty = ~taps.any(axis=1)
         if not empty.any():
             break
-        out_mask[empty] = rng_mask.random((int(empty.sum()), cfg.n_res)) < cfg.s_out
+        taps[empty] = rng_mask.random((int(empty.sum()), cfg.n_res)) < cfg.s_out
     else:
         raise RuntimeError("could not draw a readout mask without empty rows")
-
-    w_out = np.zeros((cfg.n_out, cfg.n_res + cfg.n_in + 1))
-    return EsnWeights(w_in=w_in, w_res=w_res, out_mask=out_mask, w_out=w_out)
+    return EsnWeights(w_in=w_in, w_res=w_res, out_mask=out_mask, w_out=np.zeros(out_mask.shape))
 
 
 def _target_region(
@@ -388,43 +388,27 @@ def _solve(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
 def _solve_masked_ridge(
     gram: np.ndarray, moment: np.ndarray, mask: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Solve every readout row over its unmasked columns plus the bias.
+    """Solve every readout row over the columns its mask row selects.
 
-    The columns every row reads (window and bias) are eliminated once;
-    the rest is one stacked solve over their Schur complement, where a
-    row's unselected columns become identity rows with a zero right-hand
-    side and so get exactly zero weight. The ridge penalty applies to
-    feature coefficients only; the bias stays unpenalized so the
-    large-lambda limit recovers the target mean.
+    ``mask`` is as wide as ``gram``. The columns every row reads are
+    eliminated once; the rest is one stacked solve over their Schur
+    complement, where a row's unselected columns become identity rows
+    with a zero right-hand side and so get exactly zero weight. The ridge
+    penalty applies to every column but the last, the bias, which stays
+    unpenalized so the large-lambda limit recovers the target mean.
     """
     n_out, d = mask.shape
-    sel = np.hstack([mask, np.ones((n_out, 1), dtype=bool)])
-    s, v = np.flatnonzero(sel.all(axis=0)), np.flatnonzero(~sel.all(axis=0))
-    a = gram + np.diag(np.append(np.full(d, lam), 0.0))
-    a_vs, pick = a[np.ix_(v, s)], sel[:, v]
+    s, v = np.flatnonzero(mask.all(axis=0)), np.flatnonzero(~mask.all(axis=0))
+    a = gram + np.diag(np.append(np.full(d - 1, lam), 0.0))
+    a_vs, pick = a[np.ix_(v, s)], mask[:, v]
     z = _solve(a[np.ix_(s, s)], np.hstack([a_vs.T, moment[s]]), lam)
     z_v, z_m = z[:, : v.size], z[:, v.size :]
     schur = (a[np.ix_(v, v)] - a_vs @ z_v) * (pick[:, :, None] & pick[:, None, :])
     schur[:, np.arange(v.size), np.arange(v.size)] += ~pick
-    w_out = np.empty((n_out, d + 1))
+    w_out = np.empty((n_out, d))
     w_out[:, v] = _solve(schur, ((moment[v] - a_vs @ z_m).T * pick)[..., None], lam)[..., 0]
     w_out[:, s] = z_m.T - w_out[:, v] @ z_v.T
     return w_out
-
-
-def _extended_mask(mask: np.ndarray, n_in: int) -> np.ndarray:
-    """Per-row feature selection over [reservoir | window] columns.
-
-    Reservoir columns follow the readout mask; window columns are always
-    selected. A row with no reservoir taps is rejected: it would turn
-    that output into a purely linear filter, which the complexity
-    accounting does not describe.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    empty = np.flatnonzero(~mask.any(axis=1))
-    if empty.size:
-        raise ValueError(f"readout row {empty[0]} has an empty mask, nothing to train")
-    return np.hstack([mask, np.ones((mask.shape[0], n_in), dtype=bool)])
 
 
 def fit_readout_batch(
@@ -441,7 +425,18 @@ def fit_readout_batch(
     the SNR points of one sweep frame) and run through one step stream;
     row b of the result is the readout of ``observations[b]``, equal to
     what that observation alone gives. Returns (B, n_out, n_res + n_in + 1).
+
+    ``w.out_mask`` must have that shape and every row must read a
+    reservoir column: without one an output is a linear filter, which
+    the complexity accounting does not describe.
     """
+    batch, d = len(observations), cfg.n_res + cfg.n_in
+    mask = np.asarray(w.out_mask, dtype=bool)
+    if mask.shape != (cfg.n_out, d + 1):
+        raise ValueError(f"out_mask has shape {mask.shape}, the readout {(cfg.n_out, d + 1)}")
+    empty = np.flatnonzero(~mask[:, : cfg.n_res].any(axis=1))
+    if empty.size:
+        raise ValueError(f"readout row {empty[0]} has an empty mask over the reservoir")
     first, n_steps = _target_region(observations, frame, cfg, first_target, last_target)
     if cfg.washout >= n_steps:
         raise ValueError("washout must be smaller than the step count")
@@ -449,7 +444,6 @@ def fit_readout_batch(
     first += cfg.washout * cfg.n_out
     n_steps -= cfg.washout
     targets = frame.levels[first : first + n_steps * cfg.n_out].reshape(n_steps, cfg.n_out)
-    batch, d = len(observations), cfg.n_res + cfg.n_in
     gram = np.zeros((batch, d + 1, d + 1))
     moment = np.zeros((batch, d + 1, cfg.n_out))
     for t0, rows in _step_stream(observations, w, cfg, first, n_steps, cfg.washout):
@@ -457,7 +451,6 @@ def fit_readout_batch(
         for b, f in enumerate(rows):
             gram[b] += f.T @ f
             moment[b] += f.T @ y
-    mask = _extended_mask(w.out_mask, cfg.n_in)
     return np.stack([
         _solve_masked_ridge(gram[b], moment[b], mask, cfg.ridge_lambda) for b in range(batch)
     ])

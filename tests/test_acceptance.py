@@ -247,16 +247,15 @@ def test_criterion_7_numerical_invariants():
     inputs = rng.normal(size=(10, cfg.n_in))
     targets = rng.normal(size=(10, 2))
     mask = np.array([[1, 0, 1, 0], [0, 1, 1, 1]], dtype=bool)
-    d = cfg.n_res + cfg.n_in
     design = np.hstack([states, inputs, np.ones((10, 1))])
+    full_mask = np.hstack([mask, np.ones((2, cfg.n_in + 1), dtype=bool)])
     w_out = esn._solve_masked_ridge(
-        design.T @ design, design.T @ targets,
-        esn._extended_mask(mask, cfg.n_in), cfg.ridge_lambda,
+        design.T @ design, design.T @ targets, full_mask, cfg.ridge_lambda
     )
     expected = np.zeros_like(w_out)
-    full_mask = np.hstack([mask, np.ones((2, cfg.n_in), dtype=bool)])
     for r in range(2):
-        cols = np.append(np.flatnonzero(full_mask[r]), d)
+        # the bias is the last column each row selects, and is not penalized
+        cols = np.flatnonzero(full_mask[r])
         x = design[:, cols]
         a = x.T @ x
         a[np.arange(cols.size - 1), np.arange(cols.size - 1)] += cfg.ridge_lambda

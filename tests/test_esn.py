@@ -76,13 +76,18 @@ def fold(inputs: np.ndarray, w: EsnWeights, leak: float, x=None) -> np.ndarray:
     return states
 
 
+def full_width(mask: np.ndarray, n_in: int) -> np.ndarray:
+    """A reservoir mask widened to [reservoir | window | bias], the last
+    two always read, as init_weights lays out ``out_mask``."""
+    return np.hstack([mask, np.ones((mask.shape[0], n_in + 1), dtype=bool)])
+
+
 def solve_readout(states, inputs, targets, mask, lam):
-    """esn's masked solve on the normal equations of given design rows."""
+    """esn's masked solve on the normal equations of given design rows;
+    ``mask`` selects the reservoir columns."""
     design = np.hstack([states, inputs, np.ones((states.shape[0], 1))])
     gram, moment = design.T @ design, design.T @ targets
-    return esn._solve_masked_ridge(
-        gram, moment, esn._extended_mask(mask, inputs.shape[1]), lam
-    )
+    return esn._solve_masked_ridge(gram, moment, full_width(mask, inputs.shape[1]), lam)
 
 
 # ---------------------------------------------------------------- oracles
@@ -100,7 +105,8 @@ def oracle_fold(inputs, w, leak):
 def oracle_masked_ridge(feats, targets, mask, lam):
     """Dense normal equations per row after deleting masked columns.
 
-    feats excludes the bias; the bias column is appended here and left
+    feats excludes the bias; the bias column is appended here. ``mask``
+    covers [feats | bias], and the bias, always selected, is left
     unpenalized, mirroring the documented training contract.
     """
     n_out = targets.shape[1]
@@ -108,7 +114,8 @@ def oracle_masked_ridge(feats, targets, mask, lam):
     w = np.zeros((n_out, d + 1))
     design = np.hstack([feats, np.ones((feats.shape[0], 1))])
     for r in range(n_out):
-        cols = np.append(np.flatnonzero(mask[r]), d)
+        cols = np.flatnonzero(mask[r])
+        assert cols[-1] == d
         x = design[:, cols]
         a = x.T @ x
         a[np.arange(cols.size - 1), np.arange(cols.size - 1)] += lam
@@ -151,7 +158,7 @@ def test_densities_within_binomial_bounds():
     checks = [
         (w.w_in != 0, cfg.s_in),
         (w.w_res != 0, cfg.s_res),
-        (w.out_mask, cfg.s_out),
+        (w.out_mask[:, : cfg.n_res], cfg.s_out),
     ]
     for nonzero, p in checks:
         n = nonzero.size
@@ -183,8 +190,9 @@ def test_init_deterministic_per_seed():
 def test_every_mask_row_has_a_tap():
     # s_out 0.02 on 30 nodes makes empty rows likely before the redraw
     for seed in range(12):
-        w = init_weights(EsnConfig(n_out=23, s_out=0.02, seed=seed))
-        assert w.out_mask.any(axis=1).all()
+        cfg = EsnConfig(n_out=23, s_out=0.02, seed=seed)
+        w = init_weights(cfg)
+        assert w.out_mask[:, : cfg.n_res].any(axis=1).all()
 
 
 def test_w_out_starts_zero_with_extended_width():
@@ -192,6 +200,8 @@ def test_w_out_starts_zero_with_extended_width():
     w = init_weights(cfg)
     assert w.w_out.shape == (cfg.n_out, cfg.n_res + cfg.n_in + 1)
     assert not w.w_out.any()
+    assert w.out_mask.shape == w.w_out.shape and w.out_mask.dtype == bool
+    assert w.out_mask[:, cfg.n_res :].all()
 
 
 def test_config_validation():
@@ -423,9 +433,8 @@ def test_masked_ridge_matches_deletion_oracle():
     targets = rng.normal(size=(10, 2))
     mask = np.array([[1, 0, 1, 0], [0, 1, 1, 1]], dtype=bool)
     w_out = solve_readout(states, inputs, targets, mask, cfg.ridge_lambda)
-    full_mask = np.hstack([mask, np.ones((2, cfg.n_in), dtype=bool)])
     expected = oracle_masked_ridge(
-        np.hstack([states, inputs]), targets, full_mask, cfg.ridge_lambda
+        np.hstack([states, inputs]), targets, full_width(mask, cfg.n_in), cfg.ridge_lambda
     )
     assert np.max(np.abs(w_out - expected)) < 1e-10
 
@@ -442,7 +451,8 @@ def test_mask_discipline_is_exact():
     assert not w_out[:, :8][~mask].any()
     # and on the full path, against the weights' own mask
     cfg, w, obs, frame = trained_setup(seed=22, n_out=5, washout=10)
-    assert not w.w_out[:, : cfg.n_res][~w.out_mask].any()
+    assert w.out_mask.shape == w.w_out.shape
+    assert not w.w_out[~w.out_mask].any()
 
 
 def test_singular_at_lambda_zero_is_rejected():
@@ -458,23 +468,24 @@ def test_singular_at_lambda_zero_is_rejected():
 
 
 def test_empty_mask_row_is_rejected():
-    cfg = small_cfg(n_res=4)
+    # fit_readout refuses weights whose mask row reads no reservoir column
     rng = substream(11, 0)
-    inputs = rng.normal(size=(12, cfg.n_in))
-    targets = rng.normal(size=(12, 1))
-    with pytest.raises(ValueError, match="empty mask"):
-        solve_readout(
-            rng.normal(size=(12, 4)), inputs, targets,
-            np.zeros((1, 4), dtype=bool), cfg.ridge_lambda,
-        )
-    # fit_readout refuses weights whose mask has an empty row
     cfg = small_cfg(n_res=4, washout=2)
     w = init_weights(cfg)
-    w.out_mask = np.zeros_like(w.out_mask)
+    mask = w.out_mask
+    w.out_mask = mask.copy()
+    w.out_mask[:, : cfg.n_res] = False
     obs = make_obs(rng.normal(size=(1, 30)), sps=1)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 30))
     with pytest.raises(ValueError, match="empty mask"):
         fit_readout(obs, frame, w, cfg, 0, 30)
+    # and a mask that is not the readout's shape, such as the reservoir part alone
+    for wrong in (mask[:, : cfg.n_res], mask[:, :-1], np.vstack([mask, mask])):
+        w.out_mask = wrong
+        with pytest.raises(ValueError, match="out_mask has shape"):
+            fit_readout(obs, frame, w, cfg, 0, 30)
+    w.out_mask = mask
+    assert fit_readout(obs, frame, w, cfg, 0, 30).shape == mask.shape
 
 
 def test_washout_must_leave_training_rows():
@@ -516,9 +527,8 @@ def oracle_w_out(obs, frame, w, cfg, first, last):
     inputs = oracle_windows(obs, cfg, first, n_steps)
     states = oracle_fold(inputs, w, cfg.leak)
     targets = frame.levels[first : first + n_steps * cfg.n_out].reshape(n_steps, cfg.n_out)
-    full_mask = np.hstack([w.out_mask, np.ones((cfg.n_out, cfg.n_in), dtype=bool)])
     feats = np.hstack([states, inputs])[cfg.washout :]
-    return oracle_masked_ridge(feats, targets[cfg.washout :], full_mask, cfg.ridge_lambda)
+    return oracle_masked_ridge(feats, targets[cfg.washout :], w.out_mask, cfg.ridge_lambda)
 
 
 def test_fit_readout_equals_materialized_training():

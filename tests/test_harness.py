@@ -477,10 +477,11 @@ def test_sweep_memory_does_not_grow_with_the_snr_count():
 
 def test_scoring_a_frame_does_not_hold_its_estimates():
     # peak RSS growth of a fresh process while one 2^19-symbol frame at
-    # 12 SNRs, n_out 1, is equalized and scored, above the peak its
+    # 12 SNRs, n_out 17, is equalized and scored, above the peak its
     # training reached. Holding the (12, test symbols) float64 estimates
-    # grows it by about their size (42.8 MB); scoring chunk by chunk
-    # grows it by almost nothing, and the bound is half their size
+    # grows it by about their size (42.7 MB); scoring chunk by chunk
+    # grows it by almost nothing, and the bound is half their size. The
+    # bound does not depend on n_out, and n_out 17 folds 17x fewer steps
     script = (
         "import json, resource\n"
         "from slicerc import harness\n"
@@ -492,7 +493,7 @@ def test_scoring_a_frame_does_not_hold_its_estimates():
         "    trained.append(peak())\n"
         "    return w_outs\n"
         "real_fit, harness.fit_readout_batch = harness.fit_readout_batch, fit\n"
-        "cfg = harness.ExperimentConfig(fiber_length_km=(10.0,), n_out=(1,),\n"
+        "cfg = harness.ExperimentConfig(fiber_length_km=(10.0,), n_out=(17,),\n"
         "    snr_db=tuple(float(s) for s in range(8, 20)), total_symbols=2**19)\n"
         "records = harness.run_sweep(cfg)\n"
         "assert all(rec.ok for rec in records) and len(trained) == 1\n"
@@ -759,6 +760,26 @@ def test_cli_simulate_and_sweep(tmp_path, capsys):
     # resuming reuses the completed point
     assert cli_main(["sweep", "--config", str(config), "--out", str(out_dir)]) == 0
     assert "resuming: 1 completed" in capsys.readouterr().out
+
+
+def test_cli_simulate_writes_no_results_directory(tmp_path):
+    # sweep is the one writer of a results directory; simulate only prints,
+    # so it cannot replace a sweep's rows and manifest with its one point
+    config = tmp_path / "toy.yaml"
+    config.write_text(
+        "fiber_length_km: [0]\n"
+        "snr_db: [29, 30]\n"
+        "n_out: [1]\n"
+        "seeds: [0]\n"
+        "total_symbols: 2048\n"
+        "esn: {washout: 2}\n"
+    )
+    out_dir = tmp_path / "run"
+    assert cli_main(["sweep", "--config", str(config), "--out", str(out_dir)]) == 0
+    files = {name: (out_dir / name).read_bytes() for name in ("results.csv", "manifest.json")}
+    simulate = ["simulate", "--config", str(config), "--out", str(out_dir), "--symbols", "4096"]
+    assert cli_main(simulate) == 1
+    assert {name: (out_dir / name).read_bytes() for name in files} == files
 
 
 def test_cli_sweep_reports_progress_and_environment(tmp_path, capsys, monkeypatch):
