@@ -20,11 +20,19 @@ the SNR, and :func:`load_noise_batch` draws each slice's standard normal
 noise once for any number of SNRs. No noisy copy of the rows is made: an
 observation holds the shared rows, the shared draw and its own per-slice
 noise scale, and :meth:`SlicedObservation.write_samples` is the one place
-that turns them into the samples of any span a reader asks for.
+that turns them into the samples of any span a reader asks for. One SNR
+whose observation owns its rows needs no shared draw:
+:func:`simulate_link` adds the same noise into the rows in place, one
+slice at a time, and its observation's ``noise`` is all zero. Both
+forms take each slice's draw and scale from one rule
+(:func:`_slice_noise`) and give the same samples bit for bit.
 
 :func:`detect_frame` runs dispersion, slicing and detection as one
 spectral pass over the MZM field's spectrum and takes the carrier from
-its DC bin. :func:`propagate_cd`, :func:`slice_spectrum` and
+its DC bin. On spectra above 32 MiB each slice's inverse transform runs
+as a few shorter ones over interleaved phases of its samples, so the
+pass needs FFT scratch of a fraction of the spectrum.
+:func:`propagate_cd`, :func:`slice_spectrum` and
 :func:`photodetect` are the same steps as standalone operators on plain
 arrays that read the sample rate from ``cfg``; the pass and the
 operators share one definition of the dispersion phase, the slice bin
@@ -49,6 +57,12 @@ PAM4_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
 _LEVEL_BY_GRAY_INDEX = np.array([-3.0, -1.0, 3.0, 1.0])
 # Inverse: level index (-3, -1, +1, +3) -> bit pair.
 _BITS_BY_LEVEL_INDEX = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+
+# detect_frame splits its slice transforms only for spectra above glibc's
+# 32 MiB mmap ceiling. Below it the shorter transforms' scratch comes from
+# the heap, whose freed pages stay resident: at 2^19 samples the split
+# raised a sweep's peak RSS by 5 MB at the same live memory.
+_SPLIT_ABOVE_BYTES = 32 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,13 +158,21 @@ class SymbolFrame:
 class SlicedObservation:
     """Photodetected outputs of every spectral slice, with their noise.
 
-    ``rows[i, j]`` is the noiseless detected slice i at sample j and
-    ``noise[i, j]`` a standard normal draw; the observed sample is
-    ``rows[i, j] + noise[i, j] * noise_std[i]``. The SNR points of one
-    frame share ``rows`` and ``noise`` and differ only in ``noise_std``,
-    so neither array is ever written. Sample ``i * sps + p`` of any row
-    belongs to symbol i of the frame (p < sps). ``guard_symbols`` is the
-    per-edge discard count inherited from the link configuration.
+    The observed sample of slice i at sample j is
+    ``rows[i, j] + noise[i, j] * noise_std[i]``. Two forms hold it:
+
+    - From :func:`load_noise_batch`, ``rows`` is the noiseless detected
+      frame and ``noise`` a standard normal draw. The SNR points of one
+      frame share both and differ only in ``noise_std``, so neither
+      array is ever written.
+    - From :func:`simulate_link`, the lone observation of its frame,
+      ``rows`` already carries its noise and ``noise`` is an all-zero
+      broadcast view; ``noise_std`` keeps the scales that noise was
+      drawn at.
+
+    Sample ``i * sps + p`` of any row belongs to symbol i of the frame
+    (p < sps). ``guard_symbols`` is the per-edge discard count inherited
+    from the link configuration.
     """
 
     rows: np.ndarray
@@ -369,14 +391,15 @@ def _in_band(spectrum: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.concatenate((spectrum[spectrum.size + lo :], spectrum[:hi]))
 
 
-def _place_bins(band: np.ndarray, lo: int, a: int, b: int, out: np.ndarray) -> None:
-    """Write bins a..b-1 of ``band`` (whose first bin is lo) into the
-    spectrum ``out`` and zero every other bin."""
+def _place_bins(values: np.ndarray, first: int, out: np.ndarray) -> None:
+    """Write ``values``, the bins first, first + 1, ... of a spectrum, at
+    bin mod ``out.size`` of ``out`` and zero every other bin. They may
+    number at most ``out.size``, so no two land on one bin."""
     out.fill(0.0)
-    for k0, k1 in ((a, min(b, 0)), (max(a, 0), b)):
-        if k0 < k1:
-            start = k0 % out.size
-            out[start : start + k1 - k0] = band[k0 - lo : k1 - lo]
+    start = first % out.size
+    head = min(values.size, out.size - start)
+    out[start : start + head] = values[:head]
+    out[: values.size - head] = values[head:]
 
 
 def _square_law(field: np.ndarray, offset: complex, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -424,7 +447,7 @@ def slice_spectrum(field: np.ndarray, cfg: LinkConfig) -> np.ndarray:
     band = _in_band(spectrum, lo, slices[-1][1])
     fields = np.empty((cfg.num_slices, spectrum.size), dtype=complex)
     for field, (a, b) in zip(fields, slices):
-        _place_bins(band, lo, a, b, out=field)
+        _place_bins(band[a - lo : b - lo], a, out=field)
         np.fft.ifft(field, out=field)
     return fields
 
@@ -450,23 +473,37 @@ def photodetect(fields: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _slice_noise(
+    row: np.ndarray, cfg: LinkConfig, i: int, snr_db: list[float], out: np.ndarray
+) -> list[float]:
+    """The noise rule of slice i, whose clean samples are ``row``: its
+    standard normal draw ``g``, written into ``out``, and its scale
+    ``sigma_i = sqrt(var(row) / 10^(snr / 10))`` at each SNR of ``snr_db``.
+
+    The draw comes from the slice's substream, keyed by (seed, slice) and
+    not by SNR. ``row + fl(sigma_i * g)`` is what adding
+    ``normal(0.0, sigma_i, n)`` to the row draws, and a constant row
+    stays noiseless.
+    """
+    substream(cfg.seed, STREAM_SLICE_NOISE, i).standard_normal(out=out)
+    var = row.var()
+    return [np.sqrt(var / 10.0 ** (snr / 10.0)) for snr in snr_db]
+
+
 def load_noise_batch(
     rows: np.ndarray, cfg: LinkConfig, snr_db: list[float]
 ) -> list[SlicedObservation]:
     """White Gaussian noise on the detected rows of ``cfg``'s frame, one
     observation per SNR of ``snr_db``; ``cfg.snr_db`` is not read.
 
-    Slice i gets ``sigma_i^2 = var(rows[i]) / 10^(snr_db / 10)``, so a
-    constant row stays noiseless. A slice's noise substream is keyed by
-    (seed, slice), not by SNR, so each slice draws its standard normals
-    ``g`` once into one array that every observation shares, with
-    ``rows``; only the per-slice scales ``sigma_i`` differ.
+    Each slice draws its standard normals once (:func:`_slice_noise`),
+    into one array that every observation shares, with ``rows``; only
+    the per-slice scales ``sigma_i`` differ.
     :meth:`SlicedObservation.write_samples` adds ``sigma_i * g`` to the
-    clean sample, which is what ``normal(0.0, sigma_i, n)`` draws, so
-    each observation's samples are bit-identical to a noisy copy loaded
-    at its own SNR. Memory is one draw of the rows' size, whatever the
-    number of SNRs. Both shared arrays are handed out as read-only
-    views; ``rows`` is never written.
+    clean sample, so each observation's samples are bit-identical to
+    :func:`simulate_link` at its own SNR. Memory is one draw of the
+    rows' size, whatever the number of SNRs. Both shared arrays are
+    handed out as read-only views; ``rows`` is never written.
     """
     if not snr_db:
         raise ValueError("load_noise_batch needs at least one SNR")
@@ -474,20 +511,21 @@ def load_noise_batch(
     if clean.shape[0] != cfg.num_slices:
         raise ValueError("field row count must equal num_slices")
     noise = np.empty(clean.shape)
-    for i, row in enumerate(noise):
-        substream(cfg.seed, STREAM_SLICE_NOISE, i).standard_normal(out=row)
-    var = np.array([row.var() for row in clean])
+    # (num_slices, SNRs): column j holds the scales of SNR j
+    scales = np.array(
+        [_slice_noise(row, cfg, i, snr_db, out=g) for i, (row, g) in enumerate(zip(clean, noise))]
+    )
     clean = clean.view()  # the caller's array keeps its own flags
     clean.flags.writeable = noise.flags.writeable = False
     return [
         SlicedObservation(
             rows=clean,
             noise=noise,
-            noise_std=np.sqrt(var / 10.0 ** (snr / 10.0)),
+            noise_std=noise_std,
             sps=cfg.sps,
             guard_symbols=cfg.guard_symbols,
         )
-        for snr in snr_db
+        for noise_std in scales.T
     ]
 
 
@@ -516,19 +554,30 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     Dispersion, slicing and detection run as one spectral pass. The MZM
     field is copied into a complex buffer and transformed there in place.
     The in-band bins are gathered into one compact array, ascending in
-    frequency, and only they get the dispersion factor; the full
-    spectrum's buffer is then reused as each slice's field: its band
-    placed, one inverse FFT in place, detected into its row at once. The
-    carrier is the DC bin divided by n, the mean of the dispersed field;
-    only the slice that holds f = 0 has a nonzero mean, so that slice is
-    squared as it is and every other slice on the carrier. This is
-    ``photodetect(slice_spectrum(propagate_cd(field)))`` up to rounding,
-    without the round trip to the time domain and without the slice
-    fields ever existing together.
+    frequency, and only they get the dispersion factor; the full spectrum
+    is then freed. The carrier is the DC bin divided by n, the mean of
+    the dispersed field; only the slice that holds f = 0 has a nonzero
+    mean, so that slice is squared as it is and every other slice on the
+    carrier. This is ``photodetect(slice_spectrum(propagate_cd(field)))``
+    up to rounding, without the round trip to the time domain and
+    without the slice fields ever existing together.
 
-    The peak is the last slice's inverse FFT: the rows, one complex
-    spectrum and the FFT's own scratch of two more spectra. The compact
-    band is freed before that transform, so it never adds to the peak.
+    Above 32 MiB of spectrum (2^21 samples), each slice's inverse FFT
+    runs as P transforms of n/P points, P the largest power of two that
+    divides n and leaves n/P at least the widest slice's bin count (4 at
+    the defaults, 1 for one slice); smaller spectra keep P = 1. With
+    ``j = r + P m``, time sample j of a slice whose bins k are X_k is
+    ``ifft_{n/P}(Y_r)[m]``, where phase r places ``X_k e^{2 pi i k r / n} / P``
+    at bin k mod n/P, and no two of the slice's bins share one. One
+    buffer of n/P points holds each phase in turn: it is transformed in
+    place and detected at once into samples r, r + P, ... of the
+    slice's row.
+
+    The peak is the forward FFT (one complex spectrum and the FFT's
+    scratch of two more) or a late slice's transforms: the rows, the
+    band (the last slice's bins alone), the phase buffer, the phase ramp
+    and the FFT's scratch of two n/P-point spectra. At the defaults and
+    2^22 symbols the peak RSS grows by 1.8x the rows.
     """
     frame = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
     shaped = pulse_shape(frame, cfg)
@@ -542,22 +591,64 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     n = field.size
     f = _bin_frequencies(n, cfg)
     slices = _slice_bins(f, cfg)
+    widest = max(b - a for a, b in slices)
+    split, phases = field.nbytes > _SPLIT_ABOVE_BYTES, 1
+    while split and n % (2 * phases) == 0 and n // (2 * phases) >= widest:
+        phases *= 2
     lo, hi = slices[0][0], slices[-1][1]
     band = _in_band(field, lo, hi)
     band *= _dispersion_factor(f[lo + n // 2 : hi + n // 2], cfg)
-    del f
+    del field, f
     carrier = band[-lo] / n
+    phase = np.empty(n // phases, dtype=complex)
     rows = np.empty((cfg.num_slices, n))
     for i, (row, (a, b)) in enumerate(zip(rows, slices)):
-        _place_bins(band, lo, a, b, out=field)
+        # the slice's own bins, which no other slice reads, so they are
+        # scaled and turned through the phases in place; the last slice's
+        # are copied out, so that the band is freed before its transforms
+        values = band[a - lo : b - lo]
         if i == len(slices) - 1:
+            values = values.copy()
             del band
-        np.fft.ifft(field, out=field)
-        _square_law(field, 0.0 if a <= 0 < b else carrier, row, field)
+        values *= 1.0 / phases
+        ramp = np.exp((2j * pi / n) * np.arange(a, b)) if phases > 1 else None
+        offset = 0.0 if a <= 0 < b else carrier
+        for r in range(phases):
+            if r:
+                values *= ramp
+            _place_bins(values, a, out=phase)
+            np.fft.ifft(phase, out=phase)
+            _square_law(phase, offset, row[r::phases], phase)
+        del ramp
     return rows, frame
 
 
 def simulate_link(cfg: LinkConfig) -> tuple[SlicedObservation, SymbolFrame]:
-    """Run the full chain for one frame. Deterministic in (cfg, cfg.seed)."""
+    """Run the full chain for one frame at ``cfg.snr_db``. Deterministic
+    in (cfg, cfg.seed).
+
+    The observation's samples are bit-identical to
+    ``load_noise_batch(rows, cfg, [cfg.snr_db])[0]`` on the
+    :func:`detect_frame` rows, but as the only observation of its frame it
+    owns those rows: each slice's noise is added into its row in place,
+    one slice at a time, its scale taken from the clean row first. The
+    rows come back read-only and ``noise`` is an all-zero broadcast view,
+    so the frame's memory is the rows alone and no draw of their size
+    outlives the call.
+    """
     rows, frame = detect_frame(cfg)
-    return load_noise_batch(rows, cfg, [cfg.snr_db])[0], frame
+    draw = np.empty(rows.shape[1])
+    noise_std = np.empty(cfg.num_slices)
+    for i, row in enumerate(rows):
+        noise_std[i] = _slice_noise(row, cfg, i, [cfg.snr_db], out=draw)[0]
+        draw *= noise_std[i]
+        row += draw
+    rows.flags.writeable = False
+    observation = SlicedObservation(
+        rows=rows,
+        noise=np.broadcast_to(0.0, rows.shape),
+        noise_std=noise_std,
+        sps=cfg.sps,
+        guard_symbols=cfg.guard_symbols,
+    )
+    return observation, frame

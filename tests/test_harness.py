@@ -46,6 +46,8 @@ from slicerc.harness import (
 from slicerc.link import detect_frame, load_noise_batch
 from slicerc.metrics import ber_floor, complexity_rmps, count_errors, hard_decision
 
+from fresh_process import run_fresh
+
 
 def toy_config(**kw) -> ExperimentConfig:
     base = dict(
@@ -464,14 +466,7 @@ def test_sweep_memory_does_not_grow_with_the_snr_count():
         "rows = cfg.link.num_slices * cfg.total_symbols * cfg.link.sps * 8\n"
         "print(json.dumps({'grown': grown, 'rows': rows}))\n"
     )
-    src = str(Path(slicerc.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    got = {}
-    for n_snr in (1, 6):
-        proc = subprocess.run([sys.executable, "-c", script, str(n_snr)], capture_output=True,
-                              text=True, env=env, check=True)
-        got[n_snr] = json.loads(proc.stdout.strip().splitlines()[-1])
+    got = {n_snr: run_fresh(script, str(n_snr)) for n_snr in (1, 6)}
     assert got[6]["grown"] - got[1]["grown"] < got[1]["rows"], got
 
 
@@ -500,12 +495,7 @@ def test_scoring_a_frame_does_not_hold_its_estimates():
         "estimates = sum(rec.test_symbols for rec in records) * 8\n"
         "print(json.dumps({'grown': peak() - trained[0], 'estimates': estimates}))\n"
     )
-    src = str(Path(slicerc.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
-    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    got = run_fresh(script)
     assert got["grown"] < got["estimates"] / 2, got
 
 
