@@ -447,7 +447,8 @@ def fit_readout_batch(
     gram = np.zeros((batch, d + 1, d + 1))
     moment = np.zeros((batch, d + 1, cfg.n_out))
     for t0, rows in _step_stream(observations, w, cfg, first, n_steps, cfg.washout):
-        y = targets[t0 : t0 + rows.shape[1]]
+        # float64 targets keep the product on the BLAS path
+        y = targets[t0 : t0 + rows.shape[1]].astype(float)
         for b, f in enumerate(rows):
             gram[b] += f.T @ f
             moment[b] += f.T @ y

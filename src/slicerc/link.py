@@ -28,10 +28,10 @@ forms take each slice's draw and scale from one rule
 (:func:`_slice_noise`) and give the same samples bit for bit.
 
 :func:`detect_frame` runs dispersion, slicing and detection as one
-spectral pass over the MZM field's spectrum and takes the carrier from
-its DC bin. On spectra above 32 MiB each slice's inverse transform runs
-as a few shorter ones over interleaved phases of its samples, so the
-pass needs FFT scratch of a fraction of the spectrum.
+spectral pass over the real MZM field's rfft and takes the carrier from
+its DC bin. On frames above 2^21 samples each slice's inverse transform
+runs as a few shorter ones over interleaved phases of its samples, so
+the pass needs FFT scratch of a fraction of the spectrum.
 :func:`propagate_cd`, :func:`slice_spectrum` and
 :func:`photodetect` are the same steps as standalone operators on plain
 arrays that read the sample rate from ``cfg``; the pass and the
@@ -54,15 +54,20 @@ PAM4_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
 
 # Gray labeling: adjacent amplitude levels differ in exactly one bit.
 # Bit pair (b0, b1) maps to index 2*b0 + b1 in this table.
-_LEVEL_BY_GRAY_INDEX = np.array([-3.0, -1.0, 3.0, 1.0])
+_LEVEL_BY_GRAY_INDEX = np.array([-3, -1, 3, 1], dtype=np.int8)
 # Inverse: level index (-3, -1, +1, +3) -> bit pair.
 _BITS_BY_LEVEL_INDEX = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 
-# detect_frame splits its slice transforms only for spectra above glibc's
-# 32 MiB mmap ceiling. Below it the shorter transforms' scratch comes from
-# the heap, whose freed pages stay resident: at 2^19 samples the split
-# raised a sweep's peak RSS by 5 MB at the same live memory.
+# detect_frame splits its slice transforms only for frames whose complex
+# spectrum (16 bytes a sample) lies above glibc's 32 MiB mmap ceiling.
+# Below it the shorter transforms' scratch comes from the heap, whose freed
+# pages stay resident: at 2^19 samples the split raised a sweep's peak RSS
+# by 5 MB at the same live memory.
 _SPLIT_ABOVE_BYTES = 32 << 20
+
+# detect_frame's phase twiddles e^{2 pi i k / n} come from two tables of
+# about this length, not from one table as long as the slice
+_TWIDDLE_BLOCK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +150,9 @@ class LinkConfig:
 
 @dataclass(eq=False, slots=True)
 class SymbolFrame:
-    """Transmitted PAM4 levels; ``demap_gray_pam4(levels)`` gives their bits."""
+    """Transmitted PAM4 levels as int8 (-3, -1, +1, +3);
+    ``demap_gray_pam4(levels)`` gives their bits. Readers that compute
+    with them cast them to float first."""
 
     levels: np.ndarray
 
@@ -219,7 +226,8 @@ def generate_frame(n_symbols: int, rng: np.random.Generator) -> SymbolFrame:
 def map_gray_pam4(bits: np.ndarray) -> np.ndarray:
     """Map a flat bit vector (two bits per symbol) to PAM4 levels.
 
-    Gray labeling: 00 -> -3, 01 -> -1, 11 -> +1, 10 -> +3.
+    Gray labeling: 00 -> -3, 01 -> -1, 11 -> +1, 10 -> +3. The levels
+    are small integers and come back as int8, an eighth of float64.
     """
     bits = np.asarray(bits)
     if bits.size % 2 != 0:
@@ -317,19 +325,31 @@ def pulse_shape(frame: SymbolFrame, cfg: LinkConfig) -> np.ndarray:
     The convolution is circular over the frame and the filter group
     delay is compensated, so sample ``i * sps`` of the output aligns
     with symbol i. Output length is ``n_symbols * sps``.
+
+    It runs at symbol rate, in polyphase form. The zero-stuffed frame is
+    nonzero only at multiples of sps, so output branch p (samples p,
+    p + sps, ...) is the circular convolution of the levels with taps p,
+    p + sps, ... of the filter over ``n_symbols`` points. One rfft of the
+    levels serves every branch; each branch adds one rfft of its taps and
+    one irfft into its samples. This is the full-length circular
+    convolution of the zero-stuffed frame with the filter, up to rounding.
     """
     check_filter_span(cfg, frame.n_symbols)
     taps = rrc_taps(cfg.rolloff, cfg.sps, cfg.rrc_span_symbols)
-    n = frame.n_symbols * cfg.sps
-    up = np.zeros(n)
-    up[:: cfg.sps] = frame.levels
-    # Roll the centered taps so the center tap sits at lag zero, which
-    # bakes the group-delay compensation into the kernel.
-    half = cfg.rrc_span_symbols * cfg.sps
-    kernel = np.zeros(n)
-    kernel[: half + 1] = taps[half:]
-    kernel[-half:] = taps[:half]
-    return np.fft.irfft(np.fft.rfft(up) * np.fft.rfft(kernel), n)
+    n_symbols, span = frame.n_symbols, cfg.rrc_span_symbols
+    levels = np.fft.rfft(np.asarray(frame.levels, dtype=float))
+    out = np.empty(n_symbols * cfg.sps)
+    for p in range(cfg.sps):
+        # the branch's taps sit at symbol lags -span, -span + 1, ...; rolled
+        # so that lag zero is index zero, which compensates the group delay
+        lagged = taps[p :: cfg.sps]
+        branch = np.zeros(n_symbols)
+        branch[: lagged.size - span] = lagged[span:]
+        branch[-span:] = lagged[:span]
+        spectrum = np.fft.rfft(branch)
+        spectrum *= levels
+        np.fft.irfft(spectrum, n_symbols, out=out[p :: cfg.sps])
+    return out
 
 
 def mzm_modulate(drive: np.ndarray, cfg: LinkConfig) -> np.ndarray:
@@ -389,6 +409,26 @@ def _in_band(spectrum: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Bins lo..hi-1 of a spectrum (lo <= 0 < hi) in ascending frequency
     order, as a new compact array."""
     return np.concatenate((spectrum[spectrum.size + lo :], spectrum[:hi]))
+
+
+def _rotate_bins(values: np.ndarray, first: int, n: int) -> None:
+    """Multiply ``values``, the bins first, first + 1, ... of an n-point
+    spectrum, by their twiddles ``e^{2 pi i k / n}`` in place.
+
+    Bin ``first + q T + s`` (T = :data:`_TWIDDLE_BLOCK`, s < T) takes
+    ``fine[s] * coarse[q]``: two short tables, applied to whole blocks of
+    T bins and then to the last, partial block.
+    """
+    step = 2j * pi / n
+    fine = np.exp(step * np.arange(_TWIDDLE_BLOCK))
+    coarse = np.exp(step * np.arange(first, first + values.size, _TWIDDLE_BLOCK))
+    whole = values.size - values.size % _TWIDDLE_BLOCK
+    blocks = values[:whole].reshape(-1, _TWIDDLE_BLOCK)
+    blocks *= fine
+    blocks *= coarse[: blocks.shape[0], None]
+    tail = values[whole:]
+    tail *= fine[: tail.size]
+    tail *= coarse[-1:]
 
 
 def _place_bins(values: np.ndarray, first: int, out: np.ndarray) -> None:
@@ -484,9 +524,18 @@ def _slice_noise(
     not by SNR. ``row + fl(sigma_i * g)`` is what adding
     ``normal(0.0, sigma_i, n)`` to the row draws, and a constant row
     stays noiseless.
+
+    The variance is ``row.var()`` bit for bit: the same ufuncs in the
+    same order (sum, divide, subtract, square, sum, divide), with ``out``
+    as the deviations' scratch before the draw overwrites it, so no
+    temporary of the row's size is made.
     """
+    mean = row.sum(keepdims=True)
+    mean /= row.size
+    np.subtract(row, mean, out=out)
+    np.square(out, out=out)
+    var = out.sum() / row.size
     substream(cfg.seed, STREAM_SLICE_NOISE, i).standard_normal(out=out)
-    var = row.var()
     return [np.sqrt(var / 10.0 ** (snr / 10.0)) for snr in snr_db]
 
 
@@ -552,32 +601,34 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     keeps |v| <= 1 for any frame content.
 
     Dispersion, slicing and detection run as one spectral pass. The MZM
-    field is copied into a complex buffer and transformed there in place.
-    The in-band bins are gathered into one compact array, ascending in
-    frequency, and only they get the dispersion factor; the full spectrum
-    is then freed. The carrier is the DC bin divided by n, the mean of
-    the dispersed field; only the slice that holds f = 0 has a nonzero
-    mean, so that slice is squared as it is and every other slice on the
-    carrier. This is ``photodetect(slice_spectrum(propagate_cd(field)))``
-    up to rounding, without the round trip to the time domain and
-    without the slice fields ever existing together.
+    field is real, so its forward transform is an rfft: bins 0..n/2, and
+    each negative bin is the conjugate of its positive twin. The in-band
+    bins are gathered into one compact array, ascending in frequency, and
+    only they get the dispersion factor, at the frequencies ``fftfreq``
+    gives them; the half spectrum is then freed. The carrier is the DC
+    bin divided by n, the mean of the dispersed field; only the slice that
+    holds f = 0 has a nonzero mean, so that slice is squared as it is and
+    every other slice on the carrier. This is
+    ``photodetect(slice_spectrum(propagate_cd(field)))`` up to rounding,
+    without the round trip to the time domain and without the slice
+    fields ever existing together.
 
-    Above 32 MiB of spectrum (2^21 samples), each slice's inverse FFT
-    runs as P transforms of n/P points, P the largest power of two that
-    divides n and leaves n/P at least the widest slice's bin count (4 at
-    the defaults, 1 for one slice); smaller spectra keep P = 1. With
-    ``j = r + P m``, time sample j of a slice whose bins k are X_k is
-    ``ifft_{n/P}(Y_r)[m]``, where phase r places ``X_k e^{2 pi i k r / n} / P``
-    at bin k mod n/P, and no two of the slice's bins share one. One
-    buffer of n/P points holds each phase in turn: it is transformed in
-    place and detected at once into samples r, r + P, ... of the
-    slice's row.
+    When the frame's complex spectrum would exceed 32 MiB (above 2^21
+    samples), each slice's inverse FFT runs as P transforms of n/P points,
+    P the largest power of two that divides n and leaves n/P at least the
+    widest slice's bin count (4 at the defaults, 1 for one slice); smaller
+    frames keep P = 1. With ``j = r + P m``, time sample j of a slice whose
+    bins k are X_k is ``ifft_{n/P}(Y_r)[m]``, where phase r places
+    ``X_k e^{2 pi i k r / n} / P`` at bin k mod n/P, and no two of the
+    slice's bins share one. One buffer of n/P points holds each phase in
+    turn: it is transformed in place and detected at once into samples r,
+    r + P, ... of the slice's row. The twiddles come from two short tables
+    (:func:`_rotate_bins`).
 
-    The peak is the forward FFT (one complex spectrum and the FFT's
-    scratch of two more) or a late slice's transforms: the rows, the
-    band (the last slice's bins alone), the phase buffer, the phase ramp
-    and the FFT's scratch of two n/P-point spectra. At the defaults and
-    2^22 symbols the peak RSS grows by 1.8x the rows.
+    The peak is a late slice's transforms: the rows, the band (the last
+    slice's bins alone), the phase buffer and the FFT's scratch of two
+    n/P-point spectra. At the defaults and 2^21 symbols the peak RSS grows
+    by about 1.5x the rows.
     """
     frame = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
     shaped = pulse_shape(frame, cfg)
@@ -585,20 +636,23 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     # and measured 1.5-5.5 MB more peak RSS on 2^18-symbol sweeps (heap layout)
     drive = shaped / np.max(np.abs(shaped))
     del shaped
-    field = mzm_modulate(drive, cfg).astype(complex)
+    field = mzm_modulate(drive, cfg)
     del drive
-    np.fft.fft(field, out=field)
     n = field.size
-    f = _bin_frequencies(n, cfg)
-    slices = _slice_bins(f, cfg)
+    half = np.fft.rfft(field)
+    del field
+    slices = _slice_bins(_bin_frequencies(n, cfg), cfg)
     widest = max(b - a for a, b in slices)
-    split, phases = field.nbytes > _SPLIT_ABOVE_BYTES, 1
+    split, phases = 16 * n > _SPLIT_ABOVE_BYTES, 1
     while split and n % (2 * phases) == 0 and n // (2 * phases) >= widest:
         phases *= 2
     lo, hi = slices[0][0], slices[-1][1]
-    band = _in_band(field, lo, hi)
-    band *= _dispersion_factor(f[lo + n // 2 : hi + n // 2], cfg)
-    del field, f
+    band = np.empty(hi - lo, dtype=complex)
+    band[-lo:] = half[:hi]
+    np.conjugate(half[-lo:0:-1], out=band[:-lo])
+    del half
+    # fftfreq's own expression, so each bin's frequency keeps its bits
+    band *= _dispersion_factor(np.arange(lo, hi) * (1.0 / (n * (1.0 / cfg.sample_rate))), cfg)
     carrier = band[-lo] / n
     phase = np.empty(n // phases, dtype=complex)
     rows = np.empty((cfg.num_slices, n))
@@ -611,15 +665,13 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
             values = values.copy()
             del band
         values *= 1.0 / phases
-        ramp = np.exp((2j * pi / n) * np.arange(a, b)) if phases > 1 else None
         offset = 0.0 if a <= 0 < b else carrier
         for r in range(phases):
             if r:
-                values *= ramp
+                _rotate_bins(values, a, n)
             _place_bins(values, a, out=phase)
             np.fft.ifft(phase, out=phase)
             _square_law(phase, offset, row[r::phases], phase)
-        del ramp
     return rows, frame
 
 

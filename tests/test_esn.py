@@ -33,6 +33,7 @@ from slicerc.link import (
     SymbolFrame,
     detect_frame,
     load_noise_batch,
+    simulate_link,
 )
 from slicerc.rng import substream
 
@@ -577,6 +578,25 @@ def trained_setup(seed=15, n_sym=1200, n_out=3, washout=15):
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
     w.w_out = fit_readout(obs, frame, w, cfg, cfg.k, n_sym // 2)
     return cfg, w, obs, frame
+
+
+def test_int8_levels_train_and_equalize_as_float64_levels():
+    # the frame's levels are int8; fit_readout and equalize must give the
+    # bits that float64 levels of the same values give
+    obs, frame = simulate_link(LinkConfig(10.0, 14.0, 4096, seed=2))
+    assert frame.levels.dtype == np.int8
+    as_float = SymbolFrame(levels=frame.levels.astype(float))
+    cfg = EsnConfig(n_out=17, seed=2)
+    w = init_weights(cfg)
+    first, last = obs.guard_symbols + cfg.k, frame.n_symbols - obs.guard_symbols - cfg.k
+    middle = first + (last - first) // 2
+    w_outs = [fit_readout(obs, f, w, cfg, first, middle) for f in (frame, as_float)]
+    assert np.array_equal(w_outs[0], w_outs[1])
+    w.w_out = w_outs[0]
+    est, at = equalize(obs, frame, w, cfg, middle, last)
+    est_float, at_float = equalize(obs, as_float, w, cfg, middle, last)
+    assert at == at_float
+    assert np.array_equal(est, est_float)
 
 
 def test_equalize_covers_region_exactly_once():

@@ -455,14 +455,14 @@ def test_sweep_memory_does_not_grow_with_the_snr_count():
     # n_out 17: six SNR points may take less than one more copy of the
     # frame's rows than one SNR point does
     script = (
-        "import json, resource, sys\n"
+        "import json, sys\n"
         "from slicerc.harness import ExperimentConfig, run_sweep\n"
-        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "base = peak_rss()\n"
         "snrs = tuple(float(s) for s in range(10, 10 + int(sys.argv[1])))\n"
         "cfg = ExperimentConfig(fiber_length_km=(10.0,), snr_db=snrs, n_out=(17,),\n"
         "                       total_symbols=2**19)\n"
         "assert all(rec.ok for rec in run_sweep(cfg))\n"
-        "grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) * 1024\n"
+        "grown = peak_rss() - base\n"
         "rows = cfg.link.num_slices * cfg.total_symbols * cfg.link.sps * 8\n"
         "print(json.dumps({'grown': grown, 'rows': rows}))\n"
     )
@@ -478,14 +478,12 @@ def test_scoring_a_frame_does_not_hold_its_estimates():
     # grows it by almost nothing, and the bound is half their size. The
     # bound does not depend on n_out, and n_out 17 folds 17x fewer steps
     script = (
-        "import json, resource\n"
+        "import json\n"
         "from slicerc import harness\n"
-        "def peak():\n"
-        "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
         "trained = []\n"
         "def fit(*args):\n"
         "    w_outs = real_fit(*args)\n"
-        "    trained.append(peak())\n"
+        "    trained.append(peak_rss())\n"
         "    return w_outs\n"
         "real_fit, harness.fit_readout_batch = harness.fit_readout_batch, fit\n"
         "cfg = harness.ExperimentConfig(fiber_length_km=(10.0,), n_out=(17,),\n"
@@ -493,7 +491,7 @@ def test_scoring_a_frame_does_not_hold_its_estimates():
         "records = harness.run_sweep(cfg)\n"
         "assert all(rec.ok for rec in records) and len(trained) == 1\n"
         "estimates = sum(rec.test_symbols for rec in records) * 8\n"
-        "print(json.dumps({'grown': peak() - trained[0], 'estimates': estimates}))\n"
+        "print(json.dumps({'grown': peak_rss() - trained[0], 'estimates': estimates}))\n"
     )
     got = run_fresh(script)
     assert got["grown"] < got["estimates"] / 2, got

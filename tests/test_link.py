@@ -100,6 +100,14 @@ def test_gray_roundtrip(bits):
     assert np.array_equal(demap_gray_pam4(map_gray_pam4(bits)), bits)
 
 
+def test_generate_frame_levels_are_int8_gray_levels():
+    frame = generate_frame(1000, substream(3, STREAM_BITS))
+    assert frame.levels.dtype == np.int8
+    assert set(np.unique(frame.levels).tolist()) == {-3, -1, 1, 3}
+    bits = demap_gray_pam4(frame.levels)
+    assert np.array_equal(map_gray_pam4(bits), frame.levels)
+
+
 def test_generate_frame_deterministic_and_balanced():
     f1 = generate_frame(2**16, substream(3, 0))
     f2 = generate_frame(2**16, substream(3, 0))
@@ -194,6 +202,35 @@ def test_pulse_shape_power_tracks_level_power():
     # iid symbols through a unit-energy filter: E|y|^2 = E[l^2] / sps
     expected = np.mean(frame.levels**2) / cfg.sps
     assert abs(np.mean(wave**2) / expected - 1.0) < 0.05
+
+
+def oracle_pulse_shape(levels, cfg):
+    """The zero-stuffed frame circularly convolved with the rolled taps,
+    over the full frame length."""
+    n = levels.size * cfg.sps
+    up = np.zeros(n)
+    up[:: cfg.sps] = levels
+    taps = rrc_taps(cfg.rolloff, cfg.sps, cfg.rrc_span_symbols)
+    half = cfg.rrc_span_symbols * cfg.sps
+    kernel = np.zeros(n)
+    kernel[: half + 1] = taps[half:]
+    kernel[-half:] = taps[:half]
+    return np.fft.irfft(np.fft.rfft(up) * np.fft.rfft(kernel), n)
+
+
+@pytest.mark.parametrize("sps,rolloff", [(1, 0.0), (2, 0.1), (3, 0.35)])
+def test_pulse_shape_matches_the_full_length_convolution(sps, rolloff):
+    # 2 span + 1 symbols is the shortest frame check_filter_span allows
+    limit = 2 * 64 + 1
+    for n_symbols in (limit, limit + 1, 4096, 4097):
+        cfg = cfg_with(sps=sps, rolloff=rolloff, n_symbols=n_symbols)
+        frame = generate_frame(n_symbols, substream(cfg.seed, STREAM_BITS))
+        want = oracle_pulse_shape(frame.levels.astype(float), cfg)
+        got = pulse_shape(frame, cfg)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="frame too short"):
+        pulse_shape(generate_frame(limit - 1, substream(0, STREAM_BITS)), cfg)
 
 
 def test_pulse_shape_rejects_frame_shorter_than_span():
@@ -440,6 +477,22 @@ def test_load_noise_leaves_rows_alone_and_matches_simulate_link():
         assert not reference.rows.flags.writeable
 
 
+@pytest.mark.parametrize("size", [1, 7, 128, 1000, 2**16 + 3])
+def test_slice_noise_scale_is_the_row_variance_bit_for_bit(size):
+    # the variance is computed in the draw's buffer, not by row.var(); it
+    # must still be row.var()'s bits, pairwise summation included
+    rng = np.random.default_rng(size)
+    cfg = cfg_with(seed=9)
+    snrs = [6.0, 12.5, 30.0]
+    for offset, scale in ((0.0, 1.0), (0.36, 1e-3), (-5.0, 7.0)):
+        row = offset + scale * rng.standard_normal(size)
+        out = np.empty(size)
+        scales = link._slice_noise(row, cfg, 2, snrs, out=out)
+        var = row.var()
+        assert scales == [np.sqrt(var / 10.0 ** (snr / 10.0)) for snr in snrs]
+        assert np.array_equal(out, substream(9, STREAM_SLICE_NOISE, 2).standard_normal(size))
+
+
 def test_load_noise_batch_matches_per_slice_normal_draws():
     cfg = cfg_with(n_symbols=4096, fiber_length_km=10.0, seed=5)
     rows, _ = detect_frame(cfg)
@@ -484,11 +537,11 @@ def test_detect_frame_memory_stays_bounded():
     # peak RSS growth of a fresh process, so nothing else the suite holds
     # or has freed counts; the bound is five observations' worth of rows
     script = (
-        "import json, resource\n"
+        "import json\n"
         "from slicerc.link import LinkConfig, detect_frame\n"
-        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "base = peak_rss()\n"
         "rows, _ = detect_frame(LinkConfig(10.0, 12.0, 2**20))\n"
-        "grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) * 1024\n"
+        "grown = peak_rss() - base\n"
         "print(json.dumps({'grown': grown, 'rows': rows.nbytes}))\n"
     )
     got = run_fresh(script)
@@ -498,23 +551,48 @@ def test_detect_frame_memory_stays_bounded():
 def test_detect_frame_memory_at_reference_scale():
     # at 2^21 symbols every full-size array (rows, spectrum) lies above
     # glibc's 32 MiB mmap ceiling, so peak RSS follows live memory.
-    # detect_frame measured 1.80x the rows, its slice transforms at n/4
-    # points, and simulate_link 1.88x, its noise added into the rows one
-    # slice at a time. Transforms over the full spectrum measured 2.47x,
-    # and a lone observation that also holds a noise draw of the rows'
-    # size 2.62x
+    # detect_frame measured 1.52x the rows and simulate_link 1.52x: slice
+    # transforms at n/4 points with short twiddle tables, an rfft forward
+    # pass, symbol-rate pulse shaping, int8 levels, and noise added into
+    # the rows one slice at a time with the variance computed in the
+    # draw's buffer. A frame-length twiddle ramp, a complex forward FFT,
+    # full-length pulse shaping, float64 levels and row.var() measured
+    # 1.80x and 1.88x; transforms over the full spectrum 2.47x, and a lone
+    # observation that also holds a noise draw of the rows' size 2.62x
     for stage in ("detect_frame", "simulate_link"):
         script = (
-            "import json, resource\n"
+            "import json\n"
             f"from slicerc.link import LinkConfig, {stage}\n"
-            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "base = peak_rss()\n"
             f"out, _ = {stage}(LinkConfig(10.0, 12.0, 2**21))\n"
-            "grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) * 1024\n"
+            "grown = peak_rss() - base\n"
             "rows = getattr(out, 'rows', out)\n"
             "print(json.dumps({'grown': grown, 'rows': rows.nbytes}))\n"
         )
         got = run_fresh(script)
-        assert got["grown"] <= 2.0 * got["rows"], (stage, got)
+        assert got["grown"] <= 1.65 * got["rows"], (stage, got)
+
+
+def test_detect_frame_splits_only_above_2_21_samples():
+    # the split is gated in samples: a 2^18-symbol frame (2^19 samples)
+    # runs one full-length inverse FFT per slice, since splitting it raised
+    # a desk sweep's peak RSS by 5%, and a 2^21-symbol frame runs P = 4
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from slicerc.link import LinkConfig, detect_frame\n"
+        "sizes, ifft = [], np.fft.ifft\n"
+        "def recorded(a, *args, **kw):\n"
+        "    sizes.append(a.size)\n"
+        "    return ifft(a, *args, **kw)\n"
+        "np.fft.ifft = recorded\n"
+        "detect_frame(LinkConfig(10.0, 12.0, int(sys.argv[1])))\n"
+        "print(json.dumps({'sizes': sizes}))\n"
+    )
+    for n_symbols, phases in ((2**18, 1), (2**21, 4)):
+        n = 2 * n_symbols
+        got = run_fresh(script, str(n_symbols))
+        assert got["sizes"] == [n // phases] * (4 * phases), (n_symbols, got["sizes"][:8])
 
 
 # ------------------------------------------------------------ end to end
