@@ -19,13 +19,14 @@ readout of the reservoir and bias alone never reaches it.
 
 Training and equalization read the same design rows, [state | window | 1]
 per step, from one chunked step stream whose zero state starts ``washout``
-steps before its first row. Several observations of one frame (the SNR
-points of a sweep frame, which share the weight draw) can run through it
-side by side as a batch; each row of a batch gets exactly the numbers it
-would get alone. fit_readout is that batch at size 1. equalize_stream
-hands out the estimates chunk by chunk as the stream makes them, so a
-caller that scores them as they come never holds a frame's estimates;
-equalize gathers the chunks of one observation into one array.
+steps before its first row, over a target region that every call names.
+Several observations of one frame (the SNR points of a sweep frame, which
+share the weight draw) can run through it side by side as a batch; each
+row of a batch gets exactly the numbers it would get alone. fit_readout
+is that batch at size 1. equalize_stream hands out the estimates chunk
+by chunk as the stream makes them, so a caller that scores them as they
+come never holds a frame's estimates; equalize gathers the chunks of one
+observation into one array.
 The observations of one frame share its clean rows and its noise draw,
 and each chunk has an observation write only the noisy samples it reads
 (SlicedObservation.write_samples), so a batch of any size holds no noisy
@@ -49,7 +50,8 @@ and a stream whose guesses mostly fail, which stops guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from math import isfinite
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -95,6 +97,9 @@ class EsnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.k < 0 or int(self.k) != self.k:
             raise ValueError("k must be a non-negative integer")
         if self.n_res < 1:
@@ -192,32 +197,25 @@ def _target_region(
     observations: Sequence[SlicedObservation],
     frame: SymbolFrame,
     cfg: EsnConfig,
-    first_target: int | None,
-    last_target: int | None,
+    first_target: int,
+    last_target: int,
 ) -> tuple[int, int]:
-    """First target symbol and step count of the checked region that
-    every observation of a batch shares.
+    """First target symbol and step count of the region
+    [first_target, last_target) of a batch of observations of ``frame``.
 
-    Targets default to the guard-trimmed usable region and advance by
-    n_out per step, so each appears once; a remainder shorter than n_out
-    at the region end is left untargeted.
+    Targets advance by n_out per step, so each appears once; a remainder
+    shorter than n_out at the region end is left untargeted. The caller
+    names the region, so keeping off the link's guard is the caller's job.
     """
     if len(observations) == 0:
         raise ValueError("a batch needs at least one observation")
-    guard = observations[0].guard_symbols
     for obs in observations:
         if obs.num_slices != cfg.num_slices or obs.sps != cfg.sps:
             raise ValueError("observation geometry does not match the config")
         if obs.rows.shape[1] != frame.n_symbols * cfg.sps:
             raise ValueError("observation is misaligned with the frame")
-        if obs.guard_symbols != guard:
-            raise ValueError("observations of one batch must share their target region")
     if frame.n_symbols < cfg.m:
         raise ValueError("frame must hold at least one full window")
-    if first_target is None:
-        first_target = guard
-    if last_target is None:
-        last_target = frame.n_symbols - guard
     if not 0 <= first_target <= last_target <= frame.n_symbols:
         raise ValueError("target region must lie within the frame")
     return first_target, (last_target - first_target) // cfg.n_out
@@ -416,8 +414,8 @@ def fit_readout_batch(
     frame: SymbolFrame,
     w: EsnWeights,
     cfg: EsnConfig,
-    first_target: int | None = None,
-    last_target: int | None = None,
+    first_target: int,
+    last_target: int,
 ) -> np.ndarray:
     """Ridge-train one masked readout per observation of one frame.
 
@@ -425,6 +423,7 @@ def fit_readout_batch(
     the SNR points of one sweep frame) and run through one step stream;
     row b of the result is the readout of ``observations[b]``, equal to
     what that observation alone gives. Returns (B, n_out, n_res + n_in + 1).
+    The targets are the symbols of [first_target, last_target).
 
     ``w.out_mask`` must have that shape and every row must read a
     reservoir column: without one an output is a linear filter, which
@@ -462,10 +461,10 @@ def fit_readout(
     frame: SymbolFrame,
     w: EsnWeights,
     cfg: EsnConfig,
-    first_target: int | None = None,
-    last_target: int | None = None,
+    first_target: int,
+    last_target: int,
 ) -> np.ndarray:
-    """Ridge-train the masked readout over a target region.
+    """Ridge-train the masked readout over [first_target, last_target).
 
     Each step is one design row [state | window | 1]; the region's first
     ``cfg.washout`` steps are the stream's warm-up and are not trained
@@ -482,11 +481,11 @@ def equalize_stream(
     w: EsnWeights,
     w_outs: np.ndarray,
     cfg: EsnConfig,
-    first_target: int | None = None,
-    last_target: int | None = None,
+    first_target: int,
+    last_target: int,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Soft estimates of one frame chunk by chunk, as the step stream
-    yields them.
+    """Soft estimates over [first_target, last_target) of one frame,
+    chunk by chunk as the step stream yields them.
 
     ``w_outs[b]`` reads ``observations[b]``, which all share the frame
     and the fixed weights of ``w``. Yields ``(start, estimates)`` per
@@ -510,10 +509,10 @@ def equalize(
     frame: SymbolFrame,
     w: EsnWeights,
     cfg: EsnConfig,
-    first_target: int | None = None,
-    last_target: int | None = None,
+    first_target: int,
+    last_target: int,
 ) -> tuple[np.ndarray, int]:
-    """Soft symbol estimates over a target region of one frame.
+    """Soft symbol estimates over [first_target, last_target) of one frame.
 
     Each estimate is a design row [state | window | 1] times ``w.w_out``.
     The state starts from zero ``washout`` windows before the region

@@ -252,7 +252,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load and validate a YAML experiment configuration."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"could not read '{path}': {exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -282,11 +285,9 @@ def grid_points(cfg: ExperimentConfig) -> list[GridPoint]:
 def run_experiment(cfg: ExperimentConfig, point: GridPoint) -> SweepRecord:
     """Simulate, train, and evaluate one grid point.
 
-    The frame is split into a contiguous training prefix
-    (train_fraction of the usable region), a k-symbol gap, and the test
-    region; both regions exclude the dispersion guard at the frame
-    edges. Weights depend only on (topology, seed), so every SNR point
-    of a sweep shares the same draw and retrains only the readout.
+    The frame is split into training and test regions by _split. Weights
+    depend only on (topology, seed), so every SNR point of a sweep shares
+    the same draw and retrains only the readout.
     """
     started = time.perf_counter()
     observation, frame = simulate_link(cfg.link_config(point))
@@ -295,9 +296,13 @@ def run_experiment(cfg: ExperimentConfig, point: GridPoint) -> SweepRecord:
 
 def _split(cfg: ExperimentConfig, esn_cfg: EsnConfig, guard: int) -> tuple[int, int, int, int]:
     """Training and test regions ``(train_first, train_last, test_first,
-    test_last)`` of a sweep frame whose edges lose ``guard`` symbols each,
-    laid out as run_experiment describes. Raises ValueError unless the
-    training region outlasts the washout and the test region holds a step.
+    test_last)`` of a sweep frame whose edges lose ``guard`` symbols each.
+
+    The frame is split into a contiguous training prefix (train_fraction
+    of the usable region), a k-symbol gap, and the test region; both
+    regions exclude the dispersion guard at the frame edges. Raises
+    ValueError unless the training region outlasts the washout and the
+    test region holds a step.
     """
     usable = cfg.total_symbols - 2 * guard
     if usable < esn_cfg.m:

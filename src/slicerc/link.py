@@ -41,8 +41,8 @@ rule and the carrier-distributed square law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import ceil, pi
+from dataclasses import dataclass, fields
+from math import ceil, isfinite, pi
 
 import numpy as np
 
@@ -88,6 +88,9 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.fiber_length_km < 0:
             raise ValueError("fiber_length_km must be >= 0")
         if self.baud_rate <= 0:

@@ -108,19 +108,20 @@ class ErrorTally:
     """Running bit and symbol error counts of one equalized region.
 
     Aligned blocks of decided and true levels are added in order, and
-    symbol i of the region (counted over every block added) is attributed
-    to position i mod n_out, matching the stride of the multi-symbol
-    readout. The counts are integers, so any split of the region into
-    blocks gives the same report.
+    symbol i of the region (counted over every block added) goes to
+    position i mod n_out, matching the stride of the multi-symbol
+    readout. add is the one place that rule is applied: it keeps exact
+    integer errors and symbol counts per position, so any split of the
+    region into blocks gives the same report.
     """
 
     def __init__(self, n_out: int = 1) -> None:
         if n_out < 1:
             raise ValueError("n_out must be >= 1")
         self.n_symbols = 0
-        self.n_bit_errors = 0
         self.n_symbol_errors = 0
         self.errors_at = np.zeros(n_out, dtype=np.int64)
+        self.symbols_at = np.zeros(n_out, dtype=np.int64)
 
     def add(self, pred_levels: np.ndarray, true_levels: np.ndarray) -> None:
         """Count the errors of the next aligned levels of the region.
@@ -133,41 +134,30 @@ class ErrorTally:
         if pred.shape != true.shape:
             raise ValueError("sequences must have equal length")
         pred, true = pred.reshape(-1), true.reshape(-1)
+        n_out = self.errors_at.size
         for a in range(0, pred.size, _BLOCK):
             pairs = level_indices(pred[a : a + _BLOCK]) * np.uint8(4)
             pairs += level_indices(true[a : a + _BLOCK])
-            self._add_bit_errors(_GRAY_BIT_DIFFERENCES.take(pairs))
-
-    def _add_bit_errors(self, bit_errors: np.ndarray) -> None:
-        n_out = self.errors_at.size
-        position = self.n_symbols % n_out
-        self.n_symbols += bit_errors.size
-        self.n_bit_errors += int(bit_errors.sum(dtype=np.int64))
-        # Gray labels of two different levels differ in at least one bit
-        self.n_symbol_errors += int(np.count_nonzero(bit_errors))
-        # the first symbols finish the current row of n_out positions,
-        # the rest start at position 0
-        head = min(-position % n_out, bit_errors.size)
-        self.errors_at[position : position + head] += bit_errors[:head]
-        full, rest = divmod(bit_errors.size - head, n_out)
-        aligned = bit_errors[head : head + full * n_out].reshape(full, n_out)
-        self.errors_at += aligned.sum(axis=0, dtype=np.int64)
-        self.errors_at[:rest] += bit_errors[head + full * n_out :]
+            bit_errors = _GRAY_BIT_DIFFERENCES.take(pairs)
+            positions = np.arange(self.n_symbols, self.n_symbols + bit_errors.size) % n_out
+            self.n_symbols += bit_errors.size
+            # Gray labels of two different levels differ in at least one bit
+            self.n_symbol_errors += int(np.count_nonzero(bit_errors))
+            # float64 sums of at most 2 * _BLOCK are exact integers
+            self.errors_at += np.bincount(positions, bit_errors, n_out).astype(np.int64)
+            self.symbols_at += np.bincount(positions, minlength=n_out)
 
     def report(self) -> BerReport:
         """The counts so far as a BerReport."""
-        n_out, n_symbols = self.errors_at.size, self.n_symbols
-        full, rest = divmod(n_symbols, n_out)
-        symbols_at = np.full(n_out, full)
-        symbols_at[:rest] += 1
-        per_position = np.zeros(n_out)
-        np.divide(self.errors_at, 2 * symbols_at, out=per_position, where=symbols_at > 0)
+        n_symbols, n_bit_errors = self.n_symbols, int(self.errors_at.sum())
+        per_position = np.zeros(self.errors_at.size)
+        np.divide(self.errors_at, 2 * self.symbols_at, out=per_position, where=self.symbols_at > 0)
         n_bits = 2 * n_symbols
         return BerReport(
-            ber=self.n_bit_errors / n_bits if n_bits else 0.0,
+            ber=n_bit_errors / n_bits if n_bits else 0.0,
             ser=self.n_symbol_errors / n_symbols if n_symbols else 0.0,
             n_bits=n_bits,
-            n_bit_errors=self.n_bit_errors,
+            n_bit_errors=n_bit_errors,
             n_symbols=n_symbols,
             n_symbol_errors=self.n_symbol_errors,
             per_position_ber=per_position,
@@ -179,11 +169,9 @@ def count_errors(
 ) -> BerReport:
     """Count bit and symbol errors between aligned level sequences.
 
-    Both sequences must already exclude guard symbols. Symbol i is
-    attributed to position i mod n_out for the per-position breakdown,
-    matching the stride of the multi-symbol readout. This is one
-    :class:`ErrorTally` fed the whole sequences, which it counts in
-    blocks of ``_BLOCK`` symbols.
+    Both sequences must already exclude guard symbols. This is one
+    :class:`ErrorTally` fed the whole sequences, so its per-position
+    breakdown (symbol i at position i mod n_out) is the tally's.
     """
     tally = ErrorTally(n_out)
     tally.add(pred_levels, true_levels)

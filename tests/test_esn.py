@@ -9,6 +9,7 @@ deletion). The streaming path and its parts (``_gather_inputs``,
 instances.
 """
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +64,11 @@ def make_obs(data: np.ndarray, sps: int, guard: int = 0) -> SlicedObservation:
 
 def make_frame(levels: np.ndarray) -> SymbolFrame:
     return SymbolFrame(levels=np.asarray(levels, dtype=float))
+
+
+def guard_trimmed(obs: SlicedObservation, frame: SymbolFrame) -> tuple[int, int]:
+    """The region of ``frame`` inside the link's guard at both edges."""
+    return obs.guard_symbols, frame.n_symbols - obs.guard_symbols
 
 
 def random_weights(cfg: EsnConfig, seed: int = 0) -> EsnWeights:
@@ -218,6 +224,15 @@ def test_config_validation():
         EsnConfig(washout=-1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name", ["spectral_radius", "leak", "s_in", "s_res", "s_out", "input_scaling", "ridge_lambda"]
+)
+def test_config_refuses_non_finite_numbers(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        EsnConfig(**{name: bad})
+
+
 def test_derived_sizes_match_stated_dimensioning():
     cfg = EsnConfig()
     assert cfg.m == 23
@@ -232,7 +247,7 @@ def test_windows_match_loop_oracle():
     n_sym = 40
     obs = make_obs(rng.normal(size=(2, n_sym * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
-    first, n_steps = esn._target_region([obs], frame, cfg, None, None)
+    first, n_steps = esn._target_region([obs], frame, cfg, 0, n_sym)
     assert (first, n_steps) == (0, n_sym // cfg.n_out)
     inputs = esn._gather_inputs([obs], cfg, first, 0, n_steps)[0]
     expected = oracle_windows(obs, cfg, 0, n_steps)
@@ -270,7 +285,7 @@ def test_first_window_zero_padded_on_the_left():
     assert np.array_equal(inputs, oracle_windows(obs, cfg, 0, 20))
 
 
-def assert_rejected(obs, frame, cfg, first=None, last=None, match=None):
+def assert_rejected(obs, frame, cfg, first, last, match):
     """fit_readout and equalize both refuse the inputs with ValueError."""
     w = init_weights(cfg)
     with pytest.raises(ValueError, match=match):
@@ -283,12 +298,12 @@ def test_windows_reject_geometry_mismatch():
     cfg = small_cfg(sps=2)
     obs = make_obs(np.zeros((1, 41)), sps=2)
     frame = make_frame(np.ones(20))
-    assert_rejected(obs, frame, cfg, match="misaligned")
+    assert_rejected(obs, frame, cfg, 0, 20, match="misaligned")
     cfg4 = small_cfg(num_slices=4)
     obs1 = make_obs(np.zeros((1, 20)), sps=1)
-    assert_rejected(obs1, frame, cfg4, match="geometry")
+    assert_rejected(obs1, frame, cfg4, 0, 20, match="geometry")
     # a frame shorter than one window
-    assert_rejected(obs1, frame, small_cfg(k=12), match="full window")
+    assert_rejected(obs1, frame, small_cfg(k=12), 0, 20, match="full window")
     # at the operating geometry: 2 slices at 4 samples per symbol, the
     # same sample count per slice as the 4-slice, 2-sample config
     cfg = EsnConfig(n_out=17, washout=10)
@@ -296,10 +311,10 @@ def test_windows_reject_geometry_mismatch():
     n_sym = 4000
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
     other = make_obs(rng.normal(size=(2, n_sym * 4)), sps=4, guard=50)
-    assert_rejected(other, frame, cfg, match="geometry")
+    assert_rejected(other, frame, cfg, 50, n_sym - 50, match="geometry")
     # the observation of a frame 500 symbols shorter
     short = make_obs(rng.normal(size=(4, (n_sym - 500) * 2)), sps=2, guard=50)
-    assert_rejected(short, frame, cfg, match="misaligned")
+    assert_rejected(short, frame, cfg, 50, n_sym - 50, match="misaligned")
     assert_rejected(short, frame, cfg, 100, 3400, match="misaligned")
 
 
@@ -737,14 +752,14 @@ def test_batch_rows_equal_single_observation_runs(monkeypatch):
     n_sym = 1500
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
     observations = [make_obs(rng.normal(size=(4, n_sym * 2)), sps=2, guard=30) for _ in range(3)]
-    w_outs = fit_readout_batch(observations, frame, w, cfg, None, 700)
+    w_outs = fit_readout_batch(observations, frame, w, cfg, 30, 700)
     assert w_outs.shape == (3,) + w.w_out.shape
     for b, obs in enumerate(observations):
-        alone = fit_readout(obs, frame, w, cfg, None, 700)
+        alone = fit_readout(obs, frame, w, cfg, 30, 700)
         assert np.array_equal(w_outs[b], alone)
-        est, first = equalize(obs, frame, _with_readout(w, alone), cfg, 720)
+        est, first = equalize(obs, frame, _with_readout(w, alone), cfg, 720, n_sym - 30)
         end = first
-        for start, chunk in equalize_stream(observations, frame, w, w_outs, cfg, 720):
+        for start, chunk in equalize_stream(observations, frame, w, w_outs, cfg, 720, n_sym - 30):
             assert start == end
             assert np.array_equal(chunk[b], est[start - first : start - first + chunk.shape[1]])
             end += chunk.shape[1]
@@ -761,13 +776,15 @@ def test_shared_draw_batches_equal_materialised_observations():
     copies = [make_obs(obs.data, obs.sps, obs.guard_symbols) for obs in shared]
     cfg = EsnConfig(n_out=1)
     w = init_weights(cfg)
-    first, n_steps = esn._target_region(shared, frame, cfg, None, None)
+    first, last = guard_trimmed(shared[0], frame)
+    _, n_steps = esn._target_region(shared, frame, cfg, first, last)
     assert n_steps > esn._CHUNK_STEPS and first < cfg.washout * cfg.n_out
-    w_outs = fit_readout_batch(shared, frame, w, cfg, None, 2 * esn._CHUNK_STEPS)
-    assert np.array_equal(w_outs, fit_readout_batch(copies, frame, w, cfg, None, 2 * esn._CHUNK_STEPS))
+    w_outs = fit_readout_batch(shared, frame, w, cfg, first, 2 * esn._CHUNK_STEPS)
+    assert np.array_equal(w_outs, fit_readout_batch(copies, frame, w, cfg, first, 2 * esn._CHUNK_STEPS))
     end = first
     for (start, chunk), (start_copy, chunk_copy) in zip(
-        equalize_stream(shared, frame, w, w_outs, cfg), equalize_stream(copies, frame, w, w_outs, cfg)
+        equalize_stream(shared, frame, w, w_outs, cfg, first, last),
+        equalize_stream(copies, frame, w, w_outs, cfg, first, last),
     ):
         assert start == start_copy == end
         assert np.array_equal(chunk, chunk_copy)
@@ -788,16 +805,50 @@ def test_load_noise_batch_shares_its_rows_and_draw():
     assert np.array_equal(rows, before)
 
 
-def test_batch_refuses_mixed_regions_and_empty_batches():
+def test_batch_refuses_an_empty_batch():
     cfg = small_cfg()
     frame = make_frame(np.ones(20))
     w = init_weights(cfg)
-    a = make_obs(np.zeros((1, 20)), sps=1, guard=2)
-    b = make_obs(np.zeros((1, 20)), sps=1, guard=3)
-    with pytest.raises(ValueError, match="share their target region"):
-        fit_readout_batch([a, b], frame, w, cfg)
     with pytest.raises(ValueError, match="at least one"):
-        next(equalize_stream([], frame, w, w.w_out[None], cfg))
+        fit_readout_batch([], frame, w, cfg, 0, 20)
+    with pytest.raises(ValueError, match="at least one"):
+        next(equalize_stream([], frame, w, w.w_out[None], cfg, 0, 20))
+
+
+@pytest.mark.parametrize(
+    "entry", [fit_readout_batch, fit_readout, equalize_stream, equalize], ids=lambda f: f.__name__
+)
+def test_every_entry_point_takes_its_region_from_the_caller(entry):
+    # the equalizer has no region of its own: a call that names none is
+    # refused, where a default would train and score the same symbols
+    params = list(inspect.signature(entry).parameters.values())
+    assert [p.name for p in params[-2:]] == ["first_target", "last_target"]
+    assert all(p.default is inspect.Parameter.empty for p in params[-2:])
+
+
+def test_a_batch_of_observations_with_different_guards_equals_their_lone_runs(desk):
+    # the 0 and 50 km observations of one seed's frame carry different
+    # guards; under an explicit region the guard plays no part, so they
+    # batch, and each row equals its lone run
+    (near, frame), (far, far_frame) = (desk[0.0], desk[50.0])
+    assert np.array_equal(frame.levels, far_frame.levels)
+    batch = [near[0], far[0]]
+    assert batch[0].guard_symbols != batch[1].guard_symbols
+    cfg = EsnConfig(n_out=17)
+    w = init_weights(cfg)
+    first, last = guard_trimmed(batch[1], frame)
+    middle = first + (last - first) // 2
+    w_outs = fit_readout_batch(batch, frame, w, cfg, first, middle)
+    estimates = [np.empty(0), np.empty(0)]
+    for start, chunk in equalize_stream(batch, frame, w, w_outs, cfg, middle, last):
+        assert start == middle + estimates[0].size
+        estimates = [np.concatenate([e, row]) for e, row in zip(estimates, chunk)]
+    for obs, w_out, est in zip(batch, w_outs, estimates):
+        alone = fit_readout(obs, frame, w, cfg, first, middle)
+        assert np.array_equal(w_out, alone)
+        est_alone, at = equalize(obs, frame, _with_readout(w, alone), cfg, middle, last)
+        assert at == middle
+        assert np.array_equal(est, est_alone)
 
 
 # ------------------------------------------------------- segmented fold
@@ -852,7 +903,9 @@ def test_segmented_stream_equals_sequential_fold(monkeypatch, desk, length_km, n
     observations, frame = desk[length_km]
     cfg = EsnConfig(n_out=n_out)
     w = init_weights(cfg)
-    first, n_steps = esn._target_region(observations, frame, cfg, None, None)
+    first, n_steps = esn._target_region(
+        observations, frame, cfg, *guard_trimmed(observations[0], frame)
+    )
     calls = _fold_calls(monkeypatch)
     segmented = _stream_rows(observations[:batch], w, cfg, first, n_steps)
     assert any(len(call) == 4 for call in calls)
@@ -912,7 +965,9 @@ def test_stream_falls_back_to_the_sequential_fold(monkeypatch, desk):
     observations, frame = desk[50.0]
     cfg = EsnConfig(n_out=1, leak=0.05)
     w = init_weights(cfg)
-    first, n_steps = esn._target_region(observations, frame, cfg, None, None)
+    first, n_steps = esn._target_region(
+        observations, frame, cfg, *guard_trimmed(observations[0], frame)
+    )
     calls = _fold_calls(monkeypatch)
     segmented = _stream_rows(observations, w, cfg, first, n_steps)
     refolds = _refolds(calls)

@@ -956,6 +956,19 @@ def test_cli_reports_config_errors(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_reports_an_unreadable_config_as_a_config_error(tmp_path, capsys, command):
+    # a directory where the YAML file should be: exit 1, no traceback
+    args = [command, "--config", str(tmp_path)]
+    if command == "sweep":
+        args += ["--out", str(tmp_path / "run")]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: could not read '{tmp_path}'")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_sweep_refuses_frames_too_small_before_writing(tmp_path, capsys):
     config = tmp_path / "small.yaml"
     for text, reason in (

@@ -642,6 +642,18 @@ def test_guard_symbols_zero_at_b2b():
     ).guard_symbols
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name",
+    ["fiber_length_km", "snr_db", "baud_rate", "rolloff", "dispersion_ps_nm_km",
+     "wavelength_nm", "mzm_mod_index"],
+)
+def test_config_refuses_non_finite_numbers(name, bad):
+    # a NaN passes every range check written as a comparison
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cfg_with(**{name: bad})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         cfg_with(fiber_length_km=-1.0)

@@ -188,6 +188,38 @@ def test_blockwise_decisions_and_counts_equal_the_whole_array(monkeypatch, n, n_
     assert report_fields(tally.report()) == whole
 
 
+def reshape_per_position(values, n_out):
+    """Per-position sums of ``values``, symbol i at position i mod n_out:
+    zero-padded to whole rows of n_out and summed down the columns."""
+    padded = np.zeros(-(-len(values) // n_out) * n_out, dtype=np.int64)
+    padded[: len(values)] = values
+    return padded.reshape(-1, n_out).sum(axis=0)
+
+
+@pytest.mark.parametrize("n_out", [1, 17, 23])
+@pytest.mark.parametrize("block", [7, 16])
+def test_tally_positions_equal_the_reshape_oracle(monkeypatch, block, n_out):
+    # adds that end mid-row, on a row edge and past it, each split over
+    # blocks that divide neither n_out nor the adds
+    monkeypatch.setattr(metrics, "_BLOCK", block)
+    rng = np.random.default_rng(block * n_out)
+    sizes = [0, 1, n_out - 1, n_out + 1] * 3 + [5 * block + 3]
+    truth = rng.choice(LEVELS, sum(sizes))
+    pred = np.where(rng.random(truth.size) < 0.4, rng.choice(LEVELS, truth.size), truth)
+    bit_errors = (demap_gray_pam4(pred) != demap_gray_pam4(truth)).reshape(-1, 2).sum(axis=1)
+    tally, done = ErrorTally(n_out), 0
+    for size in sizes:
+        tally.add(pred[done : done + size], truth[done : done + size])
+        done += size
+        assert np.array_equal(tally.errors_at, reshape_per_position(bit_errors[:done], n_out))
+        assert np.array_equal(tally.symbols_at, reshape_per_position(np.ones(done), n_out))
+    report = tally.report()
+    expected = reshape_per_position(bit_errors, n_out)
+    symbols = reshape_per_position(np.ones(truth.size), n_out)
+    assert report.per_position_ber.tolist() == (expected / (2 * symbols)).tolist()
+    assert report.n_bit_errors == bit_errors.sum()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_estimate_in_a_later_block_still_raises(monkeypatch, bad):
     monkeypatch.setattr(metrics, "_BLOCK", 64)
