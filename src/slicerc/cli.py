@@ -21,7 +21,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     GridPoint,
-    append_results,
     config_to_dict,
     emit_plot_data,
     in_grid_order,
@@ -30,7 +29,6 @@ from .harness import (
     read_results,
     run_experiment,
     sweep_groups,
-    write_manifest,
     write_results,
 )
 from .metrics import KP4_BER, complexity_rmps
@@ -83,35 +81,33 @@ def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     out = Path(args.out)
     csv_path = out / "results.csv"
-    existing = []
+    records = []
     if csv_path.exists():
         _check_resumable(cfg, out)
-        existing = read_results(csv_path)
-        print(f"resuming: {sum(r.ok for r in existing)} completed points found")
-    frames = pending_frames(cfg, existing)
+        records = read_results(csv_path)
+        print(f"resuming: {sum(r.ok for r in records)} completed points found")
+    frames = pending_frames(cfg, records)
     # checks its arguments before anything is written
     groups = sweep_groups(cfg, frames, args.parallel)
-    # the manifest's config and the header go down before any point runs,
-    # so an interrupted sweep can be resumed from whatever rows it appended
-    write_manifest(out, cfg, existing)
-    append_results([], csv_path)
-    fresh = []
+    # the manifest and the rows so far are replaced whole before any point
+    # runs and after every frame, so a stopped sweep leaves whole files
+    # in grid order that a resume reads
+    records = in_grid_order(cfg, records)
+    path = write_results(records, out, cfg)
+    failed = 0
     started = time.monotonic()
     for done, group in enumerate(groups, 1):
-        append_results(group, csv_path)
-        fresh += group
+        records = in_grid_order(cfg, records + group)
+        write_results(records, out, cfg)
+        failed += sum(not r.ok for r in group)
         elapsed = time.monotonic() - started
         print(
-            f"frame {done}/{len(frames)} done, "
-            f"{sum(not r.ok for r in fresh)} failed points so far, "
+            f"frame {done}/{len(frames)} done, {failed} failed points so far, "
             f"eta {elapsed / done * (len(frames) - done):.0f} s",
             file=sys.stderr,
             flush=True,
         )
-    records = in_grid_order(cfg, existing + fresh)
-    path = write_results(records, out, cfg)
-    failed = sum(not r.ok for r in records)
-    print(f"wrote {path} ({len(records)} records, {failed} failed)")
+    print(f"wrote {path} ({len(records)} records, {sum(not r.ok for r in records)} failed)")
     return 0
 
 
@@ -184,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except (ConfigError, ValueError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ConfigError, ValueError, FileExistsError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

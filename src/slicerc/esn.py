@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import isfinite
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -98,10 +99,13 @@ class EsnConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "float" and not isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if self.k < 0 or int(self.k) != self.k:
-            raise ValueError("k must be a non-negative integer")
+            value = getattr(self, f.name)
+            if f.type == "float" and not isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if self.k < 0:
+            raise ValueError("k must be >= 0")
         if self.n_res < 1:
             raise ValueError("n_res must be >= 1")
         if not 1 <= self.n_out <= self.m:
@@ -122,6 +126,8 @@ class EsnConfig:
             raise ValueError("ridge_lambda must be >= 0")
         if self.washout < 0:
             raise ValueError("washout must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def m(self) -> int:
@@ -199,9 +205,9 @@ def _target_region(
     cfg: EsnConfig,
     first_target: int,
     last_target: int,
-) -> tuple[int, int]:
-    """First target symbol and step count of the region
-    [first_target, last_target) of a batch of observations of ``frame``.
+) -> int:
+    """Step count of the region [first_target, last_target) of a batch
+    of observations of ``frame``.
 
     Targets advance by n_out per step, so each appears once; a remainder
     shorter than n_out at the region end is left untargeted. The caller
@@ -218,7 +224,7 @@ def _target_region(
         raise ValueError("frame must hold at least one full window")
     if not 0 <= first_target <= last_target <= frame.n_symbols:
         raise ValueError("target region must lie within the frame")
-    return first_target, (last_target - first_target) // cfg.n_out
+    return (last_target - first_target) // cfg.n_out
 
 
 def _gather_inputs(
@@ -336,14 +342,13 @@ def _step_stream(
     cfg: EsnConfig,
     first: int,
     n_steps: int,
-    washout: int,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(t0, rows)`` per chunk of steps [0, n_steps).
 
     ``rows`` (B, T, n_res + n_in + 1) are the design rows [state |
     window | 1]: row b reads ``observations[b]`` and step i of a chunk is
-    step t0 + i. The state starts from zero at step -washout, where the
-    chunks start; those warm-up steps (zero-padded off the frame) are
+    step t0 + i. The state starts from zero at step -cfg.washout, where
+    the chunks start; those warm-up steps (zero-padded off the frame) are
     folded but not yielded. The rows are views of one buffer that the
     next chunk overwrites, so copy what must outlive a chunk.
 
@@ -355,12 +360,12 @@ def _step_stream(
     if n_steps <= 0:
         return
     d = cfg.n_res + cfg.n_in
-    buf = np.empty((len(observations), min(_CHUNK_STEPS, washout + n_steps), d + 1))
+    buf = np.empty((len(observations), min(_CHUNK_STEPS, cfg.washout + n_steps), d + 1))
     buf[..., d] = 1.0
     proj_buf = np.empty(buf.shape[:2] + (cfg.n_res,))
     x = np.zeros((len(observations), cfg.n_res))
     speculate = len(observations) * cfg.n_res <= _SPECULATE_MAX_STATE
-    for t0 in range(-washout, n_steps, _CHUNK_STEPS):
+    for t0 in range(-cfg.washout, n_steps, _CHUNK_STEPS):
         t1 = min(t0 + _CHUNK_STEPS, n_steps)
         rows, proj = buf[:, : t1 - t0], proj_buf[:, : t1 - t0]
         inputs = _gather_inputs(observations, cfg, first, t0, t1, out=rows[..., cfg.n_res : d])
@@ -436,16 +441,16 @@ def fit_readout_batch(
     empty = np.flatnonzero(~mask[:, : cfg.n_res].any(axis=1))
     if empty.size:
         raise ValueError(f"readout row {empty[0]} has an empty mask over the reservoir")
-    first, n_steps = _target_region(observations, frame, cfg, first_target, last_target)
+    n_steps = _target_region(observations, frame, cfg, first_target, last_target)
     if cfg.washout >= n_steps:
         raise ValueError("washout must be smaller than the step count")
     # the region's first washout steps warm the state and are not trained on
-    first += cfg.washout * cfg.n_out
+    first = first_target + cfg.washout * cfg.n_out
     n_steps -= cfg.washout
     targets = frame.levels[first : first + n_steps * cfg.n_out].reshape(n_steps, cfg.n_out)
     gram = np.zeros((batch, d + 1, d + 1))
     moment = np.zeros((batch, d + 1, cfg.n_out))
-    for t0, rows in _step_stream(observations, w, cfg, first, n_steps, cfg.washout):
+    for t0, rows in _step_stream(observations, w, cfg, first, n_steps):
         # float64 targets keep the product on the BLAS path
         y = targets[t0 : t0 + rows.shape[1]].astype(float)
         for b, f in enumerate(rows):
@@ -494,14 +499,14 @@ def equalize_stream(
     overwrites, so a caller that keeps them copies them; one that scores
     them as they come never holds more than a chunk.
     """
-    first, n_steps = _target_region(observations, frame, cfg, first_target, last_target)
+    n_steps = _target_region(observations, frame, cfg, first_target, last_target)
     batch = len(observations)
     buf = np.empty((batch, min(_CHUNK_STEPS, n_steps), cfg.n_out))
     w_t = w_outs.swapaxes(1, 2)
-    for t0, rows in _step_stream(observations, w, cfg, first, n_steps, cfg.washout):
+    for t0, rows in _step_stream(observations, w, cfg, first_target, n_steps):
         estimates = buf[:, : rows.shape[1]]
         np.matmul(rows, w_t, out=estimates)
-        yield first + t0 * cfg.n_out, estimates.reshape(batch, -1, copy=False)
+        yield first_target + t0 * cfg.n_out, estimates.reshape(batch, -1, copy=False)
 
 
 def equalize(
@@ -523,10 +528,10 @@ def equalize(
     symbol; estimate j belongs to symbol first_index + j. These are the
     chunks of equalize_stream for this one observation, gathered.
     """
-    first, n_steps = _target_region([obs], frame, cfg, first_target, last_target)
+    n_steps = _target_region([obs], frame, cfg, first_target, last_target)
     estimates = np.empty(n_steps * cfg.n_out)
     for start, chunk in equalize_stream(
         [obs], frame, w, w.w_out[None], cfg, first_target, last_target
     ):
-        estimates[start - first : start - first + chunk.shape[1]] = chunk[0]
-    return estimates, first
+        estimates[start - first_target : start - first_target + chunk.shape[1]] = chunk[0]
+    return estimates, first_target

@@ -18,6 +18,9 @@ were scheduled, and a failed point becomes an error row instead of
 aborting the sweep. A resume is pending_frames (the points an earlier
 run's records leave), sweep_groups over them, and in_grid_order over the
 old and new records together.
+Every file the package writes goes through _replace_file, which writes a
+sibling and moves it into place: a file on disk is always a whole
+version, never one cut short by an interrupted write.
 """
 
 from __future__ import annotations
@@ -483,9 +486,10 @@ def _frame_groups(
 
 
 def in_grid_order(cfg: ExperimentConfig, records: Iterable[SweepRecord]) -> list[SweepRecord]:
-    """One record per key: every grid point in grid order, then the keys
-    outside the grid (rows of an earlier run over other grids or seeds)
-    in the order they first appear.
+    """One record per key: the grid points that have a record, in grid
+    order, then the keys outside the grid (rows of an earlier run over
+    other grids or seeds) in the order they first appear. Grid points
+    without a record (frames still to run) are left out.
 
     A successful record wins over an error row for the same point, and
     otherwise a later record wins over an earlier one.
@@ -494,7 +498,7 @@ def in_grid_order(cfg: ExperimentConfig, records: Iterable[SweepRecord]) -> list
     for rec in records:
         if rec.ok or rec.key not in best or not best[rec.key].ok:
             best[rec.key] = rec
-    return [best.pop(point) for point in grid_points(cfg)] + list(best.values())
+    return [best.pop(point) for point in grid_points(cfg) if point in best] + list(best.values())
 
 
 def run_sweep(cfg: ExperimentConfig, parallel: int = 1) -> list[SweepRecord]:
@@ -521,52 +525,45 @@ def _parse_cell(text: str, hint):
     return hint(text)
 
 
-def _csv_rows(records: Iterable[SweepRecord], header: bool) -> str:
+def _csv_text(header: Iterable[str], rows: Iterable[list]) -> str:
+    """RFC 4180 text of a header line and the rows under it."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if header:
-        writer.writerow(_RECORD_TYPES)
-    for rec in records:
-        writer.writerow([_format_cell(getattr(rec, col)) for col in _RECORD_TYPES])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _replace_file(path: Path, text: str) -> None:
+def _replace_file(path: Path, text: str) -> Path:
     """Write ``text`` to a sibling of ``path`` and move it into place, so
-    that an interrupted write leaves the old file whole."""
+    that an interrupted write leaves the old file whole. The one way the
+    package writes a file."""
     partial = path.with_name(path.name + ".partial")
     partial.write_text(text, newline="")
     os.replace(partial, path)
+    return path
 
 
 def write_results(
     records: Iterable[SweepRecord], out_dir: str | Path, cfg: ExperimentConfig
 ) -> Path:
-    """Write results.csv (RFC 4180) and a run manifest into out_dir; each
-    file replaces its old version whole."""
-    records = list(records)
-    write_manifest(out_dir, cfg, records)
-    csv_path = Path(out_dir) / "results.csv"
-    _replace_file(csv_path, _csv_rows(records, header=True))
-    return csv_path
+    """Replace manifest.json and results.csv (RFC 4180) in out_dir whole,
+    creating the directory.
+
+    The manifest goes first, so a results.csv always sits beside the
+    config it was made under. A sweep calls this before its first frame
+    runs and after every finished frame with in_grid_order of its records
+    so far, so a stopped sweep leaves a whole file that a resume reads.
+    """
+    records, out = list(records), Path(out_dir)
+    _write_manifest(out, cfg, records)
+    rows = ([_format_cell(getattr(rec, col)) for col in _RECORD_TYPES] for rec in records)
+    return _replace_file(out / "results.csv", _csv_text(_RECORD_TYPES, rows))
 
 
-def append_results(records: Iterable[SweepRecord], csv_path: str | Path) -> None:
-    """Append rows to results.csv in one write and flush them; a file that
-    does not exist yet starts with the header."""
-    csv_path = Path(csv_path)
-    with csv_path.open("a", newline="") as fh:
-        fh.write(_csv_rows(records, header=fh.tell() == 0))
-        fh.flush()
-
-
-def write_manifest(
-    out_dir: str | Path, cfg: ExperimentConfig, records: Iterable[SweepRecord] = ()
-) -> Path:
-    """Write manifest.json into out_dir, creating the directory."""
-    out = Path(out_dir)
+def _write_manifest(out: Path, cfg: ExperimentConfig, records: list[SweepRecord]) -> None:
+    """Replace manifest.json in ``out``, creating the directory."""
     out.mkdir(parents=True, exist_ok=True)
-    records = list(records)
     manifest = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "package_version": _package_version(),
@@ -576,9 +573,7 @@ def write_manifest(
         "environment": _environment(),
         "config": config_to_dict(cfg),
     }
-    path = out / "manifest.json"
-    _replace_file(path, json.dumps(manifest, indent=2, sort_keys=True))
-    return path
+    _replace_file(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _environment() -> dict:
@@ -670,20 +665,13 @@ _PLOT_COLUMNS = {
 }
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> Path:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
 def emit_plot_data(
     records: list[SweepRecord],
     out_dir: str | Path,
     threshold: float = KP4_BER,
 ) -> dict[str, Path]:
-    """Write the four plot-ready CSV files.
+    """Write the four plot-ready CSV files, each replacing its old
+    version whole.
 
     ber_vs_snr.csv: median-seed BER per (length, n_out, n_res) series.
     snr_penalty.csv: SNR at threshold and penalty versus the n_out=1
@@ -740,5 +728,5 @@ def emit_plot_data(
     rows["complexity"] = [[n_out, n_res, repr(float(rmps))] for n_out, n_res, rmps in variants]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return {name: _write_csv(out / f"{name}.csv", columns, rows[name])
+    return {name: _replace_file(out / f"{name}.csv", _csv_text(columns, rows[name]))
             for name, columns in _PLOT_COLUMNS.items()}

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import ceil, isfinite, pi
+from numbers import Integral
 
 import numpy as np
 
@@ -89,26 +90,31 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "float" and not isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.fiber_length_km < 0:
             raise ValueError("fiber_length_km must be >= 0")
         if self.baud_rate <= 0:
             raise ValueError("baud_rate must be > 0")
-        if int(self.sps) != self.sps or self.sps < 1:
-            raise ValueError("sps must be a positive integer")
+        if self.sps < 1:
+            raise ValueError("sps must be >= 1")
         if not 0 <= self.rolloff <= 1:
             raise ValueError("rolloff must lie in [0, 1]")
         if self.rrc_span_symbols < 8:
             raise ValueError("rrc_span_symbols must be >= 8 to hold the main lobe")
-        if int(self.num_slices) != self.num_slices or self.num_slices < 1:
-            raise ValueError("num_slices must be a positive integer")
+        if self.num_slices < 1:
+            raise ValueError("num_slices must be >= 1")
         if not 0 < self.mzm_mod_index <= 1:
             raise ValueError("mzm_mod_index must lie in (0, 1]")
-        if int(self.n_symbols) != self.n_symbols or self.n_symbols < 1:
-            raise ValueError("n_symbols must be a positive integer")
+        if self.n_symbols < 1:
+            raise ValueError("n_symbols must be >= 1")
         if self.wavelength_nm <= 0:
             raise ValueError("wavelength_nm must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.occupied_bandwidth > self.sample_rate:
             raise ValueError(
                 "occupied bandwidth exceeds the sampling rate; raise sps"

@@ -233,6 +233,26 @@ def test_config_refuses_non_finite_numbers(name, bad):
         EsnConfig(**{name: bad})
 
 
+ESN_INT_FIELDS = ["k", "n_res", "n_out", "sps", "num_slices", "washout", "seed"]
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True])
+@pytest.mark.parametrize("name", ESN_INT_FIELDS)
+def test_config_refuses_non_integers(name, bad):
+    # a float or a bool would pass every range check and fail later,
+    # inside init_weights or numpy, or (washout) not at all
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        EsnConfig(**{name: bad})
+
+
+def test_config_takes_numpy_integers_and_refuses_a_negative_seed():
+    defaults = EsnConfig()
+    as_numpy = EsnConfig(**{name: np.int64(getattr(defaults, name)) for name in ESN_INT_FIELDS})
+    assert as_numpy == defaults
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        EsnConfig(seed=-1)
+
+
 def test_derived_sizes_match_stated_dimensioning():
     cfg = EsnConfig()
     assert cfg.m == 23
@@ -247,9 +267,9 @@ def test_windows_match_loop_oracle():
     n_sym = 40
     obs = make_obs(rng.normal(size=(2, n_sym * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
-    first, n_steps = esn._target_region([obs], frame, cfg, 0, n_sym)
-    assert (first, n_steps) == (0, n_sym // cfg.n_out)
-    inputs = esn._gather_inputs([obs], cfg, first, 0, n_steps)[0]
+    n_steps = esn._target_region([obs], frame, cfg, 0, n_sym)
+    assert n_steps == n_sym // cfg.n_out
+    inputs = esn._gather_inputs([obs], cfg, 0, 0, n_steps)[0]
     expected = oracle_windows(obs, cfg, 0, n_steps)
     assert np.array_equal(inputs, expected)
 
@@ -260,8 +280,9 @@ def test_window_stride_arithmetic():
     rng = substream(2, 0)
     obs = make_obs(rng.normal(size=(4, n_sym * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
-    first, n_steps = esn._target_region([obs], frame, cfg, cfg.k, cfg.k + 1700)
-    assert (first, n_steps) == (cfg.k, 100)
+    first = cfg.k
+    n_steps = esn._target_region([obs], frame, cfg, first, first + 1700)
+    assert n_steps == 100
     # step t reads the window of the n_out symbols from first + t * n_out
     inputs = esn._gather_inputs([obs], cfg, first, 0, n_steps)[0]
     assert np.array_equal(inputs, oracle_windows(obs, cfg, first, n_steps))
@@ -276,7 +297,7 @@ def test_first_window_zero_padded_on_the_left():
     cfg = small_cfg(k=3, n_out=1, sps=1)
     obs = make_obs(np.arange(1, 21, dtype=float)[None, :], sps=1)
     frame = make_frame(np.ones(20))
-    assert esn._target_region([obs], frame, cfg, 0, 20) == (0, 20)
+    assert esn._target_region([obs], frame, cfg, 0, 20) == 20
     inputs = esn._gather_inputs([obs], cfg, 0, 0, 20)[0]
     # first target at symbol 0: the k leading window positions fall off
     # the frame and must read zero
@@ -368,7 +389,8 @@ def test_reservoir_fold_matches_loop_oracle(monkeypatch):
     rng = substream(4, 0)
     obs = make_obs(rng.normal(size=(2, 30 * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 30))
-    first, n_steps = esn._target_region([obs], frame, cfg, 5, 10)
+    first = 5
+    n_steps = esn._target_region([obs], frame, cfg, first, 10)
     assert n_steps == 5
     expected_inputs = oracle_windows(obs, cfg, first, n_steps)
     expected = oracle_fold(expected_inputs, w, cfg.leak)
@@ -377,7 +399,7 @@ def test_reservoir_fold_matches_loop_oracle(monkeypatch):
         monkeypatch.setattr(esn, "_CHUNK_STEPS", chunk)
         # each chunk's rows are overwritten by the next, so keep copies
         chunks = [(t0, rows[0].copy())
-                  for t0, rows in esn._step_stream([obs], w, cfg, first, n_steps, 0)]
+                  for t0, rows in esn._step_stream([obs], w, cfg, first, n_steps)]
         assert [t0 for t0, _ in chunks] == starts
         rows = np.vstack([c[1] for c in chunks])
         assert rows.shape == (n_steps, cfg.n_res + cfg.n_in + 1)
@@ -393,7 +415,7 @@ def test_reservoir_empty_and_zero_inputs():
     w = random_weights(cfg)
     assert fold(np.zeros((0, cfg.n_in)), w, cfg.leak).shape == (0, cfg.n_res)
     obs = make_obs(np.zeros((1, 20)), sps=1)
-    assert not list(esn._step_stream([obs], w, cfg, 0, 0, 0))
+    assert not list(esn._step_stream([obs], w, cfg, 0, 0))
     assert not fold(np.zeros((7, cfg.n_in)), w, cfg.leak).any()
 
 
@@ -403,8 +425,8 @@ def test_recorded_states_bounded_on_real_data():
     rng = substream(8, 0)
     obs = make_obs(rng.normal(size=(1, 500)) * 3.0, sps=1)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 500))
-    first, n_steps = esn._target_region([obs], frame, cfg, 10, 490)
-    chunks = esn._step_stream([obs], w, cfg, first, n_steps, 0)
+    n_steps = esn._target_region([obs], frame, cfg, 10, 490)
+    chunks = esn._step_stream([obs], w, cfg, 10, n_steps)
     states = np.vstack([rows[0, :, : cfg.n_res].copy() for _, rows in chunks])
     assert states.shape == (480, cfg.n_res)
     assert np.max(np.abs(states)) < 1.0
@@ -777,7 +799,7 @@ def test_shared_draw_batches_equal_materialised_observations():
     cfg = EsnConfig(n_out=1)
     w = init_weights(cfg)
     first, last = guard_trimmed(shared[0], frame)
-    _, n_steps = esn._target_region(shared, frame, cfg, first, last)
+    n_steps = esn._target_region(shared, frame, cfg, first, last)
     assert n_steps > esn._CHUNK_STEPS and first < cfg.washout * cfg.n_out
     w_outs = fit_readout_batch(shared, frame, w, cfg, first, 2 * esn._CHUNK_STEPS)
     assert np.array_equal(w_outs, fit_readout_batch(copies, frame, w, cfg, first, 2 * esn._CHUNK_STEPS))
@@ -892,7 +914,7 @@ def desk():
 
 
 def _stream_rows(observations, w, cfg, first, n_steps):
-    chunks = esn._step_stream(observations, w, cfg, first, n_steps, cfg.washout)
+    chunks = esn._step_stream(observations, w, cfg, first, n_steps)
     return np.concatenate([rows.copy() for _, rows in chunks], axis=1)
 
 
@@ -903,9 +925,8 @@ def test_segmented_stream_equals_sequential_fold(monkeypatch, desk, length_km, n
     observations, frame = desk[length_km]
     cfg = EsnConfig(n_out=n_out)
     w = init_weights(cfg)
-    first, n_steps = esn._target_region(
-        observations, frame, cfg, *guard_trimmed(observations[0], frame)
-    )
+    first, last = guard_trimmed(observations[0], frame)
+    n_steps = esn._target_region(observations, frame, cfg, first, last)
     calls = _fold_calls(monkeypatch)
     segmented = _stream_rows(observations[:batch], w, cfg, first, n_steps)
     assert any(len(call) == 4 for call in calls)
@@ -965,9 +986,8 @@ def test_stream_falls_back_to_the_sequential_fold(monkeypatch, desk):
     observations, frame = desk[50.0]
     cfg = EsnConfig(n_out=1, leak=0.05)
     w = init_weights(cfg)
-    first, n_steps = esn._target_region(
-        observations, frame, cfg, *guard_trimmed(observations[0], frame)
-    )
+    first, last = guard_trimmed(observations[0], frame)
+    n_steps = esn._target_region(observations, frame, cfg, first, last)
     calls = _fold_calls(monkeypatch)
     segmented = _stream_rows(observations, w, cfg, first, n_steps)
     refolds = _refolds(calls)

@@ -1,6 +1,7 @@
 """Sweep orchestration tests, kept at toy scale so they stay fast."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -893,29 +894,147 @@ def test_cli_resume_keeps_rows_outside_the_new_grid(tmp_path, capsys):
     assert read_results(out_dir / "results.csv") == [seed_0, records[0]]
 
 
-def test_cli_final_rewrite_that_fails_keeps_the_appended_rows(tmp_path, monkeypatch):
+TWO_FRAMES = (
+    "fiber_length_km: [0, 10]\n"
+    "snr_db: [29, 30]\n"
+    "n_out: [1, 3]\n"
+    "total_symbols: 2048\n"
+    "esn: {washout: 2}\n"
+)
+
+
+def _watch_frames(monkeypatch, csv_path, prior=(), stop_at=None):
+    """Wrap harness._run_group so that every frame first checks that
+    results.csv holds exactly ``prior`` and the rows of the frames before
+    it, as in_grid_order gives them; the frame numbered ``stop_at`` (from
+    0) raises KeyboardInterrupt instead of running. Returns the list of
+    each run frame's records."""
+    real, done = harness._run_group, []
+
+    def run_group(cfg, points):
+        so_far = [*prior, *(r for group in done for r in group)]
+        # compared as reprs, where an error row's NaN equals itself
+        assert repr(read_results(csv_path)) == repr(in_grid_order(cfg, so_far))
+        if len(done) == stop_at:
+            raise KeyboardInterrupt
+        done.append(real(cfg, points))
+        return done[-1]
+
+    monkeypatch.setattr(harness, "_run_group", run_group)
+    return done
+
+
+@pytest.mark.parametrize("frames_run", [1, 2])
+def test_cli_sweep_stopped_between_frames_leaves_their_rows_in_grid_order(
+    tmp_path, monkeypatch, frames_run
+):
+    # the frames are (0 km, seed 0), (0 km, seed 1), ...; seeds vary
+    # fastest in grid order, so the rows of two frames interleave
     config = tmp_path / "toy.yaml"
-    config.write_text(
-        "fiber_length_km: [0]\n"
-        "snr_db: [29, 30]\n"
-        "n_out: [1]\n"
-        "total_symbols: 2048\n"
-        "esn: {washout: 2}\n"
-    )
-    real = harness._csv_rows
-
-    def fail_on_the_rewrite(records, header):
-        records = list(records)
-        if header and records:  # only the final rewrite has both
-            raise RuntimeError("interrupted while formatting")
-        return real(records, header)
-
-    monkeypatch.setattr(harness, "_csv_rows", fail_on_the_rewrite)
+    config.write_text(TWO_FRAMES + "seeds: [0, 1]\n")
+    cfg = load_config(config)
     out_dir = tmp_path / "run"
+    done = _watch_frames(monkeypatch, out_dir / "results.csv", stop_at=frames_run)
+    with pytest.raises(KeyboardInterrupt):
+        cli_main(["sweep", "--config", str(config), "--out", str(out_dir)])
+    assert [[r.key for r in group] for group in done] == pending_frames(cfg)[:frames_run]
+    assert all(r.ok for group in done for r in group)
+    ran = {r.key for group in done for r in group}
+    results = read_results(out_dir / "results.csv")
+    assert [r.key for r in results] == [point for point in grid_points(cfg) if point in ran]
+    assert results == in_grid_order(cfg, [r for group in done for r in group])
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"] == config_to_dict(cfg)
+    assert manifest["n_records"] == len(results)
+
+
+def test_cli_sweep_whose_write_fails_keeps_the_last_whole_file(tmp_path, monkeypatch):
+    config = tmp_path / "toy.yaml"
+    config.write_text(TWO_FRAMES)
+    out_dir = tmp_path / "run"
+    done = _watch_frames(monkeypatch, out_dir / "results.csv")
+    real, moves = os.replace, []
+
+    def fail_the_third_move(src, dst):
+        # results.csv goes down before the first frame and after each
+        # frame; the third move is the one after the second frame
+        if Path(dst).name == "results.csv":
+            moves.append(dst)
+            if len(moves) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        real(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", fail_the_third_move)
     assert cli_main(["sweep", "--config", str(config), "--out", str(out_dir)]) == 2
-    appended = read_results(out_dir / "results.csv")
-    assert [(r.snr_db, r.ok) for r in appended] == [(29.0, True), (30.0, True)]
-    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "results.csv"]
+    assert len(done) == 2
+    assert read_results(out_dir / "results.csv") == done[0]
+
+
+def test_in_grid_order_orders_a_partial_record_set():
+    cfg = toy_config(fiber_length_km=(0.0, 10.0), snr_db=(29.0, 30.0))
+
+    def record(length, snr, seed=0, error=""):
+        return SweepRecord(
+            label="toy", seed=seed, snr_db=snr, fiber_length_km=length, n_out=1, n_res=30,
+            ber=0.1, ser=0.2, per_position_ber=(0.1,), rmps=691.0, train_symbols=10,
+            test_symbols=20, wall_time_s=0.0, error=error,
+        )
+
+    failed, retried = record(0.0, 30.0, error="ValueError: boom"), record(0.0, 30.0)
+    records = [
+        record(10.0, 30.0),
+        record(5.0, 30.0),  # a length outside the grid
+        failed,
+        record(0.0, 29.0, seed=4),  # a seed outside the grid
+        retried,
+        record(10.0, 30.0),  # a duplicate: the later one wins
+    ]
+    ordered = in_grid_order(cfg, records)
+    # (0, 29) and (10, 29) have no record yet and are left out
+    assert [r.key for r in ordered] == [
+        GridPoint(0.0, 1, 30.0, 0), GridPoint(10.0, 1, 30.0, 0),
+        GridPoint(5.0, 1, 30.0, 0), GridPoint(0.0, 1, 29.0, 4),
+    ]
+    assert ordered[0] is retried and ordered[1] is records[-1]
+    assert in_grid_order(cfg, []) == []
+
+
+def test_cli_resume_rewrites_an_appended_file_in_grid_order_first(tmp_path, monkeypatch):
+    config = tmp_path / "toy.yaml"
+    config.write_text(TWO_FRAMES)
+    cfg = load_config(config)
+    out_dir = tmp_path / "run"
+    sweep = ["sweep", "--config", str(config), "--out", str(out_dir)]
+    assert cli_main(sweep) == 0
+    whole = read_results(out_dir / "results.csv")
+    first, second = whole[:4], whole[4:]
+    # rows as per-frame appends leave them: frames in completion order, an
+    # error row and the rows of a retried frame, one point still missing
+    failed = replace(first[1], ber=math.nan, ser=math.nan, error="RuntimeError: boom")
+    appended = second[::-1] + [failed] + first[2:] + [second[0], first[0]]
+    write_results(appended, out_dir, cfg)
+    # before the frame runs, the file holds one row per point in grid
+    # order, the error row standing for its point
+    rewritten = in_grid_order(cfg, appended)
+    assert [r.key for r in rewritten] == grid_points(cfg)
+    assert rewritten[1] is failed
+    done = _watch_frames(monkeypatch, out_dir / "results.csv", prior=appended)
+    assert cli_main(sweep) == 0
+    # only the point that lacked a successful row reran
+    assert [[r.key for r in group] for group in done] == [[first[1].key]]
+    assert _without_wall_time(read_results(out_dir / "results.csv")) == _without_wall_time(whole)
+
+
+def test_cli_sweep_into_a_file_is_an_argument_error(tmp_path, capsys):
+    config = tmp_path / "toy.yaml"
+    config.write_text(TWO_FRAMES)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert cli_main(["sweep", "--config", str(config), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_cli_plotdata_from_results(tmp_path, capsys):

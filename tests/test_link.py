@@ -654,6 +654,25 @@ def test_config_refuses_non_finite_numbers(name, bad):
         cfg_with(**{name: bad})
 
 
+LINK_INT_FIELDS = {"n_symbols": 2048, "sps": 2, "rrc_span_symbols": 64, "num_slices": 4, "seed": 7}
+
+
+@pytest.mark.parametrize("bad", [2.0, 8.5, True])
+@pytest.mark.parametrize("name", LINK_INT_FIELDS)
+def test_config_refuses_non_integers(name, bad):
+    # a float or a bool would pass every range check and fail later,
+    # inside simulate_link
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        cfg_with(**{name: bad})
+
+
+def test_config_takes_numpy_integers_and_refuses_a_negative_seed():
+    as_numpy = {name: np.int64(value) for name, value in LINK_INT_FIELDS.items()}
+    assert cfg_with(**as_numpy) == cfg_with(**LINK_INT_FIELDS)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        cfg_with(seed=-1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         cfg_with(fiber_length_km=-1.0)
