@@ -16,7 +16,7 @@ import time
 import traceback
 from pathlib import Path
 
-from .esn import EsnConfig
+from .esn import EsnConfig, init_weights
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -31,7 +31,7 @@ from .harness import (
     sweep_groups,
     write_results,
 )
-from .metrics import KP4_BER, complexity_rmps
+from .metrics import KP4_BER, complexity_rmps, executed_rmps
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -117,9 +117,10 @@ def _cmd_complexity(args) -> int:
         esn_cfgs = [cfg.esn_config(n, cfg.seeds[0]) for n in args.n_out or cfg.n_out]
     else:
         esn_cfgs = [EsnConfig(n_out=n) for n in args.n_out or [1, 17, 23]]
-    print(f"{'n_out':>6} {'rmps':>12}")
+    print(f"{'n_out':>6} {'rmps':>12} {'nonzero':>12} {'dense':>12}")
     for esn_cfg in esn_cfgs:
-        print(f"{esn_cfg.n_out:>6} {complexity_rmps(esn_cfg):>12.4f}")
+        needed, dense = executed_rmps(init_weights(esn_cfg), esn_cfg)
+        print(f"{esn_cfg.n_out:>6} {complexity_rmps(esn_cfg):>12.4f} {needed:>12.4f} {dense:>12.4f}")
     return 0
 
 
@@ -153,7 +154,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=1, help="worker processes")
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("complexity", help="print the multiplications-per-symbol table")
+    p = sub.add_parser(
+        "complexity",
+        help="print multiplications per symbol: the formula, the nonzero and the dense count",
+    )
     p.add_argument("--config", default=None, help="optional YAML experiment file")
     p.add_argument(
         "--n-out",

@@ -36,6 +36,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, make_dataclass
 from datetime import datetime, timezone
+from functools import cache
 from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, get_args, get_origin, get_type_hints
@@ -593,10 +594,12 @@ def _package_version() -> str:
     return __version__
 
 
+@cache
 def _git_commit() -> str:
     """HEAD of the package's own checkout (the work tree whose top holds
     ``src/slicerc``), or "unknown". A copy of the package inside some
-    other git work tree would otherwise report that tree's HEAD."""
+    other git work tree would otherwise report that tree's HEAD. Asked
+    once per process: a sweep writes its manifest after every frame."""
     root = Path(__file__).resolve().parents[2]
     try:
         out = subprocess.run(
@@ -615,18 +618,27 @@ def _git_commit() -> str:
 
 
 def read_results(csv_path: str | Path) -> list[SweepRecord]:
-    """Parse a results.csv back into records, exactly."""
+    """Parse a results.csv back into records, exactly.
+
+    A row with too few or too many cells, or a cell that does not parse
+    as its column's type (a cut-short file ends in one), raises
+    ``ValueError`` naming the file and the line.
+    """
     records = []
     with Path(csv_path).open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(_RECORD_TYPES):
             raise ValueError(f"unexpected results.csv header in '{csv_path}'")
         for row in reader:
-            records.append(
-                SweepRecord(
-                    **{col: _parse_cell(row[col], hint) for col, hint in _RECORD_TYPES.items()}
-                )
-            )
+            try:
+                if None in row or None in row.values():
+                    raise ValueError(f"want {len(_RECORD_TYPES)} cells")
+                cells = {col: _parse_cell(row[col], hint) for col, hint in _RECORD_TYPES.items()}
+            except ValueError as exc:
+                raise ValueError(
+                    f"malformed row in '{csv_path}' at line {reader.line_num}: {exc}"
+                ) from None
+            records.append(SweepRecord(**cells))
     return records
 
 

@@ -30,8 +30,9 @@ forms take each slice's draw and scale from one rule
 :func:`detect_frame` runs dispersion, slicing and detection as one
 spectral pass over the real MZM field's rfft and takes the carrier from
 its DC bin. On frames above 2^21 samples each slice's inverse transform
-runs as a few shorter ones over interleaved phases of its samples, so
-the pass needs FFT scratch of a fraction of the spectrum.
+runs as 2^18-point ones over interleaved phases of its samples, onto
+which its bins alias, so the pass needs FFT scratch of a fraction of the
+spectrum and each transform works in cache.
 :func:`propagate_cd`, :func:`slice_spectrum` and
 :func:`photodetect` are the same steps as standalone operators on plain
 arrays that read the sample rate from ``cfg``; the pass and the
@@ -44,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import ceil, isfinite, pi
 from numbers import Integral
+from operator import ge, gt
 
 import numpy as np
 
@@ -63,12 +65,22 @@ _BITS_BY_LEVEL_INDEX = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8
 # spectrum (16 bytes a sample) lies above glibc's 32 MiB mmap ceiling.
 # Below it the shorter transforms' scratch comes from the heap, whose freed
 # pages stay resident: at 2^19 samples the split raised a sweep's peak RSS
-# by 5 MB at the same live memory.
+# by 5 MB at the same live memory. Above it each slice runs as P inverse
+# FFTs of n/P >= _PIECE_POINTS points onto which its bins alias; per 2^23
+# samples these took 0.15-0.20 s at 2^18 points against 0.41-0.50 s at 2^21.
 _SPLIT_ABOVE_BYTES = 32 << 20
+_PIECE_POINTS = 2**18
+# phases transformed and detected together, so that each row of the
+# (n/P, P) view of a slice's row takes 32 contiguous bytes per group: a
+# slice ran 1.35x slower one phase at a time (stride-P writes), and no
+# faster eight at a time with twice the buffer. They are squared this many
+# columns at a time, into a buffer that stays in cache.
+_GROUP_PHASES = 4
+_DETECT_COLUMNS = 8192
 
-# detect_frame's phase twiddles e^{2 pi i k / n} come from two tables of
-# about this length, not from one table as long as the slice
-_TWIDDLE_BLOCK = 4096
+# a phase's twiddles e^{2 pi i c r / n} come from two tables of about this
+# length, not from one table as long as the transform
+_TWIDDLE_BLOCK = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,29 +401,32 @@ def _dispersion_factor(f: np.ndarray, cfg: LinkConfig) -> np.ndarray:
     return np.exp(factor, out=factor)
 
 
-def _slice_bins(f: np.ndarray, cfg: LinkConfig) -> list[tuple[int, int]]:
-    """Signed bin ranges ``[a, b)`` of an FFT, one per slice.
+def _slice_bins(n: int, cfg: LinkConfig) -> list[tuple[int, int]]:
+    """Signed bin ranges ``[a, b)`` of an n-point FFT, one per slice.
 
-    ``f`` holds the bin frequencies in ascending order, as
-    :func:`_bin_frequencies` gives them, so bin k
-    (stored at index k mod n) sits at ``f[k + n // 2]``. The occupied band
-    ``[-B/2, +B/2]`` splits into ``num_slices`` equal intervals. Each is
-    half-open and the last one also holds its top edge, so every in-band
-    bin, f = 0 included, lies in exactly one slice and each range starts
-    where the one before it ends.
+    Bin k sits at frequency ``k * (1 / (n * d))``, ``d = 1 / sample_rate``:
+    the product ``fftfreq`` forms, so a bin is in a slice exactly when its
+    ``fftfreq`` value is. The occupied band ``[-B/2, +B/2]`` splits into
+    ``num_slices`` equal intervals. Each is half-open and the last one also
+    holds its top edge, so every in-band bin, f = 0 included, lies in
+    exactly one slice and each range starts where the one before it ends.
     """
+    step = 1.0 / (n * (1.0 / cfg.sample_rate))
     b = cfg.occupied_bandwidth
-    edges = -b / 2.0 + b * np.arange(cfg.num_slices + 1) / cfg.num_slices
-    # the first bin at or above each edge, and past the top one
-    starts = np.searchsorted(f, edges, side="left")
-    starts[-1] = np.searchsorted(f, edges[-1], side="right")
-    starts -= f.size // 2
-    return list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    edges = (-b / 2.0 + b * np.arange(cfg.num_slices + 1) / cfg.num_slices).tolist()
 
-
-def _bin_frequencies(n: int, cfg: LinkConfig) -> np.ndarray:
-    """Ascending frequencies of an n-point FFT's bins at ``cfg.sample_rate``."""
-    return np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / cfg.sample_rate))
+    starts = []
+    for i, edge in enumerate(edges):
+        # the first bin at or above each edge, and past the top one
+        reached = gt if i == cfg.num_slices else ge
+        k = ceil(edge / step)
+        while reached((k - 1) * step, edge):
+            k -= 1
+        while not reached(k * step, edge):
+            k += 1
+        # within the n bins -(n // 2) .. (n - 1) // 2, or just past the top
+        starts.append(min(max(k, -(n // 2)), (n + 1) // 2))
+    return list(zip(starts[:-1], starts[1:]))
 
 
 def _in_band(spectrum: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -420,24 +435,25 @@ def _in_band(spectrum: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.concatenate((spectrum[spectrum.size + lo :], spectrum[:hi]))
 
 
-def _rotate_bins(values: np.ndarray, first: int, n: int) -> None:
-    """Multiply ``values``, the bins first, first + 1, ... of an n-point
-    spectrum, by their twiddles ``e^{2 pi i k / n}`` in place.
+def _turn_phases(spec: np.ndarray, phases: np.ndarray, n: int) -> None:
+    """Multiply row g of ``spec`` by ``e^{2 pi i c r / n}`` at column c in
+    place, r = ``phases[g]``.
 
-    Bin ``first + q T + s`` (T = :data:`_TWIDDLE_BLOCK`, s < T) takes
-    ``fine[s] * coarse[q]``: two short tables, applied to whole blocks of
-    T bins and then to the last, partial block.
+    Column ``q T + s`` (T = :data:`_TWIDDLE_BLOCK`, s < T) takes
+    ``fine[g, s] * coarse[g, q]``: two short tables per row, applied to
+    whole blocks of T columns and then to the last, partial block. The
+    angles are reduced modulo n in integers first.
     """
     step = 2j * pi / n
-    fine = np.exp(step * np.arange(_TWIDDLE_BLOCK))
-    coarse = np.exp(step * np.arange(first, first + values.size, _TWIDDLE_BLOCK))
-    whole = values.size - values.size % _TWIDDLE_BLOCK
-    blocks = values[:whole].reshape(-1, _TWIDDLE_BLOCK)
-    blocks *= fine
-    blocks *= coarse[: blocks.shape[0], None]
-    tail = values[whole:]
-    tail *= fine[: tail.size]
-    tail *= coarse[-1:]
+    fine = np.exp(step * (np.outer(phases, np.arange(_TWIDDLE_BLOCK)) % n))
+    coarse = np.exp(step * (np.outer(phases, np.arange(0, spec.shape[1], _TWIDDLE_BLOCK)) % n))
+    whole = spec.shape[1] - spec.shape[1] % _TWIDDLE_BLOCK
+    blocks = spec[:, :whole].reshape(spec.shape[0], -1, _TWIDDLE_BLOCK)
+    blocks *= fine[:, None]
+    blocks *= coarse[:, : blocks.shape[1], None]
+    tail = spec[:, whole:]
+    tail *= fine[:, : tail.shape[1]]
+    tail *= coarse[:, -1:]
 
 
 def _place_bins(values: np.ndarray, first: int, out: np.ndarray) -> None:
@@ -462,6 +478,39 @@ def _square_law(field: np.ndarray, offset: complex, out: np.ndarray, scratch: np
     np.add(field, offset, out=scratch)
     np.abs(scratch, out=out)
     np.square(out, out=out)
+
+
+def _detect_phases(
+    blocks: np.ndarray, first: int, offset: complex, row: np.ndarray, spec: np.ndarray, out: np.ndarray
+) -> None:
+    """Detect one slice into ``row`` (n = P m samples) from its bins in
+    aliased blocks: ``blocks[l, c]`` is bin ``(first + l) m + c``.
+
+    Sample ``r + P t`` of the slice field is ``ifft_m(Y_r)[t]``, with
+    ``Y_r = e^{2 pi i c r / n} * (W_r @ blocks)`` and
+    ``W_r[l] = e^{2 pi i (first + l) r / P} / P``. ``spec``, complex and
+    (G, m), holds G consecutive phases at a time: they are transformed in
+    place and squared on ``offset`` as :func:`_square_law` does, a few
+    columns at a time into ``out`` (real, G rows), which goes to columns
+    r0 .. r0 + G - 1 of the row's (m, P) view while it is in cache.
+    """
+    group, m = spec.shape
+    phases = row.size // m
+    by_phase = row.reshape(m, phases)
+    aliases = np.arange(first, first + blocks.shape[0])
+    for r0 in range(0, phases, group):
+        r = np.arange(r0, r0 + group)
+        weights = np.exp((2j * pi / phases) * (np.outer(r, aliases) % phases))
+        weights /= phases
+        np.matmul(weights, blocks, out=spec)
+        _turn_phases(spec, r, row.size)
+        for line in spec:  # one line at a time: a 2-D call's scratch is 2.5x larger
+            np.fft.ifft(line, out=line)
+        for c0 in range(0, m, out.shape[1]):
+            field = spec[:, c0 : c0 + out.shape[1]]
+            squared = out[:, : field.shape[1]]
+            _square_law(field, offset, squared, field)
+            by_phase[c0 : c0 + field.shape[1], r0 : r0 + group] = squared.T
 
 
 def propagate_cd(field: np.ndarray, cfg: LinkConfig) -> np.ndarray:
@@ -491,7 +540,7 @@ def slice_spectrum(field: np.ndarray, cfg: LinkConfig) -> np.ndarray:
         Complex array of shape ``(num_slices, n_samples)``.
     """
     spectrum = np.fft.fft(np.asarray(field, dtype=complex))
-    slices = _slice_bins(_bin_frequencies(spectrum.size, cfg), cfg)
+    slices = _slice_bins(spectrum.size, cfg)
     lo = slices[0][0]
     band = _in_band(spectrum, lo, slices[-1][1])
     fields = np.empty((cfg.num_slices, spectrum.size), dtype=complex)
@@ -622,22 +671,32 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     without the round trip to the time domain and without the slice
     fields ever existing together.
 
-    When the frame's complex spectrum would exceed 32 MiB (above 2^21
-    samples), each slice's inverse FFT runs as P transforms of n/P points,
-    P the largest power of two that divides n and leaves n/P at least the
-    widest slice's bin count (4 at the defaults, 1 for one slice); smaller
-    frames keep P = 1. With ``j = r + P m``, time sample j of a slice whose
-    bins k are X_k is ``ifft_{n/P}(Y_r)[m]``, where phase r places
-    ``X_k e^{2 pi i k r / n} / P`` at bin k mod n/P, and no two of the
-    slice's bins share one. One buffer of n/P points holds each phase in
-    turn: it is transformed in place and detected at once into samples r,
-    r + P, ... of the slice's row. The twiddles come from two short tables
-    (:func:`_rotate_bins`).
+    Frames of at most 2^21 samples run one inverse FFT per slice, through
+    one buffer of n points that each slice is placed in, transformed and
+    detected from in turn. Larger frames, whose complex spectrum would
+    exceed 32 MiB, run each slice as P transforms of m = n/P points, P the
+    largest power of two that divides n and leaves m at least
+    :data:`_PIECE_POINTS` (P = 32, m = 2^18 at 2^22 symbols). The slice's
+    bins are laid out in blocks of m, block l holding bins
+    ``(l0 + l) m .. (l0 + l + 1) m - 1`` (l0 = a // m, zero outside the
+    slice), and alias: with ``j = r + P t``, time sample j is
+    ``ifft_m(Y_r)[t]``, where
 
-    The peak is a late slice's transforms: the rows, the band (the last
-    slice's bins alone), the phase buffer and the FFT's scratch of two
-    n/P-point spectra. At the defaults and 2^21 symbols the peak RSS grows
-    by about 1.5x the rows.
+        Y_r[c] = e^{2 pi i c r / n} sum_l X_{c + (l0 + l) m} e^{2 pi i (l0 + l) r / P} / P,
+
+    an exact identity (:func:`_detect_phases`). Each phase costs one
+    product over the blocks and one m-point twiddle (:func:`_turn_phases`),
+    not a turn of the whole slice. Four phases at a time are transformed
+    in one (4, m) buffer, square-law detected a few columns at a time and
+    written to samples r, r + P, ... of the row in runs of four. The
+    blocks, the phase buffer and the detected columns are carved from one
+    workspace array (36 MiB at 2^22 symbols, above glibc's 32 MiB mmap
+    ceiling, so it goes back to the OS whole when freed).
+
+    The peak is the end of the last two slices: three rows, the band and
+    the workspace, then four rows and the workspace once the last slice's
+    bins are in it and the band is freed. At the defaults and 2^21
+    symbols the peak RSS grows by about 1.47x the rows.
     """
     frame = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
     shaped = pulse_shape(frame, cfg)
@@ -650,10 +709,9 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     n = field.size
     half = np.fft.rfft(field)
     del field
-    slices = _slice_bins(_bin_frequencies(n, cfg), cfg)
-    widest = max(b - a for a, b in slices)
-    split, phases = 16 * n > _SPLIT_ABOVE_BYTES, 1
-    while split and n % (2 * phases) == 0 and n // (2 * phases) >= widest:
+    slices = _slice_bins(n, cfg)
+    phases = 1
+    while 16 * n > _SPLIT_ABOVE_BYTES and n % (2 * phases) == 0 and n // (2 * phases) >= _PIECE_POINTS:
         phases *= 2
     lo, hi = slices[0][0], slices[-1][1]
     band = np.empty(hi - lo, dtype=complex)
@@ -663,24 +721,42 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     # fftfreq's own expression, so each bin's frequency keeps its bits
     band *= _dispersion_factor(np.arange(lo, hi) * (1.0 / (n * (1.0 / cfg.sample_rate))), cfg)
     carrier = band[-lo] / n
-    phase = np.empty(n // phases, dtype=complex)
     rows = np.empty((cfg.num_slices, n))
+    m = n // phases
+    if phases == 1:
+        phase = np.empty(n, dtype=complex)
+    else:
+        # one workspace: G phase spectra, the slice's bins in blocks of m,
+        # and G rows of detected columns
+        group = min(_GROUP_PHASES, phases)
+        most = max(-(-b // m) - a // m for a, b in slices)
+        work = np.empty((group + most) * m + group * _DETECT_COLUMNS // 2, dtype=complex)
+        spec = work[: group * m].reshape(group, m)
+        spare = work[group * m : (group + most) * m]
+        detected = work[(group + most) * m :].view(float).reshape(group, _DETECT_COLUMNS)
     for i, (row, (a, b)) in enumerate(zip(rows, slices)):
-        # the slice's own bins, which no other slice reads, so they are
-        # scaled and turned through the phases in place; the last slice's
-        # are copied out, so that the band is freed before its transforms
+        # the slice's own bins; the last slice's are copied out of the band
+        # (into the workspace when split), so that it is freed before their
+        # transforms
         values = band[a - lo : b - lo]
-        if i == len(slices) - 1:
+        if phases > 1:
+            # blocks from bin (a // m) m on, zero outside the slice
+            first = a // m * m
+            blocks = spare[: -(-(b - first) // m) * m]
+            blocks.fill(0.0)
+            blocks[a - first : b - first] = values
+            values = blocks.reshape(-1, m)
+        elif i == len(slices) - 1:
             values = values.copy()
+        if i == len(slices) - 1:
             del band
-        values *= 1.0 / phases
         offset = 0.0 if a <= 0 < b else carrier
-        for r in range(phases):
-            if r:
-                _rotate_bins(values, a, n)
+        if phases > 1:
+            _detect_phases(values, a // m, offset, row, spec, detected)
+        else:
             _place_bins(values, a, out=phase)
             np.fft.ifft(phase, out=phase)
-            _square_law(phase, offset, row[r::phases], phase)
+            _square_law(phase, offset, row, phase)
     return rows, frame
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .esn import EsnConfig
+from .esn import EsnConfig, EsnWeights
 from .link import PAM4_LEVELS, demap_gray_pam4, level_indices
 
 KP4_BER = 2.26e-4
@@ -234,3 +234,26 @@ def complexity_rmps(cfg: EsnConfig) -> float:
         + cfg.n_out * (1 + cfg.n_res)
     )
     return total / cfg.n_out
+
+
+def executed_rmps(weights: EsnWeights, cfg: EsnConfig) -> tuple[float, float]:
+    """Real multiplications per equalized symbol that one equalizer step
+    needs and that it runs, each divided over the step's n_out symbols.
+
+    A step projects the window through ``w_in``, multiplies the state by
+    ``w_res``, makes the 2 n_res leak products and reads each readout
+    row's selected columns; the bias column is added, not multiplied.
+    The first count keeps the nonzero ``w_in`` and ``w_res`` entries and
+    the non-bias columns ``out_mask`` selects. The second is what
+    ``equalize`` runs, which multiplies densely: every entry of ``w_in``
+    and ``w_res`` and every non-bias column of every row. Neither counts
+    training, the washout or the refolds of the segmented fold.
+    """
+    readout = weights.out_mask[:, :-1]
+    leak = 2 * cfg.n_res
+    needed = (
+        np.count_nonzero(weights.w_in) + np.count_nonzero(weights.w_res) + leak
+        + np.count_nonzero(readout)
+    )
+    dense = weights.w_in.size + weights.w_res.size + leak + readout.size
+    return needed / cfg.n_out, dense / cfg.n_out

@@ -22,7 +22,7 @@ import yaml
 import slicerc
 from slicerc import esn, harness
 from slicerc.cli import main as cli_main
-from slicerc.esn import EsnConfig, equalize
+from slicerc.esn import EsnConfig, equalize, init_weights
 from slicerc.harness import (
     ConfigError,
     EsnParams,
@@ -45,7 +45,13 @@ from slicerc.harness import (
     write_results,
 )
 from slicerc.link import detect_frame, load_noise_batch
-from slicerc.metrics import ber_floor, complexity_rmps, count_errors, hard_decision
+from slicerc.metrics import (
+    ber_floor,
+    complexity_rmps,
+    count_errors,
+    executed_rmps,
+    hard_decision,
+)
 
 from fresh_process import run_fresh
 
@@ -724,9 +730,16 @@ def test_series_curve_medians_and_floors():
 
 def test_cli_complexity_table(capsys):
     assert cli_main(["complexity"]) == 0
-    out = capsys.readouterr().out
-    assert "691" in out
-    assert "72.6" in out
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n_out", "rmps", "nonzero", "dense"]
+    table = {int(row.split()[0]): [float(v) for v in row.split()[1:]] for row in rows}
+    assert list(table) == [1, 17, 23]
+    for n_out, (rmps, needed, dense) in table.items():
+        cfg = EsnConfig(n_out=n_out)
+        assert f"{rmps:.4f}" == f"{complexity_rmps(cfg):.4f}"
+        assert (needed, dense) == tuple(round(v, 4) for v in executed_rmps(init_weights(cfg), cfg))
+    assert [round(table[n][0], 1) for n in (1, 17, 23)] == [691.0, 72.6, 62.6]
+    assert [round(table[n][2], 1) for n in (1, 17, 23)] == [6694.0, 595.2, 495.7]
 
 
 def test_cli_simulate_and_sweep(tmp_path, capsys):
@@ -1023,6 +1036,59 @@ def test_cli_resume_rewrites_an_appended_file_in_grid_order_first(tmp_path, monk
     # only the point that lacked a successful row reran
     assert [[r.key for r in group] for group in done] == [[first[1].key]]
     assert _without_wall_time(read_results(out_dir / "results.csv")) == _without_wall_time(whole)
+
+
+@pytest.mark.parametrize("kept", [0.25, 0.5, 0.9])
+def test_cli_resume_of_a_cut_short_results_file_is_an_input_error(tmp_path, capsys, kept):
+    config = tmp_path / "toy.yaml"
+    config.write_text(TWO_FRAMES)
+    out_dir = tmp_path / "run"
+    sweep = ["sweep", "--config", str(config), "--out", str(out_dir)]
+    assert cli_main(sweep) == 0
+    csv_path = out_dir / "results.csv"
+    # the file stops inside its last row, which keeps that share of its bytes
+    whole = csv_path.read_bytes()
+    last = whole.rstrip(b"\n").rfind(b"\n") + 1
+    cut_short = whole[: last + int(kept * (len(whole) - last))]
+    csv_path.write_bytes(cut_short)
+    capsys.readouterr()
+    assert cli_main(sweep) == 1
+    err = capsys.readouterr().err
+    line = cut_short.decode().count("\n") + 1  # the last, cut-short line
+    assert err.startswith(f"error: malformed row in '{csv_path}' at line {line}: "), err
+    assert "Traceback" not in err
+    assert csv_path.read_bytes() == cut_short
+
+
+def test_read_results_names_the_line_of_a_malformed_row(tmp_path):
+    write_results(synthetic_records(), tmp_path, toy_config())
+    path = tmp_path / "results.csv"
+    header, first, *rest = path.read_text().splitlines()
+    for bad, why in ((first + ",extra", "want 14 cells"), (first.replace(",", ",x", 1), "")):
+        path.write_text("\n".join([header, *rest, bad]) + "\n")
+        with pytest.raises(ValueError, match=f"malformed row in '{path}' at line {len(rest) + 2}: {why}"):
+            read_results(path)
+
+
+def test_manifest_asks_git_once_per_process(tmp_path, monkeypatch):
+    asked, run = [], subprocess.run
+
+    def counted(args, *rest, **kw):
+        if args[0] == "git":
+            asked.append(args)
+        return run(args, *rest, **kw)
+
+    monkeypatch.setattr(subprocess, "run", counted)
+    harness._git_commit.cache_clear()
+    try:
+        commits = []
+        for _ in range(3):
+            write_results(synthetic_records(), tmp_path, toy_config())
+            commits.append(json.loads((tmp_path / "manifest.json").read_text())["git_commit"])
+    finally:
+        harness._git_commit.cache_clear()
+    assert len(asked) == 1
+    assert len(set(commits)) == 1
 
 
 def test_cli_sweep_into_a_file_is_an_argument_error(tmp_path, capsys):

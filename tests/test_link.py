@@ -401,6 +401,31 @@ def test_slice_bin_ranges_equal_the_frequency_masks(n, num_slices, sps, rolloff,
         assert np.array_equal(field, np.fft.ifft(np.where(mask, spectrum, 0.0)))
 
 
+def oracle_searchsorted_bins(n, cfg):
+    """The slice ranges by binary search over the ascending ``fftfreq`` bins."""
+    f = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / cfg.sample_rate))
+    b = cfg.occupied_bandwidth
+    edges = -b / 2.0 + b * np.arange(cfg.num_slices + 1) / cfg.num_slices
+    starts = np.searchsorted(f, edges, side="left")
+    starts[-1] = np.searchsorted(f, edges[-1], side="right")
+    starts -= n // 2
+    return list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+
+
+@pytest.mark.parametrize("n", [64, 65, 1001, 4096, 2**21 + 1, 2**22])
+@pytest.mark.parametrize("num_slices", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "sps,rolloff,baud_rate",
+    [(2, 0.1, 32e9), (1, 0.0, 32e9), (2, 1.0, 32e9), (3, 0.35, 32e9), (2, 0.5, 2.0**30)],
+)
+def test_slice_bins_equal_the_searchsorted_rule(n, num_slices, sps, rolloff, baud_rate):
+    # _slice_bins finds each edge's bin from integer bin numbers; the ranges
+    # must be those of a binary search over fftshift(fftfreq(n)), band
+    # edges on +-fs/2 and bins exactly on an edge included
+    cfg = cfg_with(num_slices=num_slices, sps=sps, rolloff=rolloff, baud_rate=baud_rate)
+    assert link._slice_bins(n, cfg) == oracle_searchsorted_bins(n, cfg)
+
+
 def test_slice_rejects_undersampled_band():
     # slice_spectrum reads its sample rate from the config, so a band wider
     # than the sampling rate is refused before any slicing can happen
@@ -516,19 +541,29 @@ def test_load_noise_batch_matches_per_slice_normal_draws():
 @pytest.mark.parametrize("length", [0.0, 50.0])
 def test_detect_frame_matches_the_stage_chain(length, num_slices, monkeypatch):
     # odd slice counts put f = 0 inside a slice, four puts it on a band edge;
-    # with the split allowed at any size, 8192 samples split 3 and 4 slices
-    # into 4 phases, 8190 samples into 2, and one slice runs as one
-    # full-length transform
+    # with the split allowed at any size and pieces of at least 256 or 1000
+    # points, 8192 samples run 32 or 8 phases of 256 or 1024 points, fewer
+    # than any slice holds, so its bins alias onto each transform; 8190
+    # samples run 2 phases of 4095 points
     monkeypatch.setattr(link, "_SPLIT_ABOVE_BYTES", 0)
-    for n_symbols in (4095, 4096):
+    for pieces, n_symbols in ((256, 4095), (256, 4096), (1000, 4096)):
+        monkeypatch.setattr(link, "_PIECE_POINTS", pieces)
         cfg = cfg_with(n_symbols=n_symbols, fiber_length_km=length, num_slices=num_slices, seed=11)
-        rows, frame = detect_frame(cfg)
+        sizes, ifft = [], np.fft.ifft
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "ifft", lambda a, *args, **kw: sizes.append(a.shape[-1]) or ifft(a, *args, **kw))
+            rows, frame = detect_frame(cfg)
+        n = cfg.n_symbols * cfg.sps
+        assert set(sizes) == {4095 if n_symbols == 4095 else 256 if pieces == 256 else 1024}
+        if n_symbols == 4096:
+            narrowest = min(b - a for a, b in link._slice_bins(n, cfg))
+            assert narrowest > sizes[0]  # so J >= 2 blocks alias onto each transform
         drawn = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
         assert np.array_equal(frame.levels, drawn.levels)
         shaped = pulse_shape(frame, cfg)
         drive = shaped / np.max(np.abs(shaped))
         chain = photodetect(slice_spectrum(propagate_cd(mzm_modulate(drive, cfg), cfg), cfg))
-        assert rows.shape == chain.shape == (num_slices, cfg.n_symbols * cfg.sps)
+        assert rows.shape == chain.shape == (num_slices, n)
         for row, want in zip(rows, chain):
             assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -551,13 +586,15 @@ def test_detect_frame_memory_stays_bounded():
 def test_detect_frame_memory_at_reference_scale():
     # at 2^21 symbols every full-size array (rows, spectrum) lies above
     # glibc's 32 MiB mmap ceiling, so peak RSS follows live memory.
-    # detect_frame measured 1.52x the rows and simulate_link 1.52x: slice
-    # transforms at n/4 points with short twiddle tables, an rfft forward
-    # pass, symbol-rate pulse shaping, int8 levels, and noise added into
-    # the rows one slice at a time with the variance computed in the
-    # draw's buffer. A frame-length twiddle ramp, a complex forward FFT,
-    # full-length pulse shaping, float64 levels and row.var() measured
-    # 1.80x and 1.88x; transforms over the full spectrum 2.47x, and a lone
+    # detect_frame and simulate_link measured 1.47x the rows: slice
+    # transforms of 2^18 points over aliased bins, four phases at a time,
+    # an rfft forward pass, symbol-rate pulse shaping, int8 levels, and
+    # noise added into the rows one slice at a time with the variance
+    # computed in the draw's buffer; the bound leaves 10 MiB for heap
+    # layout. Transforms of n/4 points measured 1.52x, eight phases at a
+    # time 1.60x; a frame-length twiddle ramp, a complex forward FFT,
+    # full-length pulse shaping, float64 levels and row.var() 1.80x and
+    # 1.88x; transforms over the full spectrum 2.47x, and a lone
     # observation that also holds a noise draw of the rows' size 2.62x
     for stage in ("detect_frame", "simulate_link"):
         script = (
@@ -570,26 +607,29 @@ def test_detect_frame_memory_at_reference_scale():
             "print(json.dumps({'grown': grown, 'rows': rows.nbytes}))\n"
         )
         got = run_fresh(script)
-        assert got["grown"] <= 1.65 * got["rows"], (stage, got)
+        assert got["grown"] <= 1.55 * got["rows"], (stage, got)
 
 
 def test_detect_frame_splits_only_above_2_21_samples():
     # the split is gated in samples: a 2^18-symbol frame (2^19 samples)
     # runs one full-length inverse FFT per slice, since splitting it raised
-    # a desk sweep's peak RSS by 5%, and a 2^21-symbol frame runs P = 4
+    # a desk sweep's peak RSS by 5%, and a 2^21-symbol frame runs each
+    # slice as P = n / _PIECE_POINTS = 16 transforms of 2^18 points
     script = (
         "import json, sys\n"
         "import numpy as np\n"
         "from slicerc.link import LinkConfig, detect_frame\n"
         "sizes, ifft = [], np.fft.ifft\n"
         "def recorded(a, *args, **kw):\n"
-        "    sizes.append(a.size)\n"
+        "    sizes.extend([a.shape[-1]] * (a.size // a.shape[-1]))\n"
         "    return ifft(a, *args, **kw)\n"
         "np.fft.ifft = recorded\n"
         "detect_frame(LinkConfig(10.0, 12.0, int(sys.argv[1])))\n"
         "print(json.dumps({'sizes': sizes}))\n"
     )
-    for n_symbols, phases in ((2**18, 1), (2**21, 4)):
+    pieces = link._PIECE_POINTS
+    assert pieces == 2**18
+    for n_symbols, phases in ((2**18, 1), (2**21, 2**22 // pieces)):
         n = 2 * n_symbols
         got = run_fresh(script, str(n_symbols))
         assert got["sizes"] == [n // phases] * (4 * phases), (n_symbols, got["sizes"][:8])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicerc import metrics
-from slicerc.esn import EsnConfig
+from slicerc.esn import EsnConfig, init_weights
 from slicerc.link import demap_gray_pam4
 from slicerc.metrics import (
     KP4_BER,
@@ -18,6 +18,7 @@ from slicerc.metrics import (
     NotBracketed,
     complexity_rmps,
     count_errors,
+    executed_rmps,
     hard_decision,
     snr_at_threshold,
 )
@@ -338,6 +339,29 @@ def test_multi_symbol_reduction_is_order_of_magnitude():
 def test_complexity_strictly_decreasing_in_n_out():
     values = [complexity_rmps(variant(n)) for n in range(1, 24)]
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("n_out,per_step", [(1, 6694), (17, 10118), (23, 11402)])
+def test_executed_dense_count_is_every_product_equalize_runs(n_out, per_step):
+    # per step at the defaults: w_in 30 x 184, w_res 30 x 30, 60 leak
+    # products and n_out rows of 214 non-bias readout columns
+    cfg = variant(n_out)
+    assert per_step == 30 * 184 + 30 * 30 + 60 + n_out * 214
+    _, dense = executed_rmps(init_weights(cfg), cfg)
+    assert dense == per_step / n_out  # 6694, 595.2, 495.7
+
+
+@pytest.mark.parametrize("n_out,seed", [(1, 0), (17, 0), (23, 5)])
+def test_executed_nonzero_count_reads_the_drawn_weights(n_out, seed):
+    cfg = EsnConfig(n_out=n_out, seed=seed)
+    weights = init_weights(cfg)
+    weights.w_in[:, 0] = 0.0  # a zeroed weight is not a product
+    count = sum(v != 0.0 for v in weights.w_in.flat) + sum(v != 0.0 for v in weights.w_res.flat)
+    count += 2 * cfg.n_res
+    count += sum(bool(selected) for row in weights.out_mask for selected in row[:-1])
+    needed, dense = executed_rmps(weights, cfg)
+    assert needed == count / n_out
+    assert complexity_rmps(cfg) < needed < dense
 
 
 def test_complexity_counts_the_printed_terms():
