@@ -73,7 +73,9 @@ _PIECE_POINTS = 2**18
 # phases transformed and detected together, so that each row of the
 # (n/P, P) view of a slice's row takes 32 contiguous bytes per group: a
 # slice ran 1.35x slower one phase at a time (stride-P writes), and no
-# faster eight at a time with twice the buffer. They are squared this many
+# faster eight at a time with twice the buffer. Longer phases, where n has
+# fewer factors of two, go fewer at a time, so the phase buffer never holds
+# more than _GROUP_PHASES * _PIECE_POINTS points. They are squared this many
 # columns at a time, into a buffer that stays in cache.
 _GROUP_PHASES = 4
 _DETECT_COLUMNS = 8192
@@ -441,12 +443,11 @@ def _turn_phases(spec: np.ndarray, phases: np.ndarray, n: int) -> None:
 
     Column ``q T + s`` (T = :data:`_TWIDDLE_BLOCK`, s < T) takes
     ``fine[g, s] * coarse[g, q]``: two short tables per row, applied to
-    whole blocks of T columns and then to the last, partial block. The
-    angles are reduced modulo n in integers first.
+    whole blocks of T columns and then to the last, partial block.
     """
     step = 2j * pi / n
-    fine = np.exp(step * (np.outer(phases, np.arange(_TWIDDLE_BLOCK)) % n))
-    coarse = np.exp(step * (np.outer(phases, np.arange(0, spec.shape[1], _TWIDDLE_BLOCK)) % n))
+    fine = np.exp(step * np.outer(phases, np.arange(_TWIDDLE_BLOCK)))
+    coarse = np.exp(step * np.outer(phases, np.arange(0, spec.shape[1], _TWIDDLE_BLOCK)))
     whole = spec.shape[1] - spec.shape[1] % _TWIDDLE_BLOCK
     blocks = spec[:, :whole].reshape(spec.shape[0], -1, _TWIDDLE_BLOCK)
     blocks *= fine[:, None]
@@ -686,12 +687,18 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
 
     an exact identity (:func:`_detect_phases`). Each phase costs one
     product over the blocks and one m-point twiddle (:func:`_turn_phases`),
-    not a turn of the whole slice. Four phases at a time are transformed
-    in one (4, m) buffer, square-law detected a few columns at a time and
-    written to samples r, r + P, ... of the row in runs of four. The
-    blocks, the phase buffer and the detected columns are carved from one
-    workspace array (36 MiB at 2^22 symbols, above glibc's 32 MiB mmap
-    ceiling, so it goes back to the OS whole when freed).
+    not a turn of the whole slice. G phases at a time are transformed in
+    one (G, m) buffer, square-law detected a few columns at a time and
+    written to samples r, r + P, ... of the row in runs of G; G is four,
+    or less where G m would pass 2^20 points. The blocks, the phase buffer
+    and the detected columns are carved from one workspace array (36 MiB
+    at 2^22 symbols, above glibc's 32 MiB mmap ceiling, so it goes back to
+    the OS whole when freed).
+
+    Where n has few factors of two, m stays long and the zero-padded
+    blocks cost memory that no cache gain repays: at 2109375 symbols
+    (P = 2, m = n/2) one block of m bins is 0.25x the rows, and the peak
+    RSS grows by 2.25x the rows.
 
     The peak is the end of the last two slices: three rows, the band and
     the workspace, then four rows and the workspace once the last slice's
@@ -729,6 +736,8 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
         # one workspace: G phase spectra, the slice's bins in blocks of m,
         # and G rows of detected columns
         group = min(_GROUP_PHASES, phases)
+        while group > 1 and group * m > _GROUP_PHASES * _PIECE_POINTS:
+            group //= 2
         most = max(-(-b // m) - a // m for a, b in slices)
         work = np.empty((group + most) * m + group * _DETECT_COLUMNS // 2, dtype=complex)
         spec = work[: group * m].reshape(group, m)

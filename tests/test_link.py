@@ -541,12 +541,19 @@ def test_load_noise_batch_matches_per_slice_normal_draws():
 @pytest.mark.parametrize("length", [0.0, 50.0])
 def test_detect_frame_matches_the_stage_chain(length, num_slices, monkeypatch):
     # odd slice counts put f = 0 inside a slice, four puts it on a band edge;
-    # with the split allowed at any size and pieces of at least 256 or 1000
-    # points, 8192 samples run 32 or 8 phases of 256 or 1024 points, fewer
-    # than any slice holds, so its bins alias onto each transform; 8190
-    # samples run 2 phases of 4095 points
+    # with the split allowed at any size, pieces of at least 8192 points
+    # leave 8190 and 8192 samples one full-length transform per slice;
+    # pieces of at least 256 or 1000 points split 8192 samples into 32 or 8
+    # phases of 256 or 1024 points, fewer than any slice holds, so its bins
+    # alias onto each transform, and 8190 samples into 2 phases of 4095
     monkeypatch.setattr(link, "_SPLIT_ABOVE_BYTES", 0)
-    for pieces, n_symbols in ((256, 4095), (256, 4096), (1000, 4096)):
+    for pieces, n_symbols, points in (
+        (8192, 4095, 8190),
+        (8192, 4096, 8192),
+        (256, 4095, 4095),
+        (256, 4096, 256),
+        (1000, 4096, 1024),
+    ):
         monkeypatch.setattr(link, "_PIECE_POINTS", pieces)
         cfg = cfg_with(n_symbols=n_symbols, fiber_length_km=length, num_slices=num_slices, seed=11)
         sizes, ifft = [], np.fft.ifft
@@ -554,10 +561,10 @@ def test_detect_frame_matches_the_stage_chain(length, num_slices, monkeypatch):
             patch.setattr(np.fft, "ifft", lambda a, *args, **kw: sizes.append(a.shape[-1]) or ifft(a, *args, **kw))
             rows, frame = detect_frame(cfg)
         n = cfg.n_symbols * cfg.sps
-        assert set(sizes) == {4095 if n_symbols == 4095 else 256 if pieces == 256 else 1024}
-        if n_symbols == 4096:
+        assert sizes == [points] * (num_slices * n // points)
+        if points < 4095:
             narrowest = min(b - a for a, b in link._slice_bins(n, cfg))
-            assert narrowest > sizes[0]  # so J >= 2 blocks alias onto each transform
+            assert narrowest > points  # so J >= 2 blocks alias onto each transform
         drawn = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
         assert np.array_equal(frame.levels, drawn.levels)
         shaped = pulse_shape(frame, cfg)
