@@ -29,10 +29,11 @@ forms take each slice's draw and scale from one rule
 
 :func:`detect_frame` runs dispersion, slicing and detection as one
 spectral pass over the real MZM field's rfft and takes the carrier from
-its DC bin. On frames above 2^21 samples each slice's inverse transform
-runs as 2^18-point ones over interleaved phases of its samples, onto
-which its bins alias, so the pass needs FFT scratch of a fraction of the
-spectrum and each transform works in cache.
+its DC bin. Every slice takes one path: P inverse transforms over
+interleaved phases of its samples, onto which its bins alias, read in
+place from the slice's compact bins. P is 1 up to 2^21 samples and makes
+2^18-point transforms above, so the pass needs FFT scratch of a fraction
+of the spectrum and each transform works in cache.
 :func:`propagate_cd`, :func:`slice_spectrum` and
 :func:`photodetect` are the same steps as standalone operators on plain
 arrays that read the sample rate from ``cfg``; the pass and the
@@ -48,6 +49,7 @@ from numbers import Integral
 from operator import ge, gt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import STREAM_BITS, STREAM_SLICE_NOISE, substream
 
@@ -61,22 +63,24 @@ _LEVEL_BY_GRAY_INDEX = np.array([-3, -1, 3, 1], dtype=np.int8)
 # Inverse: level index (-3, -1, +1, +3) -> bit pair.
 _BITS_BY_LEVEL_INDEX = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 
-# detect_frame splits its slice transforms only for frames whose complex
-# spectrum (16 bytes a sample) lies above glibc's 32 MiB mmap ceiling.
-# Below it the shorter transforms' scratch comes from the heap, whose freed
-# pages stay resident: at 2^19 samples the split raised a sweep's peak RSS
-# by 5 MB at the same live memory. Above it each slice runs as P inverse
-# FFTs of n/P >= _PIECE_POINTS points onto which its bins alias; per 2^23
-# samples these took 0.15-0.20 s at 2^18 points against 0.41-0.50 s at 2^21.
+# detect_frame runs each slice as P inverse FFTs of n/P points onto which
+# its bins alias, read through strided views of the slice's compact bins.
+# P > 1 only for frames whose complex spectrum (16 bytes a sample) lies
+# above glibc's 32 MiB mmap ceiling: below it the shorter transforms'
+# scratch comes from the heap, whose freed pages stay resident, and at
+# 2^19 samples splitting raised a sweep's peak RSS by 5 MB at the same live
+# memory. Above it n/P >= _PIECE_POINTS; per 2^23 samples the transforms
+# took 0.15-0.20 s at 2^18 points against 0.41-0.50 s at 2^21.
 _SPLIT_ABOVE_BYTES = 32 << 20
 _PIECE_POINTS = 2**18
-# phases transformed and detected together, so that each row of the
-# (n/P, P) view of a slice's row takes 32 contiguous bytes per group: a
+# phases formed, transformed and detected together, so that each row of
+# the (n/P, P) view of a slice's row takes 32 contiguous bytes per group: a
 # slice ran 1.35x slower one phase at a time (stride-P writes), and no
 # faster eight at a time with twice the buffer. Longer phases, where n has
 # fewer factors of two, go fewer at a time, so the phase buffer never holds
-# more than _GROUP_PHASES * _PIECE_POINTS points. They are squared this many
-# columns at a time, into a buffer that stays in cache.
+# more than _GROUP_PHASES * _PIECE_POINTS points (at P = 1 it is one line
+# of n). They are squared this many columns at a time, into a buffer that
+# stays in cache.
 _GROUP_PHASES = 4
 _DETECT_COLUMNS = 8192
 
@@ -481,29 +485,46 @@ def _square_law(field: np.ndarray, offset: complex, out: np.ndarray, scratch: np
     np.square(out, out=out)
 
 
-def _detect_phases(
-    blocks: np.ndarray, first: int, offset: complex, row: np.ndarray, spec: np.ndarray, out: np.ndarray
+def _detect_slice(
+    values: np.ndarray, first: int, offset: complex, row: np.ndarray, spec: np.ndarray, out: np.ndarray
 ) -> None:
-    """Detect one slice into ``row`` (n = P m samples) from its bins in
-    aliased blocks: ``blocks[l, c]`` is bin ``(first + l) m + c``.
+    """Detect one slice, whose bins first, first + 1, ... are ``values``,
+    into ``row`` (n = P m samples).
 
     Sample ``r + P t`` of the slice field is ``ifft_m(Y_r)[t]``, with
-    ``Y_r = e^{2 pi i c r / n} * (W_r @ blocks)`` and
-    ``W_r[l] = e^{2 pi i (first + l) r / P} / P``. ``spec``, complex and
-    (G, m), holds G consecutive phases at a time: they are transformed in
-    place and squared on ``offset`` as :func:`_square_law` does, a few
-    columns at a time into ``out`` (real, G rows), which goes to columns
-    r0 .. r0 + G - 1 of the row's (m, P) view while it is in cache.
+
+        Y_r[c] = e^{2 pi i c r / n} sum_l X[c + l m] e^{2 pi i l r / P} / P
+
+    over the blocks l whose bin ``c + l m`` lies in the slice. Cut at 0,
+    ``first % m`` and ``(last + 1) % m``, the columns fall into at most
+    three runs, and every column of a run reads the same blocks; a run is
+    one product of the weights with a strided view of ``values`` whose
+    row l holds the run's bins of block l. ``spec``, complex and (G, m),
+    holds G consecutive phases at a time: they are transformed in place
+    and squared on ``offset`` as :func:`_square_law` does, a few columns
+    at a time into ``out`` (real, G rows), which goes to columns
+    r0 .. r0 + G - 1 of the row's (m, P) view while it is in cache. At
+    P = 1 every weight and twiddle is exactly 1, so the row is the bits
+    of one n-point transform of the placed bins.
     """
     group, m = spec.shape
     phases = row.size // m
     by_phase = row.reshape(m, phases)
-    aliases = np.arange(first, first + blocks.shape[0])
+    last = first + values.size - 1
+    cuts = sorted({0, first % m, (last + 1) % m, m})
     for r0 in range(0, phases, group):
         r = np.arange(r0, r0 + group)
-        weights = np.exp((2j * pi / phases) * (np.outer(r, aliases) % phases))
-        weights /= phases
-        np.matmul(weights, blocks, out=spec)
+        for c0, c1 in zip(cuts[:-1], cuts[1:]):
+            # blocks l0 .. l1 - 1: the first holds bin c0 + l0 m >= first,
+            # the last bin c1 - 1 + (l1 - 1) m <= last
+            l0, l1 = -((c0 - first) // m), (last - c0) // m + 1
+            if l1 <= l0:
+                spec[:, c0:c1] = 0.0
+                continue
+            seg = values[c0 + l0 * m - first : c1 + (l1 - 1) * m - first]
+            weights = np.exp((2j * pi / phases) * (np.outer(r, np.arange(l0, l1)) % phases))
+            weights /= phases
+            np.matmul(weights, sliding_window_view(seg, c1 - c0)[::m], out=spec[:, c0:c1])
         _turn_phases(spec, r, row.size)
         for line in spec:  # one line at a time: a 2-D call's scratch is 2.5x larger
             np.fft.ifft(line, out=line)
@@ -672,38 +693,31 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     without the round trip to the time domain and without the slice
     fields ever existing together.
 
-    Frames of at most 2^21 samples run one inverse FFT per slice, through
-    one buffer of n points that each slice is placed in, transformed and
-    detected from in turn. Larger frames, whose complex spectrum would
-    exceed 32 MiB, run each slice as P transforms of m = n/P points, P the
+    Every slice runs the same path (:func:`_detect_slice`): P inverse
+    FFTs of m = n/P points. P is 1 for frames of at most 2^21 samples; on
+    larger ones, whose complex spectrum would exceed 32 MiB, it is the
     largest power of two that divides n and leaves m at least
     :data:`_PIECE_POINTS` (P = 32, m = 2^18 at 2^22 symbols). The slice's
-    bins are laid out in blocks of m, block l holding bins
-    ``(l0 + l) m .. (l0 + l + 1) m - 1`` (l0 = a // m, zero outside the
-    slice), and alias: with ``j = r + P t``, time sample j is
-    ``ifft_m(Y_r)[t]``, where
+    bins alias onto each transform: with ``j = r + P t``, time sample j
+    is ``ifft_m(Y_r)[t]``, where
 
-        Y_r[c] = e^{2 pi i c r / n} sum_l X_{c + (l0 + l) m} e^{2 pi i (l0 + l) r / P} / P,
+        Y_r[c] = e^{2 pi i c r / n} sum_l X_{c + l m} e^{2 pi i l r / P} / P
 
-    an exact identity (:func:`_detect_phases`). Each phase costs one
-    product over the blocks and one m-point twiddle (:func:`_turn_phases`),
+    over the blocks l whose bin c + l m lies in the slice, an exact
+    identity. The columns fall into at most three runs that read the same
+    blocks, and a run is one product of a few weights with a strided view
+    of the slice's compact bins, so no zero-padded copy of a slice is
+    made. Each phase then costs one m-point twiddle (:func:`_turn_phases`),
     not a turn of the whole slice. G phases at a time are transformed in
     one (G, m) buffer, square-law detected a few columns at a time and
     written to samples r, r + P, ... of the row in runs of G; G is four,
-    or less where G m would pass 2^20 points. The blocks, the phase buffer
-    and the detected columns are carved from one workspace array (36 MiB
-    at 2^22 symbols, above glibc's 32 MiB mmap ceiling, so it goes back to
-    the OS whole when freed).
-
-    Where n has few factors of two, m stays long and the zero-padded
-    blocks cost memory that no cache gain repays: at 2109375 symbols
-    (P = 2, m = n/2) one block of m bins is 0.25x the rows, and the peak
-    RSS grows by 2.25x the rows.
+    or less where G m would pass 2^20 points.
 
     The peak is the end of the last two slices: three rows, the band and
-    the workspace, then four rows and the workspace once the last slice's
-    bins are in it and the band is freed. At the defaults and 2^21
-    symbols the peak RSS grows by about 1.47x the rows.
+    the phase buffer, then four rows and the phase buffer once the last
+    slice's bins are copied out and the band is freed. At the defaults
+    the peak RSS grows by 1.33x the rows at 2^21 symbols and by 1.99x at
+    2109375 symbols (P = 2, one m = n/2 line at a time).
     """
     frame = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
     shaped = pulse_shape(frame, cfg)
@@ -730,42 +744,19 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     carrier = band[-lo] / n
     rows = np.empty((cfg.num_slices, n))
     m = n // phases
-    if phases == 1:
-        phase = np.empty(n, dtype=complex)
-    else:
-        # one workspace: G phase spectra, the slice's bins in blocks of m,
-        # and G rows of detected columns
-        group = min(_GROUP_PHASES, phases)
-        while group > 1 and group * m > _GROUP_PHASES * _PIECE_POINTS:
-            group //= 2
-        most = max(-(-b // m) - a // m for a, b in slices)
-        work = np.empty((group + most) * m + group * _DETECT_COLUMNS // 2, dtype=complex)
-        spec = work[: group * m].reshape(group, m)
-        spare = work[group * m : (group + most) * m]
-        detected = work[(group + most) * m :].view(float).reshape(group, _DETECT_COLUMNS)
+    group = min(_GROUP_PHASES, phases)
+    while group > 1 and group * m > _GROUP_PHASES * _PIECE_POINTS:
+        group //= 2
+    spec = np.empty((group, m), dtype=complex)
+    detected = np.empty((group, _DETECT_COLUMNS))
     for i, (row, (a, b)) in enumerate(zip(rows, slices)):
-        # the slice's own bins; the last slice's are copied out of the band
-        # (into the workspace when split), so that it is freed before their
-        # transforms
+        # the slice's own bins; the last slice's are copied out of the band,
+        # so that it is freed before their transforms
         values = band[a - lo : b - lo]
-        if phases > 1:
-            # blocks from bin (a // m) m on, zero outside the slice
-            first = a // m * m
-            blocks = spare[: -(-(b - first) // m) * m]
-            blocks.fill(0.0)
-            blocks[a - first : b - first] = values
-            values = blocks.reshape(-1, m)
-        elif i == len(slices) - 1:
-            values = values.copy()
         if i == len(slices) - 1:
+            values = values.copy()
             del band
-        offset = 0.0 if a <= 0 < b else carrier
-        if phases > 1:
-            _detect_phases(values, a // m, offset, row, spec, detected)
-        else:
-            _place_bins(values, a, out=phase)
-            np.fft.ifft(phase, out=phase)
-            _square_law(phase, offset, row, phase)
+        _detect_slice(values, a, 0.0 if a <= 0 < b else carrier, row, spec, detected)
     return rows, frame
 
 

@@ -129,8 +129,10 @@ class ErrorTally:
         Raises ``ValueError`` when the lengths differ or a value is not
         one of the four levels; the tally is then left partly updated.
         """
-        pred = np.asarray(pred_levels, dtype=float)
-        true = np.asarray(true_levels, dtype=float)
+        # level_indices casts each block to float, so int8 truth is never
+        # copied whole
+        pred = np.asarray(pred_levels)
+        true = np.asarray(true_levels)
         if pred.shape != true.shape:
             raise ValueError("sequences must have equal length")
         pred, true = pred.reshape(-1), true.reshape(-1)

@@ -575,6 +575,34 @@ def test_detect_frame_matches_the_stage_chain(length, num_slices, monkeypatch):
             assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("num_slices", [1, 3, 4])
+@pytest.mark.parametrize("length", [0.0, 50.0])
+@pytest.mark.parametrize("n_symbols, sps", [(4096, 2), (4095, 3)])
+def test_detect_frame_keeps_the_one_transform_bits(n_symbols, sps, length, num_slices, monkeypatch):
+    # at P = 1 every weight and twiddle is exactly 1, so each row must be,
+    # bit for bit, the one-transform rule on the slice's bins: placed in
+    # an n-point buffer, one inverse FFT, squared on the slice's offset
+    cfg = cfg_with(n_symbols=n_symbols, sps=sps, fiber_length_km=length, num_slices=num_slices, seed=11)
+    n = n_symbols * sps
+    wanted, detect = [], link._detect_slice
+
+    def one_transform(values, first, offset, row, spec, out):
+        assert spec.shape == (1, n)
+        placed = np.empty(n, dtype=complex)
+        link._place_bins(values, first, out=placed)
+        np.fft.ifft(placed, out=placed)
+        want = np.empty(n)
+        link._square_law(placed, offset, want, placed)
+        wanted.append(want)
+        detect(values, first, offset, row, spec, out)
+
+    monkeypatch.setattr(link, "_detect_slice", one_transform)
+    rows, _ = detect_frame(cfg)
+    assert len(wanted) == num_slices
+    for row, want in zip(rows, wanted):
+        assert np.array_equal(row, want)
+
+
 def test_detect_frame_memory_stays_bounded():
     # peak RSS growth of a fresh process, so nothing else the suite holds
     # or has freed counts; the bound is five observations' worth of rows
@@ -593,16 +621,8 @@ def test_detect_frame_memory_stays_bounded():
 def test_detect_frame_memory_at_reference_scale():
     # at 2^21 symbols every full-size array (rows, spectrum) lies above
     # glibc's 32 MiB mmap ceiling, so peak RSS follows live memory.
-    # detect_frame and simulate_link measured 1.47x the rows: slice
-    # transforms of 2^18 points over aliased bins, four phases at a time,
-    # an rfft forward pass, symbol-rate pulse shaping, int8 levels, and
-    # noise added into the rows one slice at a time with the variance
-    # computed in the draw's buffer; the bound leaves 10 MiB for heap
-    # layout. Transforms of n/4 points measured 1.52x, eight phases at a
-    # time 1.60x; a frame-length twiddle ramp, a complex forward FFT,
-    # full-length pulse shaping, float64 levels and row.var() 1.80x and
-    # 1.88x; transforms over the full spectrum 2.47x, and a lone
-    # observation that also holds a noise draw of the rows' size 2.62x
+    # detect_frame and simulate_link measured 1.33x the rows; the bound
+    # leaves 8 MiB for heap layout
     for stage in ("detect_frame", "simulate_link"):
         script = (
             "import json\n"
@@ -614,7 +634,23 @@ def test_detect_frame_memory_at_reference_scale():
             "print(json.dumps({'grown': grown, 'rows': rows.nbytes}))\n"
         )
         got = run_fresh(script)
-        assert got["grown"] <= 1.55 * got["rows"], (stage, got)
+        assert got["grown"] <= 1.40 * got["rows"], (stage, got)
+
+
+def test_detect_frame_memory_where_n_has_few_factors_of_two():
+    # 2109375 symbols split into P = 2 phases of m = n/2 points, one at a
+    # time; the slices' bins are read in place, never zero-padded into
+    # blocks of m. The peak RSS grew by 1.99x the rows
+    script = (
+        "import json\n"
+        "from slicerc.link import LinkConfig, detect_frame\n"
+        "base = peak_rss()\n"
+        "rows, _ = detect_frame(LinkConfig(10.0, 12.0, 2109375))\n"
+        "grown = peak_rss() - base\n"
+        "print(json.dumps({'grown': grown, 'rows': rows.nbytes}))\n"
+    )
+    got = run_fresh(script)
+    assert got["grown"] <= 2.1 * got["rows"], got
 
 
 def test_detect_frame_splits_only_above_2_21_samples():

@@ -1,5 +1,6 @@
 """Decision, error counting, threshold reading, and complexity tests."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,21 @@ def test_a_value_off_the_levels_in_a_later_block_still_raises(monkeypatch, bad):
         count_errors(off, good, 17)
     with pytest.raises(ValueError):
         count_errors(good, off, 17)
+
+
+def test_count_errors_casts_the_truth_per_block():
+    # the reference flow scores 2^22 int8 truth values; a float64 copy of
+    # them all would be 32 MiB beside the inputs, its blocks take 2.7 MiB
+    truth = np.resize(np.array([-3, -1, 1, 3], dtype=np.int8), 2**22)
+    pred = truth.astype(float)
+    tracemalloc.start()
+    try:
+        report = count_errors(pred, truth, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_bit_errors == 0
+    assert peak < 4 << 20, peak
 
 
 # ------------------------------------------------------------------ curves
