@@ -9,7 +9,8 @@ update cost over n_out equalized symbols.
 Only the readout is trained. It reads the extended state, meaning the
 reservoir state concatenated with the step's own input window, plus an
 unregularized bias. Each readout row solves a ridge regression over the
-columns its row of ``out_mask`` selects: a random subset of the
+columns its row of ``out_mask`` selects, the one rule for what it reads;
+init_weights draws the paper's mask: a random, never empty subset of the
 reservoir columns, every window column and the bias. The window columns
 alone form a linear multi-output feed-forward equalizer, and at the
 default settings they do nearly all of the work: over the desk grid
@@ -162,8 +163,9 @@ def init_weights(cfg: EsnConfig) -> EsnWeights:
     [-input_scaling, +input_scaling]. w_res is drawn at density s_res
     with values uniform on [-1, 1] and rescaled so its spectral radius
     equals cfg.spectral_radius. out_mask sets the window and bias columns
-    and draws the reservoir ones Bernoulli(s_out); a row whose reservoir
-    part comes up empty is redrawn so every output keeps a reservoir tap.
+    and draws the reservoir ones Bernoulli(s_out). A row whose reservoir
+    part comes up empty is redrawn, as part of the paper's draw: it is not
+    a rule of fit_readout, which trains any mask of the readout's shape.
     """
     rng_in = substream(cfg.seed, STREAM_W_IN)
     keep = rng_in.random((cfg.n_res, cfg.n_in)) < cfg.s_in
@@ -428,19 +430,13 @@ def fit_readout_batch(
     the SNR points of one sweep frame) and run through one step stream;
     row b of the result is the readout of ``observations[b]``, equal to
     what that observation alone gives. Returns (B, n_out, n_res + n_in + 1).
-    The targets are the symbols of [first_target, last_target).
-
-    ``w.out_mask`` must have that shape and every row must read a
-    reservoir column: without one an output is a linear filter, which
-    the complexity accounting does not describe.
+    The targets are the symbols of [first_target, last_target), and
+    ``w.out_mask`` must have the readout's shape.
     """
     batch, d = len(observations), cfg.n_res + cfg.n_in
     mask = np.asarray(w.out_mask, dtype=bool)
     if mask.shape != (cfg.n_out, d + 1):
         raise ValueError(f"out_mask has shape {mask.shape}, the readout {(cfg.n_out, d + 1)}")
-    empty = np.flatnonzero(~mask[:, : cfg.n_res].any(axis=1))
-    if empty.size:
-        raise ValueError(f"readout row {empty[0]} has an empty mask over the reservoir")
     n_steps = _target_region(observations, frame, cfg, first_target, last_target)
     if cfg.washout >= n_steps:
         raise ValueError("washout must be smaller than the step count")

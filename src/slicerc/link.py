@@ -771,7 +771,10 @@ def simulate_link(cfg: LinkConfig) -> tuple[SlicedObservation, SymbolFrame]:
     one slice at a time, its scale taken from the clean row first. The
     rows come back read-only and ``noise`` is an all-zero broadcast view,
     so the frame's memory is the rows alone and no draw of their size
-    outlives the call.
+    outlives the call. The row-sized ``draw`` is also the scratch of
+    :func:`_slice_noise`'s ``row.var()`` deviations, and numpy sums a whole
+    row in an order no sum over pieces repeats, so a noise draw made in
+    pieces cannot lower this stage's peak without moving sigma's bits.
     """
     rows, frame = detect_frame(cfg)
     draw = np.empty(rows.shape[1])

@@ -245,17 +245,17 @@ def executed_rmps(weights: EsnWeights, cfg: EsnConfig) -> tuple[float, float]:
     A step projects the window through ``w_in``, multiplies the state by
     ``w_res``, makes the 2 n_res leak products and reads each readout
     row's selected columns; the bias column is added, not multiplied.
-    The first count keeps the nonzero ``w_in`` and ``w_res`` entries and
-    the non-bias columns ``out_mask`` selects. The second is what
-    ``equalize`` runs, which multiplies densely: every entry of ``w_in``
-    and ``w_res`` and every non-bias column of every row. Neither counts
+    The first count keeps the non-bias columns ``out_mask`` selects, and
+    the nonzero ``w_in`` and ``w_res`` entries and the leak products only
+    when some row reads a reservoir column. The second is what
+    ``equalize`` runs, densely: every entry of ``w_in`` and ``w_res``, the
+    leak products and every non-bias column of every row. Neither counts
     training, the washout or the refolds of the segmented fold.
     """
     readout = weights.out_mask[:, :-1]
     leak = 2 * cfg.n_res
-    needed = (
-        np.count_nonzero(weights.w_in) + np.count_nonzero(weights.w_res) + leak
-        + np.count_nonzero(readout)
-    )
+    needed = np.count_nonzero(readout)
+    if readout[:, : cfg.n_res].any():
+        needed += np.count_nonzero(weights.w_in) + np.count_nonzero(weights.w_res) + leak
     dense = weights.w_in.size + weights.w_res.size + leak + readout.size
     return needed / cfg.n_out, dense / cfg.n_out

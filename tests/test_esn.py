@@ -505,25 +505,48 @@ def test_singular_at_lambda_zero_is_rejected():
         solve_readout(states, inputs, targets, mask, cfg.ridge_lambda)
 
 
-def test_empty_mask_row_is_rejected():
-    # fit_readout refuses weights whose mask row reads no reservoir column
+def test_out_mask_of_another_shape_is_rejected():
+    # fit_readout refuses a mask that is not the readout's shape, such as
+    # the reservoir part alone
     rng = substream(11, 0)
     cfg = small_cfg(n_res=4, washout=2)
     w = init_weights(cfg)
     mask = w.out_mask
-    w.out_mask = mask.copy()
-    w.out_mask[:, : cfg.n_res] = False
     obs = make_obs(rng.normal(size=(1, 30)), sps=1)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 30))
-    with pytest.raises(ValueError, match="empty mask"):
-        fit_readout(obs, frame, w, cfg, 0, 30)
-    # and a mask that is not the readout's shape, such as the reservoir part alone
     for wrong in (mask[:, : cfg.n_res], mask[:, :-1], np.vstack([mask, mask])):
         w.out_mask = wrong
         with pytest.raises(ValueError, match="out_mask has shape"):
             fit_readout(obs, frame, w, cfg, 0, 30)
     w.out_mask = mask
     assert fit_readout(obs, frame, w, cfg, 0, 30).shape == mask.shape
+
+
+def test_window_only_mask_trains_the_window_ridge():
+    # out_mask alone decides what a row reads: a mask with no reservoir
+    # column trains the ridge over [window | 1], and its estimates do not
+    # depend on the reservoir draw
+    rng = substream(11, 1)
+    n_sym = 17 * 600
+    obs = make_obs(rng.normal(size=(4, n_sym * 2)), sps=2)
+    frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
+    first, middle, last = 11, n_sym // 2, n_sym - 11
+    estimates = []
+    for seed in (0, 1):
+        cfg = EsnConfig(n_out=17, washout=20, seed=seed)
+        w = init_weights(cfg)
+        w.out_mask[:, : cfg.n_res] = False
+        w.w_out = fit_readout(obs, frame, w, cfg, first, middle)
+        estimates.append(equalize(obs, frame, w, cfg, middle, last)[0])
+    n_steps = (middle - first) // cfg.n_out
+    windows = oracle_windows(obs, cfg, first, n_steps)[cfg.washout :]
+    targets = frame.levels[first : first + n_steps * cfg.n_out].reshape(n_steps, cfg.n_out)
+    expected = oracle_masked_ridge(
+        windows, targets[cfg.washout :], w.out_mask[:, cfg.n_res :], cfg.ridge_lambda
+    )
+    assert not w.w_out[:, : cfg.n_res].any()
+    assert np.max(np.abs(w.w_out[:, cfg.n_res :] - expected)) < 1e-10
+    assert np.array_equal(estimates[0], estimates[1])
 
 
 def test_washout_must_leave_training_rows():

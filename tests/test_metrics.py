@@ -367,6 +367,21 @@ def test_executed_dense_count_is_every_product_equalize_runs(n_out, per_step):
     assert dense == per_step / n_out  # 6694, 595.2, 495.7
 
 
+@pytest.mark.parametrize(
+    "n_out,drawn,dense", [(1, 810.0, 6694.0), (17, 224.1, 595.2), (23, 214.2, 495.7)]
+)
+def test_a_window_only_mask_needs_its_window_taps_alone(n_out, drawn, dense):
+    # with no row reading the reservoir, a step needs only its 184 window
+    # taps per row, while equalize still runs the fold and the dense readout
+    cfg = variant(n_out)
+    weights = init_weights(cfg)
+    assert [round(count, 1) for count in executed_rmps(weights, cfg)] == [drawn, dense]
+    weights.out_mask[:, : cfg.n_res] = False
+    needed, dense_count = executed_rmps(weights, cfg)
+    assert needed == 184.0
+    assert round(dense_count, 1) == dense
+
+
 @pytest.mark.parametrize("n_out,seed", [(1, 0), (17, 0), (23, 5)])
 def test_executed_nonzero_count_reads_the_drawn_weights(n_out, seed):
     cfg = EsnConfig(n_out=n_out, seed=seed)

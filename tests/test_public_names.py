@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package has a user.
+"""Every public top-level function and class of the package, and every
+public method and property of those classes, has a user.
 
 A public name counts as used when the package or the benchmark refers to
 it (as a name or an attribute in ``src/slicerc/*.py`` or
@@ -24,14 +25,22 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _public_defs(body: list[ast.stmt]) -> list[ast.stmt]:
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node for node in body if isinstance(node, defs) and not node.name.startswith("_")]
+
+
 def public_definitions() -> dict[str, str]:
-    """Public top-level function and class names -> defining module file."""
+    """Public top-level function and class names, and ``Class.member``
+    for the public methods and properties of those classes -> defining
+    module file."""
     defined = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _parse(path).body:
-            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            if is_def and not node.name.startswith("_"):
-                defined[node.name] = path.name
+        for node in _public_defs(_parse(path).body):
+            defined[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                members = _public_defs(node.body)
+                defined.update({f"{node.name}.{m.name}": path.name for m in members})
     return defined
 
 
@@ -67,15 +76,19 @@ def readme_names() -> set[str]:
 
 def test_every_public_name_has_a_user():
     used = referenced_names() | traced_names() | readme_names()
-    unused = {name: module for name, module in public_definitions().items() if name not in used}
+    unused = {name: module for name, module in public_definitions().items()
+              if name.rpartition(".")[2] not in used}
     assert not unused, f"public names nothing outside the tests uses: {unused}"
 
 
 def test_the_scan_sees_definitions_and_uses():
-    # guards the scan itself: a known definition, a call made only inside
-    # the package, a traced name and a README name are all found
+    # guards the scan itself: a known definition, a method and a property,
+    # a call made only inside the package, a traced name and a README name
+    # are all found
     defined = public_definitions()
     assert defined["detect_frame"] == "link.py"
+    assert defined["SlicedObservation.write_samples"] == "link.py"
+    assert defined["EsnConfig.n_in"] == "esn.py"
     assert "rrc_taps" in referenced_names()
     assert "photodetect_and_load_noise" in traced_names()
     assert "demap_gray_pam4" in readme_names()
