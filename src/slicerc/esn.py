@@ -16,7 +16,10 @@ alone form a linear multi-output feed-forward equalizer, and at the
 default settings they do nearly all of the work: over the desk grid
 (0-50 km, n_out 1/17/23) a readout without the reservoir columns
 crosses the KP4 threshold within 0.05 dB of the full one, while a
-readout of the reservoir and bias alone never reaches it.
+readout of the reservoir and bias alone never reaches it. A mask that
+reads no reservoir column runs no reservoir: the step stream skips the
+input projection and the fold, and equalization multiplies the window
+columns and the bias alone.
 
 Training and equalization read the same design rows, [state | window | 1]
 per step, from one chunked step stream whose zero state starts ``washout``
@@ -338,6 +341,14 @@ def _fold_segments(
     return x, 2 * refolded <= batch * (segs - 1)
 
 
+def _reads_reservoir(w: EsnWeights, cfg: EsnConfig) -> bool:
+    """Whether some row of ``w.out_mask`` reads a reservoir column. When
+    none does, the step stream runs neither the ``w_in`` projection nor
+    the fold and leaves the state columns at zero, and the readout
+    product reads [window | 1] alone."""
+    return bool(np.asarray(w.out_mask)[:, : cfg.n_res].any())
+
+
 def _step_stream(
     observations: Sequence[SlicedObservation],
     w: EsnWeights,
@@ -357,25 +368,33 @@ def _step_stream(
     Each chunk folds in verified segments (_fold_segments) while the
     batch holds at most _SPECULATE_MAX_STATE state entries, and as one
     sequential _fold otherwise or once a chunk has refolded more than
-    half of its guesses. The states are the same either way.
+    half of its guesses. The states are the same either way. A readout
+    that reads no reservoir column (_reads_reservoir) needs no state: its
+    state columns stay zero, and the chunks are the same.
     """
     if n_steps <= 0:
         return
     d = cfg.n_res + cfg.n_in
+    fold = _reads_reservoir(w, cfg)
     buf = np.empty((len(observations), min(_CHUNK_STEPS, cfg.washout + n_steps), d + 1))
     buf[..., d] = 1.0
-    proj_buf = np.empty(buf.shape[:2] + (cfg.n_res,))
-    x = np.zeros((len(observations), cfg.n_res))
-    speculate = len(observations) * cfg.n_res <= _SPECULATE_MAX_STATE
+    if fold:
+        proj_buf = np.empty(buf.shape[:2] + (cfg.n_res,))
+        x = np.zeros((len(observations), cfg.n_res))
+        speculate = len(observations) * cfg.n_res <= _SPECULATE_MAX_STATE
+    else:
+        buf[..., : cfg.n_res] = 0.0
     for t0 in range(-cfg.washout, n_steps, _CHUNK_STEPS):
         t1 = min(t0 + _CHUNK_STEPS, n_steps)
-        rows, proj = buf[:, : t1 - t0], proj_buf[:, : t1 - t0]
+        rows = buf[:, : t1 - t0]
         inputs = _gather_inputs(observations, cfg, first, t0, t1, out=rows[..., cfg.n_res : d])
-        np.matmul(inputs, w.w_in.T, out=proj)
-        if speculate:
-            x, speculate = _fold_segments(proj, w.w_res, cfg.leak, x, rows[..., : cfg.n_res])
-        else:
-            x = _fold(proj, w.w_res, cfg.leak, x, rows[..., : cfg.n_res])
+        if fold:
+            proj = proj_buf[:, : t1 - t0]
+            np.matmul(inputs, w.w_in.T, out=proj)
+            if speculate:
+                x, speculate = _fold_segments(proj, w.w_res, cfg.leak, x, rows[..., : cfg.n_res])
+            else:
+                x = _fold(proj, w.w_res, cfg.leak, x, rows[..., : cfg.n_res])
         if t1 > 0:
             yield max(t0, 0), rows[:, max(-t0, 0) :]
 
@@ -498,10 +517,13 @@ def equalize_stream(
     n_steps = _target_region(observations, frame, cfg, first_target, last_target)
     batch = len(observations)
     buf = np.empty((batch, min(_CHUNK_STEPS, n_steps), cfg.n_out))
-    w_t = w_outs.swapaxes(1, 2)
+    # the columns the product reads: without a reservoir column in the
+    # mask, the state columns are zero and not multiplied
+    lo = 0 if _reads_reservoir(w, cfg) else cfg.n_res
+    w_t = w_outs[..., lo:].swapaxes(1, 2)
     for t0, rows in _step_stream(observations, w, cfg, first_target, n_steps):
         estimates = buf[:, : rows.shape[1]]
-        np.matmul(rows, w_t, out=estimates)
+        np.matmul(rows[..., lo:], w_t, out=estimates)
         yield first_target + t0 * cfg.n_out, estimates.reshape(batch, -1, copy=False)
 
 

@@ -22,10 +22,12 @@ observation holds the shared rows, the shared draw and its own per-slice
 noise scale, and :meth:`SlicedObservation.write_samples` is the one place
 that turns them into the samples of any span a reader asks for. One SNR
 whose observation owns its rows needs no shared draw:
-:func:`simulate_link` adds the same noise into the rows in place, one
-slice at a time, and its observation's ``noise`` is all zero. Both
+:func:`simulate_link` adds the same noise into the rows in place, 2^16
+samples at a time, and its observation's ``noise`` is all zero. Both
 forms take each slice's draw and scale from one rule
-(:func:`_slice_noise`) and give the same samples bit for bit.
+(:func:`_slice_noise`, whose variance is ``row.var()`` bit for bit
+without a temporary of the row's size) and give the same samples bit
+for bit.
 
 :func:`detect_frame` runs dispersion, slicing and detection as one
 spectral pass over the real MZM field's rfft and takes the carrier from
@@ -33,7 +35,11 @@ its DC bin. Every slice takes one path: P inverse transforms over
 interleaved phases of its samples, onto which its bins alias, read in
 place from the slice's compact bins. P is 1 up to 2^21 samples and makes
 2^18-point transforms above, so the pass needs FFT scratch of a fraction
-of the spectrum and each transform works in cache.
+of the spectrum and each transform works in cache. A helper thread
+runs for the span of a call: in :func:`detect_frame` above 2^21 samples,
+where it takes half of every phase group, and in :func:`simulate_link`,
+where it takes every other slice's noise. No thread outlives the call,
+and the numbers are those of one thread.
 :func:`propagate_cd`, :func:`slice_spectrum` and
 :func:`photodetect` are the same steps as standalone operators on plain
 arrays that read the sample rate from ``cfg``; the pass and the
@@ -43,10 +49,13 @@ rule and the carrier-distributed square law.
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from math import ceil, isfinite, pi
 from numbers import Integral
 from operator import ge, gt
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -87,6 +96,13 @@ _DETECT_COLUMNS = 8192
 # a phase's twiddles e^{2 pi i c r / n} come from two tables of about this
 # length, not from one table as long as the transform
 _TWIDDLE_BLOCK = 512
+
+# simulate_link draws, scales and adds a slice's noise this many samples at
+# a time, and _slice_noise sums squared deviations over pieces of at most
+# this many, so either needs a scratch of 512 KiB, not one of a row
+_NOISE_POINTS = 2**16
+
+_CACHE_LINE = 64  # bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -453,7 +469,7 @@ def _turn_phases(spec: np.ndarray, phases: np.ndarray, n: int) -> None:
     fine = np.exp(step * np.outer(phases, np.arange(_TWIDDLE_BLOCK)))
     coarse = np.exp(step * np.outer(phases, np.arange(0, spec.shape[1], _TWIDDLE_BLOCK)))
     whole = spec.shape[1] - spec.shape[1] % _TWIDDLE_BLOCK
-    blocks = spec[:, :whole].reshape(spec.shape[0], -1, _TWIDDLE_BLOCK)
+    blocks = spec[:, :whole].reshape(spec.shape[0], -1, _TWIDDLE_BLOCK, copy=False)
     blocks *= fine[:, None]
     blocks *= coarse[:, : blocks.shape[1], None]
     tail = spec[:, whole:]
@@ -485,8 +501,48 @@ def _square_law(field: np.ndarray, offset: complex, out: np.ndarray, scratch: np
     np.square(out, out=out)
 
 
+def _empty_lines(count: int, n: int, dtype: type = float) -> np.ndarray:
+    """An uninitialised (count, n) array each of whose lines starts on a
+    cache line: the lines lie in one buffer at a stride rounded up to whole
+    cache lines. Two threads that write the columns of a line below and
+    from a multiple of eight then never write the same cache line."""
+    item = np.dtype(dtype).itemsize
+    per_line = _CACHE_LINE // item
+    stride = -(-n // per_line) * per_line
+    buf = np.empty(count * stride + per_line, dtype)
+    skip = -buf.ctypes.data % _CACHE_LINE // item
+    return buf[skip : skip + count * stride].reshape(count, stride)[:, :n]
+
+
+@contextmanager
+def _helper_thread() -> Iterator[Callable[..., Future]]:
+    """One helper thread for the span of a ``with`` block: yields
+    ``submit(fn, *args)``, which runs ``fn`` on it and returns a future
+    whose ``result()`` re-raises in the caller whatever ``fn`` raised. The
+    thread starts with the first task and is joined when the block ends,
+    so no thread or pool outlives the call that opened it."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool.submit
+
+
+def _share(submit: Callable[..., Future], work: Callable[..., None], parts: list[tuple]) -> None:
+    """Run ``work(*parts[0])`` on this thread and the other parts through
+    ``submit``, and return once all are done; a part that raised re-raises
+    here. A single part runs here alone."""
+    others = [submit(work, *part) for part in parts[1:]]
+    work(*parts[0])
+    for other in others:
+        other.result()
+
+
 def _detect_slice(
-    values: np.ndarray, first: int, offset: complex, row: np.ndarray, spec: np.ndarray, out: np.ndarray
+    values: np.ndarray,
+    first: int,
+    offset: complex,
+    row: np.ndarray,
+    spec: np.ndarray,
+    out: np.ndarray,
+    submit: Callable[..., Future],
 ) -> None:
     """Detect one slice, whose bins first, first + 1, ... are ``values``,
     into ``row`` (n = P m samples).
@@ -502,16 +558,44 @@ def _detect_slice(
     row l holds the run's bins of block l. ``spec``, complex and (G, m),
     holds G consecutive phases at a time: they are transformed in place
     and squared on ``offset`` as :func:`_square_law` does, a few columns
-    at a time into ``out`` (real, G rows), which goes to columns
+    at a time into ``out[0]`` (real, G rows), which goes to columns
     r0 .. r0 + G - 1 of the row's (m, P) view while it is in cache. At
     P = 1 every weight and twiddle is exactly 1, so the row is the bits
     of one n-point transform of the placed bins.
+
+    Where the slice has more than one group (P > G), this thread and the
+    helper behind ``submit`` share each one. Once this thread's products
+    have filled ``spec``, each turns and transforms half of its lines,
+    and then each squares half of its columns into its own buffer
+    (``out[0]`` here, ``out[1]`` on the helper). The halves meet at a
+    multiple of eight columns, so on lines that start on a cache line
+    (:func:`_empty_lines`) the two never write the same cache line of the
+    row or of ``spec``. Every sample is computed as it is by one thread.
     """
     group, m = spec.shape
     phases = row.size // m
-    by_phase = row.reshape(m, phases)
+    by_phase = row.reshape(m, phases, copy=False)
     last = first + values.size - 1
     cuts = sorted({0, first % m, (last + 1) % m, m})
+    lines, columns = [(0, group)], [(0, m, out[0])]
+    if phases > group:
+        half = m // 2 - m // 2 % 8
+        columns = [(0, half, out[0]), (half, m, out[1])]
+        if group > 1:
+            lines = [(0, group // 2), (group // 2, group)]
+
+    def transform(r0: int, g0: int, g1: int) -> None:
+        _turn_phases(spec[g0:g1], np.arange(r0 + g0, r0 + g1), row.size)
+        for line in spec[g0:g1]:  # one line at a time: a 2-D call's scratch is 2.5x larger
+            np.fft.ifft(line, out=line)
+
+    def square(r0: int, lo: int, hi: int, detected: np.ndarray) -> None:
+        for c0 in range(lo, hi, detected.shape[1]):
+            field = spec[:, c0 : min(c0 + detected.shape[1], hi)]
+            squared = detected[:, : field.shape[1]]
+            _square_law(field, offset, squared, field)
+            by_phase[c0 : c0 + field.shape[1], r0 : r0 + group] = squared.T
+
     for r0 in range(0, phases, group):
         r = np.arange(r0, r0 + group)
         for c0, c1 in zip(cuts[:-1], cuts[1:]):
@@ -525,14 +609,8 @@ def _detect_slice(
             weights = np.exp((2j * pi / phases) * (np.outer(r, np.arange(l0, l1)) % phases))
             weights /= phases
             np.matmul(weights, sliding_window_view(seg, c1 - c0)[::m], out=spec[:, c0:c1])
-        _turn_phases(spec, r, row.size)
-        for line in spec:  # one line at a time: a 2-D call's scratch is 2.5x larger
-            np.fft.ifft(line, out=line)
-        for c0 in range(0, m, out.shape[1]):
-            field = spec[:, c0 : c0 + out.shape[1]]
-            squared = out[:, : field.shape[1]]
-            _square_law(field, offset, squared, field)
-            by_phase[c0 : c0 + field.shape[1], r0 : r0 + group] = squared.T
+        _share(submit, transform, [(r0, *part) for part in lines])
+        _share(submit, square, [(r0, *part) for part in columns])
 
 
 def propagate_cd(field: np.ndarray, cfg: LinkConfig) -> np.ndarray:
@@ -594,29 +672,51 @@ def photodetect(fields: np.ndarray) -> np.ndarray:
 
 
 def _slice_noise(
-    row: np.ndarray, cfg: LinkConfig, i: int, snr_db: list[float], out: np.ndarray
-) -> list[float]:
-    """The noise rule of slice i, whose clean samples are ``row``: its
-    standard normal draw ``g``, written into ``out``, and its scale
+    row: np.ndarray, cfg: LinkConfig, i: int, snr_db: list[float], scratch: np.ndarray
+) -> tuple[np.random.Generator, list[float]]:
+    """The noise rule of slice i, whose clean samples are ``row``: the
+    generator of its standard normal draw ``g`` and its scale
     ``sigma_i = sqrt(var(row) / 10^(snr / 10))`` at each SNR of ``snr_db``.
 
     The draw comes from the slice's substream, keyed by (seed, slice) and
-    not by SNR. ``row + fl(sigma_i * g)`` is what adding
+    not by SNR; filled whole or piece after piece, it gives the same
+    normals. ``row + fl(sigma_i * g)`` is what adding
     ``normal(0.0, sigma_i, n)`` to the row draws, and a constant row
     stays noiseless.
 
     The variance is ``row.var()`` bit for bit: the same ufuncs in the
-    same order (sum, divide, subtract, square, sum, divide), with ``out``
-    as the deviations' scratch before the draw overwrites it, so no
+    same order (sum, divide, subtract, square, sum, divide), the squared
+    deviations formed in ``scratch`` piece by piece and summed as numpy
+    sums a whole row (:func:`_sum_of_squared_deviations`), so no
     temporary of the row's size is made.
     """
     mean = row.sum(keepdims=True)
     mean /= row.size
-    np.subtract(row, mean, out=out)
-    np.square(out, out=out)
-    var = out.sum() / row.size
-    substream(cfg.seed, STREAM_SLICE_NOISE, i).standard_normal(out=out)
-    return [np.sqrt(var / 10.0 ** (snr / 10.0)) for snr in snr_db]
+    var = _sum_of_squared_deviations(row, mean, scratch) / row.size
+    rng = substream(cfg.seed, STREAM_SLICE_NOISE, i)
+    return rng, [np.sqrt(var / 10.0 ** (snr / 10.0)) for snr in snr_db]
+
+
+def _sum_of_squared_deviations(row: np.ndarray, mean: np.ndarray, scratch: np.ndarray) -> float:
+    """``((row - mean) ** 2).sum()`` bit for bit, through ``scratch``.
+
+    numpy sums n contiguous values pairwise: above 128 it adds the sums of
+    the first ``n2 = n // 2 - (n // 2) % 8`` values and of the rest, each
+    split the same way. So a row that does not fit ``scratch`` is split
+    there, each part's sum formed the same way, and the two added; a part
+    that fits has its deviations squared in ``scratch`` and summed by numpy
+    itself, which is its subtree of the whole row's sum.
+    """
+    n = row.size
+    if n <= scratch.size:
+        dev = scratch[:n]
+        np.subtract(row, mean, out=dev)
+        np.square(dev, out=dev)
+        return dev.sum()
+    n2 = n // 2 - n // 2 % 8
+    return _sum_of_squared_deviations(row[:n2], mean, scratch) + _sum_of_squared_deviations(
+        row[n2:], mean, scratch
+    )
 
 
 def load_noise_batch(
@@ -625,9 +725,10 @@ def load_noise_batch(
     """White Gaussian noise on the detected rows of ``cfg``'s frame, one
     observation per SNR of ``snr_db``; ``cfg.snr_db`` is not read.
 
-    Each slice draws its standard normals once (:func:`_slice_noise`),
-    into one array that every observation shares, with ``rows``; only
-    the per-slice scales ``sigma_i`` differ.
+    Each slice draws its standard normals once (:func:`_slice_noise`,
+    whose variance pass uses the start of the slice's draw as scratch
+    before the draw fills it), into one array that every observation
+    shares, with ``rows``; only the per-slice scales ``sigma_i`` differ.
     :meth:`SlicedObservation.write_samples` adds ``sigma_i * g`` to the
     clean sample, so each observation's samples are bit-identical to
     :func:`simulate_link` at its own SNR. Memory is one draw of the
@@ -641,9 +742,10 @@ def load_noise_batch(
         raise ValueError("field row count must equal num_slices")
     noise = np.empty(clean.shape)
     # (num_slices, SNRs): column j holds the scales of SNR j
-    scales = np.array(
-        [_slice_noise(row, cfg, i, snr_db, out=g) for i, (row, g) in enumerate(zip(clean, noise))]
-    )
+    scales = np.empty((cfg.num_slices, len(snr_db)))
+    for i, (row, g) in enumerate(zip(clean, noise)):
+        rng, scales[i] = _slice_noise(row, cfg, i, snr_db, g[:_NOISE_POINTS])
+        rng.standard_normal(out=g)
     clean = clean.view()  # the caller's array keeps its own flags
     clean.flags.writeable = noise.flags.writeable = False
     return [
@@ -713,11 +815,22 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     written to samples r, r + P, ... of the row in runs of G; G is four,
     or less where G m would pass 2^20 points.
 
+    Where a slice has more than one group (P > G, frames above 2^21
+    samples), this thread and a helper thread, started and joined within
+    the call, share each group in the one phase buffer: each turns and
+    transforms half of its lines, then squares half of its columns into
+    the row. The rows and the phase buffer start each line on a cache
+    line (:func:`_empty_lines`), so the two never write the same one.
+    Each transform and each sample is the one a single thread makes, so
+    the rows keep their bits.
+
     The peak is the end of the last two slices: three rows, the band and
     the phase buffer, then four rows and the phase buffer once the last
-    slice's bins are copied out and the band is freed. At the defaults
-    the peak RSS grows by 1.33x the rows at 2^21 symbols and by 1.99x at
-    2109375 symbols (P = 2, one m = n/2 line at a time).
+    slice's bins are copied out and the band is freed, with the scratch
+    of two concurrent 2^18-point transforms. At the defaults the peak RSS
+    grows by 1.37x the rows at 2^21 symbols and by 1.96x at 2109375
+    symbols (P = 2, one m = n/2 line at a time, so the helper takes
+    columns only).
     """
     frame = generate_frame(cfg.n_symbols, substream(cfg.seed, STREAM_BITS))
     shaped = pulse_shape(frame, cfg)
@@ -742,21 +855,23 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     # fftfreq's own expression, so each bin's frequency keeps its bits
     band *= _dispersion_factor(np.arange(lo, hi) * (1.0 / (n * (1.0 / cfg.sample_rate))), cfg)
     carrier = band[-lo] / n
-    rows = np.empty((cfg.num_slices, n))
+    rows = _empty_lines(cfg.num_slices, n)
     m = n // phases
     group = min(_GROUP_PHASES, phases)
     while group > 1 and group * m > _GROUP_PHASES * _PIECE_POINTS:
         group //= 2
-    spec = np.empty((group, m), dtype=complex)
-    detected = np.empty((group, _DETECT_COLUMNS))
-    for i, (row, (a, b)) in enumerate(zip(rows, slices)):
-        # the slice's own bins; the last slice's are copied out of the band,
-        # so that it is freed before their transforms
-        values = band[a - lo : b - lo]
-        if i == len(slices) - 1:
-            values = values.copy()
-            del band
-        _detect_slice(values, a, 0.0 if a <= 0 < b else carrier, row, spec, detected)
+    spec = _empty_lines(group, m, complex)
+    # the helper's own square-law buffer, where it shares the slices' groups
+    detected = np.empty((1 + (phases > group), group, _DETECT_COLUMNS))
+    with _helper_thread() as submit:
+        for i, (row, (a, b)) in enumerate(zip(rows, slices)):
+            # the slice's own bins; the last slice's are copied out of the
+            # band, so that it is freed before their transforms
+            values = band[a - lo : b - lo]
+            if i == len(slices) - 1:
+                values = values.copy()
+                del band
+            _detect_slice(values, a, 0.0 if a <= 0 < b else carrier, row, spec, detected, submit)
     return rows, frame
 
 
@@ -768,21 +883,32 @@ def simulate_link(cfg: LinkConfig) -> tuple[SlicedObservation, SymbolFrame]:
     ``load_noise_batch(rows, cfg, [cfg.snr_db])[0]`` on the
     :func:`detect_frame` rows, but as the only observation of its frame it
     owns those rows: each slice's noise is added into its row in place,
-    one slice at a time, its scale taken from the clean row first. The
-    rows come back read-only and ``noise`` is an all-zero broadcast view,
-    so the frame's memory is the rows alone and no draw of their size
-    outlives the call. The row-sized ``draw`` is also the scratch of
-    :func:`_slice_noise`'s ``row.var()`` deviations, and numpy sums a whole
-    row in an order no sum over pieces repeats, so a noise draw made in
-    pieces cannot lower this stage's peak without moving sigma's bits.
+    its scale taken from the clean row first. The rows come back
+    read-only and ``noise`` is an all-zero broadcast view, so the frame's
+    memory is the rows alone. No draw of a row's size is made either:
+    :func:`_slice_noise` forms each variance over pieces of 2^16 samples,
+    and the slice's normals are drawn, scaled and added 2^16 at a time,
+    the same normals as one whole draw. This thread and a helper thread,
+    both within the call, take alternate slices, each with its own piece
+    buffer, so the stage holds two pieces (1 MiB) beside the rows.
     """
     rows, frame = detect_frame(cfg)
-    draw = np.empty(rows.shape[1])
     noise_std = np.empty(cfg.num_slices)
-    for i, row in enumerate(rows):
-        noise_std[i] = _slice_noise(row, cfg, i, [cfg.snr_db], out=draw)[0]
-        draw *= noise_std[i]
-        row += draw
+    pieces = np.empty((2, min(_NOISE_POINTS, rows.shape[1])))
+
+    def add_noise(first: int, piece: np.ndarray) -> None:
+        for i in range(first, cfg.num_slices, 2):
+            row = rows[i]
+            rng, scales = _slice_noise(row, cfg, i, [cfg.snr_db], piece)
+            noise_std[i] = scales[0]
+            for start in range(0, row.size, piece.size):
+                draw = piece[: row.size - start]
+                rng.standard_normal(out=draw)
+                draw *= noise_std[i]
+                row[start : start + draw.size] += draw
+
+    with _helper_thread() as submit:
+        _share(submit, add_noise, [(0, pieces[0]), (1, pieces[1])][: cfg.num_slices])
     rows.flags.writeable = False
     observation = SlicedObservation(
         rows=rows,

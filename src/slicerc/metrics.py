@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .esn import EsnConfig, EsnWeights
+from .esn import EsnConfig, EsnWeights, _reads_reservoir
 from .link import PAM4_LEVELS, demap_gray_pam4, level_indices
 
 KP4_BER = 2.26e-4
@@ -249,13 +249,17 @@ def executed_rmps(weights: EsnWeights, cfg: EsnConfig) -> tuple[float, float]:
     the nonzero ``w_in`` and ``w_res`` entries and the leak products only
     when some row reads a reservoir column. The second is what
     ``equalize`` runs, densely: every entry of ``w_in`` and ``w_res``, the
-    leak products and every non-bias column of every row. Neither counts
-    training, the washout or the refolds of the segmented fold.
+    leak products and every non-bias column of every row. When no row
+    reads a reservoir column, ``equalize`` runs neither the projection nor
+    the fold and multiplies every row by the window columns alone, which
+    is then all the second count holds. Neither counts training, the
+    washout or the refolds of the segmented fold.
     """
     readout = weights.out_mask[:, :-1]
-    leak = 2 * cfg.n_res
     needed = np.count_nonzero(readout)
-    if readout[:, : cfg.n_res].any():
-        needed += np.count_nonzero(weights.w_in) + np.count_nonzero(weights.w_res) + leak
+    if not _reads_reservoir(weights, cfg):
+        return needed / cfg.n_out, readout[:, cfg.n_res :].size / cfg.n_out
+    leak = 2 * cfg.n_res
+    needed += np.count_nonzero(weights.w_in) + np.count_nonzero(weights.w_res) + leak
     dense = weights.w_in.size + weights.w_res.size + leak + readout.size
     return needed / cfg.n_out, dense / cfg.n_out

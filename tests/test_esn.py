@@ -522,22 +522,38 @@ def test_out_mask_of_another_shape_is_rejected():
     assert fit_readout(obs, frame, w, cfg, 0, 30).shape == mask.shape
 
 
-def test_window_only_mask_trains_the_window_ridge():
+def test_window_only_mask_trains_the_window_ridge(monkeypatch):
     # out_mask alone decides what a row reads: a mask with no reservoir
     # column trains the ridge over [window | 1], and its estimates do not
-    # depend on the reservoir draw
+    # depend on the reservoir draw. Such a stream runs no fold, and its
+    # readout and estimates keep the bits of the stream that folds
     rng = substream(11, 1)
     n_sym = 17 * 600
     obs = make_obs(rng.normal(size=(4, n_sym * 2)), sps=2)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
     first, middle, last = 11, n_sym // 2, n_sym - 11
-    estimates = []
-    for seed in (0, 1):
-        cfg = EsnConfig(n_out=17, washout=20, seed=seed)
+
+    def run(cfg):
         w = init_weights(cfg)
         w.out_mask[:, : cfg.n_res] = False
         w.w_out = fit_readout(obs, frame, w, cfg, first, middle)
-        estimates.append(equalize(obs, frame, w, cfg, middle, last)[0])
+        return w, equalize(obs, frame, w, cfg, middle, last)[0]
+
+    def no_fold(*args):
+        raise AssertionError("a window-only readout folds no state")
+
+    estimates = []
+    with monkeypatch.context() as patch:
+        patch.setattr(esn, "_fold", no_fold)
+        for seed in (0, 1):
+            cfg = EsnConfig(n_out=17, washout=20, seed=seed)
+            w, got = run(cfg)
+            estimates.append(got)
+    with monkeypatch.context() as patch:
+        patch.setattr(esn, "_reads_reservoir", lambda w, cfg: True)
+        folded_w, folded = run(cfg)
+    assert np.array_equal(w.w_out, folded_w.w_out)
+    assert np.array_equal(estimates[1], folded)
     n_steps = (middle - first) // cfg.n_out
     windows = oracle_windows(obs, cfg, first, n_steps)[cfg.washout :]
     targets = frame.levels[first : first + n_steps * cfg.n_out].reshape(n_steps, cfg.n_out)

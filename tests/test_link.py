@@ -5,6 +5,12 @@ Derived expectations are computed by independent oracles in this file
 decision) rather than by the code under test.
 """
 
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import Future
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -502,20 +508,45 @@ def test_load_noise_leaves_rows_alone_and_matches_simulate_link():
         assert not reference.rows.flags.writeable
 
 
-@pytest.mark.parametrize("size", [1, 7, 128, 1000, 2**16 + 3])
+@pytest.mark.parametrize(
+    "size",
+    [1, 7, 128, 1000, 2**16 + 3, 2**16 + 8, 100003, 262145, 2**20 + 1, 2 * 2109375, 2**23],
+)
 def test_slice_noise_scale_is_the_row_variance_bit_for_bit(size):
-    # the variance is computed in the draw's buffer, not by row.var(); it
-    # must still be row.var()'s bits, pairwise summation included
+    # the variance is computed in a scratch of 2^16 samples, not by
+    # row.var(); it must still be row.var()'s bits, pairwise summation
+    # included, where the row's splits are not powers of two
     rng = np.random.default_rng(size)
     cfg = cfg_with(seed=9)
     snrs = [6.0, 12.5, 30.0]
     for offset, scale in ((0.0, 1.0), (0.36, 1e-3), (-5.0, 7.0)):
         row = offset + scale * rng.standard_normal(size)
-        out = np.empty(size)
-        scales = link._slice_noise(row, cfg, 2, snrs, out=out)
+        scratch = np.empty(min(size, link._NOISE_POINTS))
+        draw, scales = link._slice_noise(row, cfg, 2, snrs, scratch)
         var = row.var()
         assert scales == [np.sqrt(var / 10.0 ** (snr / 10.0)) for snr in snrs]
-        assert np.array_equal(out, substream(9, STREAM_SLICE_NOISE, 2).standard_normal(size))
+        # filled piece after piece, the draw is the slice's whole draw
+        pieces = np.empty(size)
+        for start in range(0, size, scratch.size):
+            draw.standard_normal(out=pieces[start : start + scratch.size])
+        assert np.array_equal(pieces, substream(9, STREAM_SLICE_NOISE, 2).standard_normal(size))
+
+
+def test_simulate_link_noise_stage_allocates_pieces_not_rows(monkeypatch):
+    # the noise is drawn, scaled and added 2^16 samples at a time, so the
+    # stage's peak above the rows it returns is its two 512 KiB pieces
+    cfg = cfg_with(n_symbols=2**18, fiber_length_km=10.0, snr_db=12.0, seed=3)
+    clean, frame = detect_frame(cfg)
+    monkeypatch.setattr(link, "detect_frame", lambda _: (clean.copy(), frame))
+    tracemalloc.start()
+    try:
+        obs, _ = simulate_link(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - obs.rows.nbytes < 2 * 2**20, peak - obs.rows.nbytes
+    (want,) = load_noise_batch(clean, cfg, [cfg.snr_db])
+    assert np.array_equal(obs.data, want.data)
 
 
 def test_load_noise_batch_matches_per_slice_normal_draws():
@@ -586,7 +617,7 @@ def test_detect_frame_keeps_the_one_transform_bits(n_symbols, sps, length, num_s
     n = n_symbols * sps
     wanted, detect = [], link._detect_slice
 
-    def one_transform(values, first, offset, row, spec, out):
+    def one_transform(values, first, offset, row, spec, *rest):
         assert spec.shape == (1, n)
         placed = np.empty(n, dtype=complex)
         link._place_bins(values, first, out=placed)
@@ -594,13 +625,96 @@ def test_detect_frame_keeps_the_one_transform_bits(n_symbols, sps, length, num_s
         want = np.empty(n)
         link._square_law(placed, offset, want, placed)
         wanted.append(want)
-        detect(values, first, offset, row, spec, out)
+        detect(values, first, offset, row, spec, *rest)
 
     monkeypatch.setattr(link, "_detect_slice", one_transform)
     rows, _ = detect_frame(cfg)
     assert len(wanted) == num_slices
     for row, want in zip(rows, wanted):
         assert np.array_equal(row, want)
+
+
+@contextmanager
+def inline_helper():
+    """A stand-in for link._helper_thread that runs each task at once on
+    the calling thread."""
+
+    def submit(fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+    yield submit
+
+
+@pytest.mark.parametrize(
+    "pieces, n_symbols, shape",
+    [(256, 4096, (4, 256)), (1000, 4096, (2, 1024)), (256, 4095, (1, 4095))],
+)
+def test_the_helper_thread_changes_no_bit(pieces, n_symbols, shape, monkeypatch):
+    # with the split allowed at any size, 8192 samples in pieces of 256
+    # points make P = 32 phases in groups of G = 4, in pieces of 1000
+    # P = 8 in groups of 2, and 8190 samples P = 2 in groups of 1; the
+    # slices have more than one group, so the helper takes half of each
+    # group's lines (none at G = 1) and half of its columns, and every
+    # other slice's noise in simulate_link. Run inline on the calling
+    # thread, the helper's halves must give the same bits; the threads
+    # switch every microsecond, so an overlap of their writes would show
+    monkeypatch.setattr(link, "_SPLIT_ABOVE_BYTES", 0)
+    monkeypatch.setattr(link, "_PIECE_POINTS", pieces)
+    cfg = cfg_with(n_symbols=n_symbols, fiber_length_km=50.0, snr_db=12.0, seed=11)
+    spec_shapes, workers, square_law = [], set(), link._square_law
+
+    def recorded(field, offset, out, scratch):
+        workers.add(threading.get_ident())
+        square_law(field, offset, out, scratch)
+
+    detect, interval = link._detect_slice, sys.getswitchinterval()
+    with monkeypatch.context() as patch:
+        patch.setattr(link, "_square_law", recorded)
+        patch.setattr(link, "_detect_slice", lambda *a: spec_shapes.append(a[4].shape) or detect(*a))
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = detect_frame(cfg)[0].copy()
+            threaded_obs = simulate_link(cfg)[0]
+        finally:
+            sys.setswitchinterval(interval)
+    assert set(spec_shapes) == {shape}
+    assert len(workers) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(link, "_helper_thread", inline_helper)
+        inline = detect_frame(cfg)[0]
+        inline_obs = simulate_link(cfg)[0]
+    assert np.array_equal(threaded, inline)
+    assert np.array_equal(threaded_obs.rows, inline_obs.rows)
+    assert np.array_equal(threaded_obs.noise_std, inline_obs.noise_std)
+
+
+def test_the_helper_thread_reraises_and_is_joined(monkeypatch):
+    # what the helper's half raises re-raises in the caller, and no thread
+    # outlives a call, so a sweep worker forked later inherits none
+    monkeypatch.setattr(link, "_SPLIT_ABOVE_BYTES", 0)
+    monkeypatch.setattr(link, "_PIECE_POINTS", 256)
+    cfg = cfg_with(n_symbols=4096, fiber_length_km=10.0, snr_db=12.0, seed=2)
+    before = threading.active_count()
+    detect_frame(cfg)
+    simulate_link(cfg)
+    assert threading.active_count() == before
+
+    def failing(real):
+        def on_the_helper(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            return real(*args)
+
+        return on_the_helper
+
+    for name, stage in (("_square_law", detect_frame), ("_slice_noise", simulate_link)):
+        with monkeypatch.context() as patch:
+            patch.setattr(link, name, failing(getattr(link, name)))
+            with pytest.raises(RuntimeError, match="helper failed"):
+                stage(cfg)
+        assert threading.active_count() == before
 
 
 def test_detect_frame_memory_stays_bounded():
@@ -621,8 +735,9 @@ def test_detect_frame_memory_stays_bounded():
 def test_detect_frame_memory_at_reference_scale():
     # at 2^21 symbols every full-size array (rows, spectrum) lies above
     # glibc's 32 MiB mmap ceiling, so peak RSS follows live memory.
-    # detect_frame and simulate_link measured 1.33x the rows; the bound
-    # leaves 8 MiB for heap layout
+    # detect_frame and simulate_link measured 1.37x the rows, the helper
+    # thread's concurrent transform included; the bound leaves 4 MiB for
+    # heap layout
     for stage in ("detect_frame", "simulate_link"):
         script = (
             "import json\n"
