@@ -36,6 +36,20 @@ and each chunk has an observation write only the noisy samples it reads
 (SlicedObservation.write_samples), so a batch of any size holds no noisy
 copy of the frame.
 
+The stream runs on two threads. The calling thread runs only the fold
+of chunk i. A helper thread, started and joined within each stream,
+meanwhile builds chunk i - 1's design rows one observation at a time in
+one (chunk, n_res + n_in + 1) buffer, hands each observation's rows to
+the consumer that fit_readout_batch (Gram and moment) or equalize_stream
+(readout product) passes in, and then gathers and projects chunk i + 1.
+Projections and states each alternate between two buffers, and every
+buffer is allocated before the helper starts. The fold stays on the
+calling thread because it is a loop of small calls that hold the
+interpreter lock, while the helper makes a few large numpy calls per
+observation and chunk, so the lock changes hands that often. A fold on
+the helper would instead contend, at each of its small calls, with the
+caller's Python-heavy scoring of the yielded chunks.
+
 The state update is a Python loop, one step per window slide, whose cost
 per step hardly depends on how many rows it carries. So the stream folds
 each chunk in segments side by side. The reservoir forgets its start
@@ -49,7 +63,10 @@ guess holds (on desk frames a zero-started state meets the true one bit
 for bit within 120-155 steps, and stays equal) and a 2048-step chunk
 takes 448 loop steps. Two guards keep the plain sequential fold where
 segments do not pay: a batch of more than 240 state entries (B * n_res),
-and a stream whose guesses mostly fail, which stops guessing.
+and a stream whose guesses mostly fail, which stops guessing. Either
+way the projections and states of a chunk are laid out step-major in its
+segments (_segments), so each loop step reads and writes one contiguous
+block and writes the new state straight into it, in six calls.
 """
 
 from __future__ import annotations
@@ -57,18 +74,19 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import isfinite
 from numbers import Integral
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .link import SlicedObservation, SymbolFrame
+from .link import SlicedObservation, SymbolFrame, _helper_thread
 from .rng import STREAM_OUT_MASK, STREAM_W_IN, STREAM_W_RES, substream
 
-# Steps per chunk of the step stream. Bounds peak memory at roughly
-# B * chunk * (n_res + n_in + 1) floats regardless of frame length. It is
-# the same at every batch size B, so how a row's steps are chunked, and
-# with it every sum the row's numbers come from, never depends on B.
+# Steps per chunk of the step stream. Bounds the stream's memory at about
+# chunk * (n_res + n_in + 1 + 4 * B * n_res) floats regardless of frame
+# length: one design-row buffer, and two projection and two state buffers.
+# It is the same at every batch size B, so how a row's steps are chunked,
+# and with it every sum the row's numbers come from, never depends on B.
 _CHUNK_STEPS = 2048
 
 # Segmented fold (see _fold_segments): segment length, and the steps a
@@ -232,42 +250,44 @@ def _target_region(
     return (last_target - first_target) // cfg.n_out
 
 
-def _gather_inputs(
-    observations: Sequence[SlicedObservation],
-    cfg: EsnConfig,
-    first_target: int,
-    t0: int,
-    t1: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Input matrices (B, t1 - t0, n_in) for steps [t0, t1), one per
-    observation, written into ``out`` when it is given.
+class _WindowGather:
+    """Writes the window columns of one observation's steps [t0, t1)
+    into a (t1 - t0, n_in) array.
 
     Feature order is slice-major, then window symbol, then sample within
-    the symbol. Window positions outside the frame contribute zeros: each
-    observation writes the chunk's symbol span of noisy samples into a
-    zero-padded buffer, whose windows are strided views copied into place.
+    the symbol. Window positions outside the frame read zeros: the
+    observation writes the steps' symbol span of noisy samples into a
+    zero-padded span, whose windows are a strided view copied into place
+    in one call. One span and its window view serve every call of a
+    length, and they are allocated here for each length in ``lengths``.
     """
-    sps, n_steps = cfg.sps, max(t1 - t0, 0)
-    width = cfg.m * sps
-    inputs = np.empty((len(observations), n_steps, cfg.n_in)) if out is None else out
-    if n_steps == 0 or not observations:
-        return inputs
-    lo = first_target + t0 * cfg.n_out - (cfg.m - cfg.n_out) // 2
-    hi = lo + (n_steps - 1) * cfg.n_out + cfg.m
-    # one span serves every observation: they share the frame, so they
-    # share its padding and the in-frame part is overwritten in full
-    span = np.zeros((cfg.num_slices, (hi - lo) * sps))
-    a = max(lo, 0)
-    b = max(min(hi, observations[0].n_symbols), a)
-    inside = span[:, (a - lo) * sps : (b - lo) * sps]
-    windows = sliding_window_view(span, width, axis=1)[:, :: cfg.n_out * sps].swapaxes(0, 1)
-    for row, obs in enumerate(observations):
-        obs.write_samples(a * sps, b * sps, out=inside)
-        # a row's window columns are contiguous even inside the design
-        # rows, so this is a view; copy=False raises rather than copy
-        inputs[row].reshape(n_steps, cfg.num_slices, width, copy=False)[...] = windows
-    return inputs
+
+    def __init__(self, cfg: EsnConfig, first_target: int, lengths: set[int]) -> None:
+        self.cfg, self.first = cfg, first_target
+        self.spans = {}
+        for n_steps in lengths:
+            span = np.zeros((cfg.num_slices, ((n_steps - 1) * cfg.n_out + cfg.m) * cfg.sps))
+            windows = sliding_window_view(span, cfg.m * cfg.sps, axis=1)[:, :: cfg.n_out * cfg.sps]
+            self.spans[n_steps] = span, windows.swapaxes(0, 1)
+
+    def __call__(self, obs: SlicedObservation, t0: int, t1: int, out: np.ndarray) -> np.ndarray:
+        cfg, sps = self.cfg, self.cfg.sps
+        span, windows = self.spans[t1 - t0]
+        lo = self.first + t0 * cfg.n_out - (cfg.m - cfg.n_out) // 2
+        hi = lo + span.shape[1] // sps
+        a = max(lo, 0)
+        b = max(min(hi, obs.n_symbols), a)
+        # the padding of a span that runs off the frame; the in-frame part
+        # is overwritten in full
+        if a > lo:
+            span[:, : (a - lo) * sps] = 0.0
+        if b < hi:
+            span[:, (b - lo) * sps :] = 0.0
+        obs.write_samples(a * sps, b * sps, out=span[:, (a - lo) * sps : (b - lo) * sps])
+        # the window columns of a design row are contiguous, so this is a
+        # view; copy=False raises rather than copy
+        out.reshape(t1 - t0, cfg.num_slices, cfg.m * sps, copy=False)[...] = windows
+        return out
 
 
 def _fold(
@@ -275,70 +295,102 @@ def _fold(
 ) -> np.ndarray:
     """Sequential state fold over precomputed input projections.
 
-    ``proj`` is (..., T, n_res) and ``x`` is (..., n_res): leading axes
-    are independent rows folded side by side. Writes the state after
-    each update into ``out`` (shaped like ``proj``) and returns the
-    final state. The recurrent product is one matrix-vector product per
-    row, so a row's states do not depend on how many rows share the
-    fold. Buffers are reused; no per-step allocation.
+    Time-major: ``proj`` is (T, ..., n_res) and ``x`` is (..., n_res),
+    whose leading axes are independent rows folded side by side. The
+    state after step t is written straight into ``out[t]`` (``out`` is
+    shaped like ``proj``) and read back as the next step's state, so
+    ``x`` itself is never written; returns the final state, a view of
+    ``out`` (``x`` when T = 0). The recurrent product is one
+    matrix-vector product per row, so a row's states do not depend on
+    how many rows share the fold. Six calls a step, outputs passed
+    positionally; no per-step allocation.
     """
-    z = np.empty_like(x)
+    z = np.empty(x.shape)
     keep = 1.0 - leak
-    for proj_t, out_t in zip(np.moveaxis(proj, -2, 0), np.moveaxis(out, -2, 0)):
-        np.matvec(w_res, x, out=z)
-        z += proj_t
-        np.tanh(z, out=z)
-        z *= leak
-        x *= keep
-        x += z
-        out_t[...] = x
+    for proj_t, out_t in zip(proj, out):
+        np.matvec(w_res, x, z)
+        np.add(z, proj_t, z)
+        np.tanh(z, z)
+        np.multiply(z, leak, z)
+        np.multiply(x, keep, out_t)
+        np.add(out_t, z, out_t)
+        x = out_t
     return x
 
 
-def _fold_segments(
-    proj: np.ndarray, w_res: np.ndarray, leak: float, x: np.ndarray, out: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """_fold of a (B, T, n_res) chunk, its segments folded side by side.
+def _segments(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The segment layout of a chunk's (T, B, n_res) projections or states.
 
-    The chunk's first S * L steps split into S segments of L steps.
-    Segment 0 continues from ``x``; every later segment guesses its start
-    state by folding from zero over the W steps before it. All guesses
-    fold as one batch, then all segments as one batch, both straight into
-    ``out`` (the segment pass overwrites the guesses' rows). Segment s
-    then holds the true states if its guess equals, bit for bit, the true
-    state that ends segment s-1; a row that does not is refolded over the
-    segment from that state. A row of _fold does not depend on the other
-    rows of its batch, so the result is _fold's over the whole chunk. The
-    remaining T - S * L steps fold after the check, and a chunk of fewer
-    than two segments folds as one _fold.
-
-    Returns the final state, and whether at most half of the guesses
-    were refolded (the stream's cue to keep guessing).
+    The first S * L rows of ``buf`` (S = T // L segments of L =
+    _SEGMENT_STEPS steps) hold the segments step-major, viewed as (L, S,
+    B, n_res): step l of segment s, chunk step s * L + l, is one
+    contiguous (B, n_res) block beside step l of the other segments, so
+    every step of a side-by-side fold reads and writes one block. The
+    remaining T - S * L rows hold the steps after the segments in order.
+    Returns both views; with fewer than two segments the layout is plain
+    time order.
     """
-    batch, n_steps, n = proj.shape
-    span, warm = _SEGMENT_STEPS, _WARM_STEPS
-    segs = n_steps // span
-    if segs < 2:
-        return _fold(proj, w_res, leak, x, out), True
-    head = segs * span
-    seg_proj = proj[:, :head].reshape(batch, segs, span, n, copy=False)
-    seg_out = out[:, :head].reshape(batch, segs, span, n, copy=False)
-    starts = np.zeros((batch, segs, n))
-    starts[:, 0] = x
-    _fold(seg_proj[:, :-1, -warm:], w_res, leak, starts[:, 1:], seg_out[:, :-1, -warm:])
-    _fold(seg_proj, w_res, leak, starts.copy(), seg_out)
-    guesses = starts.view(np.uint64)
-    refolded = 0
-    for s in range(1, segs):
-        true = seg_out[:, s - 1, -1]
-        bad = np.flatnonzero((guesses[:, s] != true.view(np.uint64)).any(axis=1))
-        if bad.size:
-            redo = np.empty((bad.size, span, n))
-            _fold(seg_proj[bad, s], w_res, leak, true[bad], redo)
-            seg_out[bad, s] = redo
-            refolded += bad.size
-    x = _fold(proj[:, head:], w_res, leak, out[:, head - 1].copy(), out[:, head:])
-    return x, 2 * refolded <= batch * (segs - 1)
+    n_steps, batch, n = buf.shape
+    segs = n_steps // _SEGMENT_STEPS
+    head = segs * _SEGMENT_STEPS
+    return buf[:head].reshape(_SEGMENT_STEPS, segs, batch, n, copy=False), buf[head:]
+
+
+def _time_order(buf: np.ndarray, b: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Observation b's steps of a segment-laid-out (T, B, n_res) buffer
+    in time order: an (S, L, n_res) view of the segments, their S * L
+    steps, and a (T - S * L, n_res) view of the steps after them."""
+    seg, tail = _segments(buf)
+    return seg[:, :, b].swapaxes(0, 1), seg.shape[0] * seg.shape[1], tail[:, b]
+
+
+def _fold_segments(
+    proj: np.ndarray, w_res: np.ndarray, leak: float, x: np.ndarray, out: np.ndarray, guess: bool
+) -> tuple[np.ndarray, bool]:
+    """_fold of a chunk whose (T, B, n_res) projections and states are laid
+    out in segments (_segments).
+
+    With ``guess``, the S segments fold side by side. Segment 0 continues
+    from ``x``; every later segment guesses its start state by folding
+    from zero over the W steps before it. All guesses fold as one batch,
+    then all segments as one batch, both straight into ``out`` (the
+    segment pass overwrites the guesses' rows). Segment s then holds the
+    true states if its guess equals, bit for bit, the true state that
+    ends segment s-1; a row that does not is refolded over the segment
+    from that state. A row of _fold does not depend on the other rows of
+    its batch, so the result is _fold's over the whole chunk. Without
+    ``guess``, or with fewer than two segments, the segments fold one
+    after the other. The steps after the segments fold last.
+
+    Returns the final state, and whether to keep guessing: with
+    ``guess``, whether at most half of the guesses were refolded.
+    """
+    (seg_proj, tail_proj), (seg_out, tail_out) = _segments(proj), _segments(out)
+    span, segs, batch, n = seg_proj.shape
+    if guess and segs >= 2:
+        warm = _WARM_STEPS
+        starts = np.empty((segs, batch, n))
+        starts[0] = x
+        starts[1:] = _fold(
+            seg_proj[-warm:, :-1], w_res, leak, np.zeros((segs - 1, batch, n)), seg_out[-warm:, :-1]
+        )
+        _fold(seg_proj, w_res, leak, starts, seg_out)
+        guesses = starts.view(np.uint64)
+        refolded = 0
+        for s in range(1, segs):
+            true = seg_out[-1, s - 1]
+            bad = np.flatnonzero((guesses[s] != true.view(np.uint64)).any(axis=1))
+            if bad.size:
+                redo = np.empty((span, bad.size, n))
+                _fold(seg_proj[:, s, bad], w_res, leak, true[bad], redo)
+                seg_out[:, s, bad] = redo
+                refolded += bad.size
+        x = seg_out[-1, -1]
+        guess = 2 * refolded <= batch * (segs - 1)
+    else:
+        for s in range(segs):
+            x = _fold(seg_proj[:, s], w_res, leak, x, seg_out[:, s])
+    return _fold(tail_proj, w_res, leak, x, tail_out), guess
 
 
 def _reads_reservoir(w: EsnWeights, cfg: EsnConfig) -> bool:
@@ -355,48 +407,100 @@ def _step_stream(
     cfg: EsnConfig,
     first: int,
     n_steps: int,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(t0, rows)`` per chunk of steps [0, n_steps).
+    consume: Callable[[int, int, int, np.ndarray], None],
+) -> Iterator[tuple[int, int, int]]:
+    """Hand the design rows of steps [0, n_steps) to ``consume``, chunk by
+    chunk, and yield ``(slot, t0, n)`` once a chunk's n rows from step t0
+    have all been consumed.
 
-    ``rows`` (B, T, n_res + n_in + 1) are the design rows [state |
-    window | 1]: row b reads ``observations[b]`` and step i of a chunk is
-    step t0 + i. The state starts from zero at step -cfg.washout, where
-    the chunks start; those warm-up steps (zero-padded off the frame) are
-    folded but not yielded. The rows are views of one buffer that the
-    next chunk overwrites, so copy what must outlive a chunk.
+    ``consume(slot, b, t0, rows)`` gets the chunk's rows of
+    ``observations[b]``: (n, n_res + n_in + 1) design rows [state |
+    window | 1], row i being step t0 + i. They are a view of one buffer
+    that the next call overwrites. ``slot`` is 0 and 1 in turn from chunk
+    to chunk, so a consumer that writes each chunk's results into one of
+    two buffers keeps a yielded chunk's results intact until the caller
+    asks for the next. The state starts from zero at step -cfg.washout,
+    where the chunks start; those warm-up steps (zero-padded off the
+    frame) are folded but not consumed.
 
-    Each chunk folds in verified segments (_fold_segments) while the
-    batch holds at most _SPECULATE_MAX_STATE state entries, and as one
-    sequential _fold otherwise or once a chunk has refolded more than
-    half of its guesses. The states are the same either way. A readout
+    The fold of chunk i runs on this thread, while a helper thread,
+    started and joined within the stream, builds and consumes chunk
+    i - 1's rows one observation at a time and then gathers and projects
+    chunk i + 1 onto ``w_in``; projections and states each alternate
+    between two (T, B, n_res) buffers, laid out in segments. So
+    ``consume`` runs on the helper and re-raises here. Every buffer is
+    allocated before the helper starts. Each chunk folds its segments
+    side by side from verified guesses (_fold_segments) while the batch
+    holds at most _SPECULATE_MAX_STATE state entries, and one after the
+    other otherwise or once a chunk has refolded more than half of its
+    guesses. The states are the same either way. A readout
     that reads no reservoir column (_reads_reservoir) needs no state: its
-    state columns stay zero, and the chunks are the same.
+    state columns stay zero, nothing folds, and the rows are the same.
     """
     if n_steps <= 0:
         return
-    d = cfg.n_res + cfg.n_in
+    batch, d = len(observations), cfg.n_res + cfg.n_in
+    chunks = [
+        (t0, min(t0 + _CHUNK_STEPS, n_steps)) for t0 in range(-cfg.washout, n_steps, _CHUNK_STEPS)
+    ]
+    gather = _WindowGather(cfg, first, {t1 - t0 for t0, t1 in chunks})
+    size = chunks[0][1] - chunks[0][0]
+    rows = np.empty((size, d + 1))
+    rows[:, d] = 1.0
     fold = _reads_reservoir(w, cfg)
-    buf = np.empty((len(observations), min(_CHUNK_STEPS, cfg.washout + n_steps), d + 1))
-    buf[..., d] = 1.0
     if fold:
-        proj_buf = np.empty(buf.shape[:2] + (cfg.n_res,))
-        x = np.zeros((len(observations), cfg.n_res))
-        speculate = len(observations) * cfg.n_res <= _SPECULATE_MAX_STATE
+        proj = np.empty((2, size, batch, cfg.n_res))
+        states = np.empty((2, size, batch, cfg.n_res))
+        in_order = np.empty((size, cfg.n_res))
+        x = np.zeros((batch, cfg.n_res))
+        speculate = batch * cfg.n_res <= _SPECULATE_MAX_STATE
     else:
-        buf[..., : cfg.n_res] = 0.0
-    for t0 in range(-cfg.washout, n_steps, _CHUNK_STEPS):
-        t1 = min(t0 + _CHUNK_STEPS, n_steps)
-        rows = buf[:, : t1 - t0]
-        inputs = _gather_inputs(observations, cfg, first, t0, t1, out=rows[..., cfg.n_res : d])
-        if fold:
-            proj = proj_buf[:, : t1 - t0]
-            np.matmul(inputs, w.w_in.T, out=proj)
-            if speculate:
-                x, speculate = _fold_segments(proj, w.w_res, cfg.leak, x, rows[..., : cfg.n_res])
-            else:
-                x = _fold(proj, w.w_res, cfg.leak, x, rows[..., : cfg.n_res])
-        if t1 > 0:
-            yield max(t0, 0), rows[:, max(-t0, 0) :]
+        rows[:, : cfg.n_res] = 0.0
+
+    def project(i: int) -> None:
+        if fold and i < len(chunks):
+            t0, t1 = chunks[i]
+            inputs, projected = rows[: t1 - t0, cfg.n_res : d], in_order[: t1 - t0]
+            for b, obs in enumerate(observations):
+                # one product over the chunk's steps in time order, whose
+                # bits do not depend on where the segments cut them
+                np.matmul(gather(obs, t0, t1, inputs), w.w_in.T, projected)
+                seg, head, tail = _time_order(proj[i % 2, : t1 - t0], b)
+                seg[...] = projected[:head].reshape(seg.shape, copy=False)
+                tail[...] = projected[head:]
+
+    def build_and_consume(i: int) -> None:
+        t0, t1 = chunks[i]
+        skip = max(-t0, 0)
+        for b, obs in enumerate(observations):
+            if fold:
+                seg, head, tail = _time_order(states[i % 2, : t1 - t0], b)
+                rows[:head, : cfg.n_res].reshape(seg.shape, copy=False)[...] = seg
+                rows[head : t1 - t0, : cfg.n_res] = tail
+            gather(obs, t0, t1, rows[: t1 - t0, cfg.n_res : d])
+            consume(i % 2, b, t0 + skip, rows[skip : t1 - t0])
+
+    def helper(i: int) -> None:
+        """The helper's share while chunk i + 1 folds."""
+        if i >= 0 and chunks[i][1] > 0:
+            build_and_consume(i)
+        project(i + 2)
+
+    with _helper_thread() as submit:
+        project(0)
+        pending = submit(helper, -1)
+        for i in range(len(chunks) + 1):
+            if fold and i < len(chunks):
+                t0, t1 = chunks[i]
+                x, speculate = _fold_segments(
+                    proj[i % 2, : t1 - t0], w.w_res, cfg.leak, x, states[i % 2, : t1 - t0], speculate
+                )
+            pending.result()
+            if i < len(chunks):
+                pending = submit(helper, i)
+            if i > 0 and chunks[i - 1][1] > 0:
+                t0, t1 = max(chunks[i - 1][0], 0), chunks[i - 1][1]
+                yield (i - 1) % 2, t0, t1 - t0
 
 
 def _solve(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
@@ -465,12 +569,21 @@ def fit_readout_batch(
     targets = frame.levels[first : first + n_steps * cfg.n_out].reshape(n_steps, cfg.n_out)
     gram = np.zeros((batch, d + 1, d + 1))
     moment = np.zeros((batch, d + 1, cfg.n_out))
-    for t0, rows in _step_stream(observations, w, cfg, first, n_steps):
-        # float64 targets keep the product on the BLAS path
-        y = targets[t0 : t0 + rows.shape[1]].astype(float)
-        for b, f in enumerate(rows):
-            gram[b] += f.T @ f
-            moment[b] += f.T @ y
+    # float64 targets keep the product on the BLAS path; they and the
+    # products go through buffers made here, before the helper starts
+    y = np.empty((min(_CHUNK_STEPS, n_steps), cfg.n_out))
+    gram_part, moment_part = np.empty((d + 1, d + 1)), np.empty((d + 1, cfg.n_out))
+
+    def accumulate(slot: int, b: int, t0: int, f: np.ndarray) -> None:
+        if b == 0:
+            y[: f.shape[0]] = targets[t0 : t0 + f.shape[0]]
+        np.matmul(f.T, f, gram_part)
+        gram[b] += gram_part
+        np.matmul(f.T, y[: f.shape[0]], moment_part)
+        moment[b] += moment_part
+
+    for _ in _step_stream(observations, w, cfg, first, n_steps, accumulate):
+        pass
     return np.stack([
         _solve_masked_ridge(gram[b], moment[b], mask, cfg.ridge_lambda) for b in range(batch)
     ])
@@ -510,21 +623,25 @@ def equalize_stream(
     ``w_outs[b]`` reads ``observations[b]``, which all share the frame
     and the fixed weights of ``w``. Yields ``(start, estimates)`` per
     chunk: (B, n) estimates whose column j belongs to symbol start + j.
-    The estimates are views of one buffer that the next chunk
-    overwrites, so a caller that keeps them copies them; one that scores
-    them as they come never holds more than a chunk.
+    The estimates are views of a buffer that is overwritten once the
+    caller asks for the next chunk, so a caller that keeps them copies
+    them; one that scores them as they come never holds more than two
+    chunks.
     """
     n_steps = _target_region(observations, frame, cfg, first_target, last_target)
     batch = len(observations)
-    buf = np.empty((batch, min(_CHUNK_STEPS, n_steps), cfg.n_out))
+    estimates = np.empty((2, batch, min(_CHUNK_STEPS, n_steps), cfg.n_out))
     # the columns the product reads: without a reservoir column in the
     # mask, the state columns are zero and not multiplied
     lo = 0 if _reads_reservoir(w, cfg) else cfg.n_res
     w_t = w_outs[..., lo:].swapaxes(1, 2)
-    for t0, rows in _step_stream(observations, w, cfg, first_target, n_steps):
-        estimates = buf[:, : rows.shape[1]]
-        np.matmul(rows[..., lo:], w_t, out=estimates)
-        yield first_target + t0 * cfg.n_out, estimates.reshape(batch, -1, copy=False)
+
+    def product(slot: int, b: int, t0: int, rows: np.ndarray) -> None:
+        np.matmul(rows[:, lo:], w_t[b], estimates[slot, b, : rows.shape[0]])
+
+    for slot, t0, n in _step_stream(observations, w, cfg, first_target, n_steps, product):
+        chunk = estimates[slot, :, :n].reshape(batch, -1, copy=False)
+        yield first_target + t0 * cfg.n_out, chunk
 
 
 def equalize(

@@ -243,12 +243,10 @@ class SlicedObservation:
         """Write the noisy samples ``start:stop`` of every slice into ``out``,
         shaped (num_slices, stop - start): ``fl(noise * noise_std) + rows``,
         the bits of a ``normal(0, sigma)`` draw added to the clean sample.
-        Slice by slice, so each product is still in cache when its row is added."""
-        for dst, noise, std, clean in zip(
-            out, self.noise[:, start:stop], self.noise_std, self.rows[:, start:stop]
-        ):
-            np.multiply(noise, std, out=dst)
-            dst += clean
+        Two calls for all slices, so a caller on a second thread hands the
+        interpreter lock back and forth as little as it can."""
+        np.multiply(self.noise[:, start:stop], self.noise_std[:, None], out)
+        np.add(out, self.rows[:, start:stop], out)
         return out
 
     @property

@@ -21,6 +21,9 @@ KP4_BER = 2.26e-4
 # bounds their temporaries at a few times _BLOCK * 8 bytes
 _BLOCK = 1 << 16
 
+# PAM4_LEVELS as the int8 levels that hard_decision returns
+_INT8_LEVELS = PAM4_LEVELS.astype(np.int8)
+
 # _GRAY_BIT_DIFFERENCES[4 * i + j]: bits in which the Gray labels of
 # levels i and j (indices into PAM4_LEVELS) differ
 _GRAY_LABELS = demap_gray_pam4(PAM4_LEVELS).reshape(4, 2)
@@ -84,14 +87,15 @@ class BerSnrCurve:
 
 
 def hard_decision(estimates: np.ndarray) -> np.ndarray:
-    """Nearest PAM4 level with thresholds {-2, 0, +2}.
+    """Nearest PAM4 level with thresholds {-2, 0, +2}, as int8 levels
+    like ``SymbolFrame.levels``: an eighth of the estimates' size.
 
     An estimate exactly on a threshold rounds toward the lower level.
     Works through the estimates in blocks of ``_BLOCK``, so its
     temporaries stay bounded whatever their number.
     """
     estimates = np.asarray(estimates, dtype=float)
-    levels = np.empty(estimates.shape)
+    levels = np.empty(estimates.shape, dtype=np.int8)
     flat, out = estimates.reshape(-1), levels.reshape(-1)
     for a in range(0, flat.size, _BLOCK):
         block = flat[a : a + _BLOCK]
@@ -100,7 +104,7 @@ def hard_decision(estimates: np.ndarray) -> np.ndarray:
         idx = (block > -2.0).astype(np.intp)
         idx += block > 0.0
         idx += block > 2.0
-        PAM4_LEVELS.take(idx, out=out[a : a + _BLOCK])
+        _INT8_LEVELS.take(idx, out=out[a : a + _BLOCK])
     return levels
 
 

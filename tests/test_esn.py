@@ -4,12 +4,14 @@ The reference for the equalizer is the set of naive re-implementations
 written here: ``oracle_windows`` (nested-loop window gather),
 ``oracle_fold`` (plain python loop of the update equation) and
 ``oracle_masked_ridge`` (dense normal equations with explicit column
-deletion). The streaming path and its parts (``_gather_inputs``,
+deletion). The streaming path and its parts (``_WindowGather``,
 ``_fold``, ``_solve_masked_ridge``) are compared against them on small
 instances.
 """
 
 import inspect
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +39,8 @@ from slicerc.link import (
     simulate_link,
 )
 from slicerc.rng import substream
+
+from inline_helper import inline_helper
 
 
 def small_cfg(**kw) -> EsnConfig:
@@ -81,6 +85,25 @@ def fold(inputs: np.ndarray, w: EsnWeights, leak: float, x=None) -> np.ndarray:
     states = np.empty((inputs.shape[0], w.w_res.shape[0]))
     esn._fold(inputs @ w.w_in.T, w.w_res, leak, x, states)
     return states
+
+
+def gather_inputs(observations, cfg, first, t0, t1, gather=None):
+    """Window columns (B, t1 - t0, n_in) of steps [t0, t1), through one
+    esn._WindowGather (a new one unless ``gather`` is given)."""
+    gather = gather or esn._WindowGather(cfg, first, {t1 - t0})
+    return np.stack([gather(obs, t0, t1, np.empty((t1 - t0, cfg.n_in))) for obs in observations])
+
+
+def stream_rows(observations, w, cfg, first, n_steps):
+    """The design rows (B, n_steps, n_res + n_in + 1) that esn._step_stream
+    hands its consumer, and the (slot, t0, n) it yields per chunk."""
+    rows = np.full((len(observations), n_steps, cfg.n_res + cfg.n_in + 1), np.nan)
+
+    def keep(slot, b, t0, chunk):
+        rows[b, t0 : t0 + chunk.shape[0]] = chunk
+
+    chunks = list(esn._step_stream(observations, w, cfg, first, n_steps, keep))
+    return rows, chunks
 
 
 def full_width(mask: np.ndarray, n_in: int) -> np.ndarray:
@@ -269,7 +292,7 @@ def test_windows_match_loop_oracle():
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], n_sym))
     n_steps = esn._target_region([obs], frame, cfg, 0, n_sym)
     assert n_steps == n_sym // cfg.n_out
-    inputs = esn._gather_inputs([obs], cfg, 0, 0, n_steps)[0]
+    inputs = gather_inputs([obs], cfg, 0, 0, n_steps)[0]
     expected = oracle_windows(obs, cfg, 0, n_steps)
     assert np.array_equal(inputs, expected)
 
@@ -284,7 +307,7 @@ def test_window_stride_arithmetic():
     n_steps = esn._target_region([obs], frame, cfg, first, first + 1700)
     assert n_steps == 100
     # step t reads the window of the n_out symbols from first + t * n_out
-    inputs = esn._gather_inputs([obs], cfg, first, 0, n_steps)[0]
+    inputs = gather_inputs([obs], cfg, first, 0, n_steps)[0]
     assert np.array_equal(inputs, oracle_windows(obs, cfg, first, n_steps))
     # the region's estimates target every symbol of it exactly once
     w = init_weights(cfg)
@@ -298,7 +321,7 @@ def test_first_window_zero_padded_on_the_left():
     obs = make_obs(np.arange(1, 21, dtype=float)[None, :], sps=1)
     frame = make_frame(np.ones(20))
     assert esn._target_region([obs], frame, cfg, 0, 20) == 20
-    inputs = esn._gather_inputs([obs], cfg, 0, 0, 20)[0]
+    inputs = gather_inputs([obs], cfg, 0, 0, 20)[0]
     # first target at symbol 0: the k leading window positions fall off
     # the frame and must read zero
     assert np.array_equal(inputs[0, :3], np.zeros(3))
@@ -397,12 +420,12 @@ def test_reservoir_fold_matches_loop_oracle(monkeypatch):
     # one chunk, and chunks of two steps that must carry the state
     for chunk, starts in ((esn._CHUNK_STEPS, [0]), (2, [0, 2, 4])):
         monkeypatch.setattr(esn, "_CHUNK_STEPS", chunk)
-        # each chunk's rows are overwritten by the next, so keep copies
-        chunks = [(t0, rows[0].copy())
-                  for t0, rows in esn._step_stream([obs], w, cfg, first, n_steps)]
-        assert [t0 for t0, _ in chunks] == starts
-        rows = np.vstack([c[1] for c in chunks])
-        assert rows.shape == (n_steps, cfg.n_res + cfg.n_in + 1)
+        rows, chunks = stream_rows([obs], w, cfg, first, n_steps)
+        assert [t0 for _, t0, _ in chunks] == starts
+        # the slots alternate, and the yielded chunks cover every step once
+        assert [slot for slot, _, _ in chunks] == [i % 2 for i in range(len(starts))]
+        assert sum(n for _, _, n in chunks) == n_steps
+        rows = rows[0]
         # the window columns are written through views of the rows: a
         # copy anywhere on the way would leave them unset
         assert np.array_equal(rows[:, cfg.n_res : -1], expected_inputs)
@@ -415,7 +438,7 @@ def test_reservoir_empty_and_zero_inputs():
     w = random_weights(cfg)
     assert fold(np.zeros((0, cfg.n_in)), w, cfg.leak).shape == (0, cfg.n_res)
     obs = make_obs(np.zeros((1, 20)), sps=1)
-    assert not list(esn._step_stream([obs], w, cfg, 0, 0))
+    assert not list(esn._step_stream([obs], w, cfg, 0, 0, print))
     assert not fold(np.zeros((7, cfg.n_in)), w, cfg.leak).any()
 
 
@@ -426,8 +449,7 @@ def test_recorded_states_bounded_on_real_data():
     obs = make_obs(rng.normal(size=(1, 500)) * 3.0, sps=1)
     frame = make_frame(rng.choice([-3.0, -1.0, 1.0, 3.0], 500))
     n_steps = esn._target_region([obs], frame, cfg, 10, 490)
-    chunks = esn._step_stream([obs], w, cfg, 10, n_steps)
-    states = np.vstack([rows[0, :, : cfg.n_res].copy() for _, rows in chunks])
+    states = stream_rows([obs], w, cfg, 10, n_steps)[0][0, :, : cfg.n_res]
     assert states.shape == (480, cfg.n_res)
     assert np.max(np.abs(states)) < 1.0
 
@@ -751,13 +773,17 @@ def test_equalize_readout_uses_state_window_and_bias():
 
 def test_batched_fold_rows_equal_single_folds():
     # the segmented fold's exactness rests on this: a row of _fold is the
-    # row folded alone, bit for bit, whatever the batch's size and layout
+    # row folded alone, bit for bit,
+    # row whatever the batch's size and layout. _fold is time-major:
+    # (T, ..., n_res) projections and states, (..., n_res) start states
     def assert_rows_alone(proj, w_res, leak, x0, out):
-        last = esn._fold(proj, w_res, leak, x0.copy(), out)
-        for idx in np.ndindex(proj.shape[:-2]):
-            alone = np.empty(proj.shape[-2:])
-            x = esn._fold(proj[idx].copy(), w_res, leak, x0[idx].copy(), alone)
-            assert np.array_equal(out[idx], alone)
+        start = x0.copy()
+        last = esn._fold(proj, w_res, leak, x0, out)
+        assert np.array_equal(x0, start)  # the start state is only read
+        for idx in np.ndindex(proj.shape[1:-1]):
+            alone = np.empty((proj.shape[0], proj.shape[-1]))
+            x = esn._fold(proj[(slice(None),) + idx].copy(), w_res, leak, x0[idx].copy(), alone)
+            assert np.array_equal(out[(slice(None),) + idx], alone)
             assert np.array_equal(last[idx], x)
 
     n_steps = 40
@@ -766,21 +792,21 @@ def test_batched_fold_rows_equal_single_folds():
         w = init_weights(cfg)
         rng = substream(seed, 5)
         for rows in (1, 2, 7, 24, 57):
-            proj = rng.normal(size=(rows, n_steps, n_res))
+            proj = rng.normal(size=(n_steps, rows, n_res))
             x0 = rng.uniform(-0.5, 0.5, (rows, n_res))
             assert_rows_alone(proj, w.w_res, cfg.leak, x0, np.empty_like(proj))
-        # (B, S, L, n) segment views of a chunk, writing into the state
-        # columns of a (B, T, n_res + n_in + 1) design-row buffer
+        # the (L, S, B, n) segment layout that _fold_segments folds, one
+        # contiguous (S, B, n) block a step, writing into a state buffer
+        # of the same layout whose rows are wider than a state
         batch, segs, span = 3, 4, 10
-        buf = np.full((batch, segs * span, cfg.n_res + cfg.n_in + 1), np.nan)
-        proj = rng.normal(size=(batch, segs * span, n_res))
-        seg_proj = proj.reshape(batch, segs, span, n_res, copy=False)
-        seg_out = buf[..., :n_res].reshape(batch, segs, span, n_res, copy=False)
-        starts = rng.uniform(-0.5, 0.5, (batch, segs + 1, n_res))
-        assert_rows_alone(seg_proj, w.w_res, cfg.leak, starts[:, 1:], seg_out)
+        buf = np.full((span, segs, batch, n_res + 1), np.nan)
+        seg_proj = rng.normal(size=(span, segs, batch, n_res))
+        seg_out = buf[..., :n_res]
+        starts = rng.uniform(-0.5, 0.5, (segs + 1, batch, n_res))
+        assert_rows_alone(seg_proj, w.w_res, cfg.leak, starts[1:], seg_out)
         # and the warm-up layout: the last steps of every segment but one
         assert_rows_alone(
-            seg_proj[:, :-1, -3:], w.w_res, cfg.leak, starts[:, 2:], seg_out[:, :-1, -3:]
+            seg_proj[-3:, :-1], w.w_res, cfg.leak, starts[2:], seg_out[-3:, :-1]
         )
 
 
@@ -798,10 +824,18 @@ def test_strided_gather_matches_oracle_at_edges_and_warm_up(n_out):
         (n_sym - 2 * n_out, 0, 4),  # targets running off the right edge
     ]
     for first, t0, t1 in cases:
-        inputs = esn._gather_inputs(observations, cfg, first, t0, t1)
+        inputs = gather_inputs(observations, cfg, first, t0, t1)
         assert inputs.shape == (2, t1 - t0, cfg.n_in)
         for obs, got in zip(observations, inputs):
             assert np.array_equal(got, oracle_windows(obs, cfg, first + t0 * n_out, t1 - t0))
+    # one gather reuses its span for every chunk of a length: a chunk in
+    # the middle after one off either edge must not read the old padding
+    steps = 4
+    gather = esn._WindowGather(cfg, 0, {steps})
+    for t0 in (-3, 5, n_steps - 2, 5, -3, n_steps - 2):
+        got = gather_inputs(observations, cfg, 0, t0, t0 + steps, gather)
+        for obs, rows in zip(observations, got):
+            assert np.array_equal(rows, oracle_windows(obs, cfg, t0 * n_out, steps))
 
 
 def test_batch_rows_equal_single_observation_runs(monkeypatch):
@@ -915,7 +949,8 @@ def test_a_batch_of_observations_with_different_guards_equals_their_lone_runs(de
 # ------------------------------------------------------- segmented fold
 
 def _fold_calls(monkeypatch):
-    """Record the shape of every projection esn._fold is called on."""
+    """Record the shape of every (time-major) projection esn._fold is
+    called on."""
     calls = []
     real = esn._fold
 
@@ -930,14 +965,15 @@ def _fold_calls(monkeypatch):
 def _refolds(calls):
     """Segment refolds among recorded _fold calls.
 
-    A segment pass is 4-D and folds _SEGMENT_STEPS steps; without a
-    refold the next call is the chunk's tail, shorter than a segment.
+    A segment pass is 4-D, (L, S, B, n_res), and folds L = _SEGMENT_STEPS
+    steps; without a refold the next call is the chunk's tail, shorter
+    than a segment.
     """
     span, count, after_segments = esn._SEGMENT_STEPS, 0, False
     for call in calls:
-        refold = after_segments and len(call) == 3 and call[-2] == span
+        refold = after_segments and len(call) == 3 and call[0] == span
         count += refold
-        after_segments = refold or (len(call) == 4 and call[-2] == span)
+        after_segments = refold or (len(call) == 4 and call[0] == span)
     return count
 
 
@@ -953,8 +989,34 @@ def desk():
 
 
 def _stream_rows(observations, w, cfg, first, n_steps):
-    chunks = esn._step_stream(observations, w, cfg, first, n_steps)
-    return np.concatenate([rows.copy() for _, rows in chunks], axis=1)
+    return stream_rows(observations, w, cfg, first, n_steps)[0]
+
+
+def _time_major(proj):
+    """(B, T, n) projections as the (T, B, n) layout that _fold reads."""
+    return np.ascontiguousarray(proj.swapaxes(0, 1))
+
+
+def _laid_out(steps):
+    """(T, B, n) steps in time order, copied into the segment layout of
+    esn._segments: step l of segment s (time s * L + l) at row l * S + s
+    of the first S * L rows, the steps after the segments in order."""
+    span = esn._SEGMENT_STEPS
+    head = steps.shape[0] // span * span
+    out = steps.copy()
+    segments = steps[:head].reshape(-1, span, *steps.shape[1:]).swapaxes(0, 1)
+    out[:head] = segments.reshape(steps[:head].shape)
+    return out
+
+
+def _in_time_order(laid):
+    """The inverse of _laid_out."""
+    span = esn._SEGMENT_STEPS
+    head = laid.shape[0] // span * span
+    out = laid.copy()
+    segments = laid[:head].reshape(span, -1, *laid.shape[1:]).swapaxes(0, 1)
+    out[:head] = segments.reshape(laid[:head].shape)
+    return out
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -969,7 +1031,7 @@ def test_segmented_stream_equals_sequential_fold(monkeypatch, desk, length_km, n
     calls = _fold_calls(monkeypatch)
     segmented = _stream_rows(observations[:batch], w, cfg, first, n_steps)
     assert any(len(call) == 4 for call in calls)
-    # the same stream with every chunk folded as one sequential _fold
+    # the same stream with every chunk's segments folded one after the other
     monkeypatch.setattr(esn, "_SPECULATE_MAX_STATE", 0)
     calls.clear()
     sequential = _stream_rows(observations[:batch], w, cfg, first, n_steps)
@@ -980,22 +1042,30 @@ def test_segmented_stream_equals_sequential_fold(monkeypatch, desk, length_km, n
 @pytest.mark.parametrize("n_steps", [2048, 1000, 700, 400])
 def test_segmented_fold_equals_fold_at_any_chunk_length(monkeypatch, desk, n_steps):
     # 1000 and 700 leave a tail shorter than a segment; 400 holds one
-    # segment, so it folds in one sequential _fold
+    # segment, so it folds without guesses
     observations, frame = desk[50.0]
     cfg = EsnConfig(n_out=1)
     w = init_weights(cfg)
-    proj = esn._gather_inputs(observations, cfg, 3000, 0, n_steps) @ w.w_in.T
-    x0 = esn._fold(proj[:, :50], w.w_res, cfg.leak, np.zeros((3, cfg.n_res)),
-                   np.empty((3, 50, cfg.n_res)))
+    proj = _time_major(gather_inputs(observations, cfg, 3000, 0, n_steps) @ w.w_in.T)
+    x0 = esn._fold(proj[:50], w.w_res, cfg.leak, np.zeros((3, cfg.n_res)),
+                   np.empty((50, 3, cfg.n_res))).copy()
     expected = np.empty_like(proj)
-    last = esn._fold(proj, w.w_res, cfg.leak, x0.copy(), expected)
+    last = esn._fold(proj, w.w_res, cfg.leak, x0, expected)
     calls = _fold_calls(monkeypatch)
-    out = np.full((3, n_steps, cfg.n_res + 1), np.nan)
-    got, keep = esn._fold_segments(proj, w.w_res, cfg.leak, x0.copy(), out[..., :-1])
-    assert np.array_equal(out[..., :-1], expected)
+    # states written into every column but the last of a wider buffer
+    out = np.full((n_steps, 3, cfg.n_res + 1), np.nan)
+    got, keep = esn._fold_segments(_laid_out(proj), w.w_res, cfg.leak, x0, out[..., :-1], True)
+    assert np.array_equal(_in_time_order(out[..., :-1]), expected)
     assert np.array_equal(got, last)
     assert keep and _refolds(calls) == 0
     assert any(len(call) == 4 for call in calls) == (n_steps >= 2 * esn._SEGMENT_STEPS)
+    # without guesses the segments fold one after the other, to the same bits
+    calls.clear()
+    out[...] = np.nan
+    got, keep = esn._fold_segments(_laid_out(proj), w.w_res, cfg.leak, x0, out[..., :-1], False)
+    assert np.array_equal(_in_time_order(out[..., :-1]), expected)
+    assert np.array_equal(got, last)
+    assert not keep and all(len(call) == 3 for call in calls)
 
 
 @pytest.mark.parametrize("n_res, leak", [(300, 0.7), (30, 0.05)])
@@ -1006,14 +1076,14 @@ def test_segmented_fold_refolds_a_reservoir_that_does_not_forget(monkeypatch, de
     cfg = EsnConfig(n_out=1, n_res=n_res, leak=leak)
     w = init_weights(cfg)
     n_steps = 4 * esn._SEGMENT_STEPS + 10
-    proj = esn._gather_inputs(observations, cfg, 3000, 0, n_steps) @ w.w_in.T
+    proj = _time_major(gather_inputs(observations, cfg, 3000, 0, n_steps) @ w.w_in.T)
     x0 = np.zeros((3, n_res))
     expected = np.empty_like(proj)
-    last = esn._fold(proj, w.w_res, leak, x0.copy(), expected)
+    last = esn._fold(proj, w.w_res, leak, x0, expected)
     calls = _fold_calls(monkeypatch)
     out = np.empty_like(proj)
-    got, keep = esn._fold_segments(proj, w.w_res, leak, x0.copy(), out)
-    assert np.array_equal(out, expected)
+    got, keep = esn._fold_segments(_laid_out(proj), w.w_res, leak, x0, out, True)
+    assert np.array_equal(_in_time_order(out), expected)
     assert np.array_equal(got, last)
     assert _refolds(calls) > 0
     assert not keep
@@ -1021,7 +1091,7 @@ def test_segmented_fold_refolds_a_reservoir_that_does_not_forget(monkeypatch, de
 
 def test_stream_falls_back_to_the_sequential_fold(monkeypatch, desk):
     # after a chunk whose guesses mostly failed, the stream folds every
-    # later chunk in one sequential _fold, with unchanged states
+    # later chunk's segments one after the other, with unchanged states
     observations, frame = desk[50.0]
     cfg = EsnConfig(n_out=1, leak=0.05)
     w = init_weights(cfg)
@@ -1033,10 +1103,12 @@ def test_stream_falls_back_to_the_sequential_fold(monkeypatch, desk):
     assert refolds > 0
     # the first chunk: guesses, segments, refolds and its (empty) tail
     assert [len(call) for call in calls[:2]] == [4, 4]
-    assert calls[2 + refolds][-2] == 0
+    assert calls[2 + refolds][0] == 0
     total, chunk = cfg.washout + n_steps, esn._CHUNK_STEPS
-    later = [call[-2] for call in calls[3 + refolds :]]
-    assert later == [min(chunk, total - t0) for t0 in range(chunk, total, chunk)]
+    later = [call[0] for call in calls[3 + refolds :]]
+    span = esn._SEGMENT_STEPS
+    lengths = [min(chunk, total - t0) for t0 in range(chunk, total, chunk)]
+    assert later == [steps for n in lengths for steps in [span] * (n // span) + [n % span]]
     monkeypatch.setattr(esn, "_SPECULATE_MAX_STATE", 0)
     assert np.array_equal(segmented, _stream_rows(observations, w, cfg, first, n_steps))
 
@@ -1055,7 +1127,127 @@ def test_default_sweep_folds_in_segments_without_refolds(monkeypatch):
     records = run_sweep(cfg)
     assert all(rec.ok for rec in records)
     assert _refolds(calls) == 0
-    # only a chunk of fewer than two segments folds in one sequential
-    # _fold; every other call folds at most one segment
+    # only a chunk of fewer than two segments folds without guesses;
+    # every call folds at most one segment
     assert any(len(call) == 4 for call in calls)
-    assert max(call[-2] for call in calls) < 2 * esn._SEGMENT_STEPS
+    assert max(call[0] for call in calls) <= esn._SEGMENT_STEPS
+
+
+# -------------------------------------------------------- the helper thread
+
+def _fit_and_equalize(observations, frame, w, cfg):
+    """A readout per observation and every estimate chunk (copied) of one
+    stream each, trained on the first half of the guard-trimmed region and
+    equalized over the second."""
+    first, last = guard_trimmed(observations[-1], frame)
+    middle = first + (last - first) // 2
+    w_outs = fit_readout_batch(observations, frame, w, cfg, first, middle)
+    chunks = [(start, chunk.copy())
+              for start, chunk in equalize_stream(observations, frame, w, w_outs, cfg, middle, last)]
+    return w_outs, chunks
+
+
+@pytest.mark.parametrize(
+    "case, n_out, batch, n_res, leak",
+    [
+        ("segments", 1, 1, 30, 0.7),
+        ("segments", 1, 3, 30, 0.7),
+        ("segments", 17, 1, 30, 0.7),
+        ("segments", 17, 3, 30, 0.7),
+        ("window only", 17, 3, 30, 0.7),
+        ("sequential", 1, 3, 100, 0.7),
+        ("refolds", 1, 1, 300, 0.05),
+    ],
+)
+def test_the_helper_thread_changes_no_bit(monkeypatch, desk, case, n_out, batch, n_res, leak):
+    # the calling thread folds while the helper builds, consumes and
+    # projects; run inline on the calling thread, in order, the helper's
+    # work must give the same bits. The threads switch every microsecond,
+    # so a buffer one of them reuses too early would show. Chunks of 512
+    # steps give every case several chunks of two segments each
+    monkeypatch.setattr(esn, "_CHUNK_STEPS", 512)
+    observations, frame = desk[50.0]
+    observations = observations[:batch]
+    cfg = EsnConfig(n_out=n_out, n_res=n_res, leak=leak)
+    w = init_weights(cfg)
+    if case == "window only":
+        w.out_mask[:, : cfg.n_res] = False
+    if case == "refolds":
+        # guess at this batch's size, so the stream refolds and then stops
+        # guessing; a shorter frame keeps the 300-node fold quick
+        monkeypatch.setattr(esn, "_SPECULATE_MAX_STATE", n_res)
+        frame = SymbolFrame(frame.levels[:4000])
+        observations = [replace(obs, rows=obs.rows[:, :8000], noise=obs.noise[:, :8000])
+                        for obs in observations]
+    calls, threads, consume = _fold_calls(monkeypatch), set(), esn._step_stream
+
+    def recorded(observations, w, cfg, first, n_steps, consume_rows):
+        def on_the_helper(*args):
+            threads.add(threading.get_ident())
+            consume_rows(*args)
+
+        return consume(observations, w, cfg, first, n_steps, on_the_helper)
+
+    interval = sys.getswitchinterval()
+    with monkeypatch.context() as patch:
+        patch.setattr(esn, "_step_stream", recorded)
+        sys.setswitchinterval(1e-6)
+        try:
+            w_outs, chunks = _fit_and_equalize(observations, frame, w, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+    # every consumer ran on a helper thread, never on the calling thread
+    assert threads and threading.get_ident() not in threads
+    shapes = {len(call) for call in calls}
+    assert shapes == {"segments": {3, 4}, "window only": set(), "sequential": {3},
+                      "refolds": {3, 4}}[case]
+    if case == "refolds":
+        assert _refolds(calls) > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(esn, "_helper_thread", inline_helper)
+        inline_w_outs, inline_chunks = _fit_and_equalize(observations, frame, w, cfg)
+    assert np.array_equal(w_outs, inline_w_outs)
+    assert len(chunks) == len(inline_chunks) > 1
+    for (start, chunk), (inline_start, inline_chunk) in zip(chunks, inline_chunks):
+        assert start == inline_start
+        assert np.array_equal(chunk, inline_chunk)
+
+
+def test_a_consumer_that_raises_on_the_helper_reraises_here(desk):
+    observations, frame = desk[0.0]
+    cfg = EsnConfig(n_out=1)
+    w = init_weights(cfg)
+    first, last = guard_trimmed(observations[0], frame)
+    n_steps = esn._target_region(observations, frame, cfg, first, last)
+    before = threading.active_count()
+
+    def failing(slot, b, t0, rows):
+        if t0 >= 2 * esn._CHUNK_STEPS:
+            raise RuntimeError("consumer failed")
+
+    stream = esn._step_stream(observations, w, cfg, first, n_steps, failing)
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        for _ in stream:
+            pass
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_stream(desk):
+    # the helper starts and is joined within each stream, whether it runs
+    # to its end or is closed halfway, so a sweep worker forked later
+    # inherits none
+    observations, frame = desk[0.0]
+    cfg = EsnConfig(n_out=1)
+    w = init_weights(cfg)
+    first, last = guard_trimmed(observations[0], frame)
+    before = threading.active_count()
+    w_outs = fit_readout_batch(observations, frame, w, cfg, first, last)
+    assert threading.active_count() == before
+    stream = equalize_stream(observations, frame, w, w_outs, cfg, first, last)
+    assert len(list(stream)) > 2
+    assert threading.active_count() == before
+    stream = equalize_stream(observations, frame, w, w_outs, cfg, first, last)
+    next(stream)
+    assert threading.active_count() == before + 1
+    stream.close()
+    assert threading.active_count() == before

@@ -8,8 +8,6 @@ decision) rather than by the code under test.
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -37,6 +35,7 @@ from slicerc.link import (
 from slicerc.rng import STREAM_BITS, STREAM_SLICE_NOISE, substream
 
 from fresh_process import run_fresh
+from inline_helper import inline_helper
 
 
 def cfg_with(**kw) -> LinkConfig:
@@ -634,19 +633,6 @@ def test_detect_frame_keeps_the_one_transform_bits(n_symbols, sps, length, num_s
         assert np.array_equal(row, want)
 
 
-@contextmanager
-def inline_helper():
-    """A stand-in for link._helper_thread that runs each task at once on
-    the calling thread."""
-
-    def submit(fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-    yield submit
-
-
 @pytest.mark.parametrize(
     "pieces, n_symbols, shape",
     [(256, 4096, (4, 256)), (1000, 4096, (2, 1024)), (256, 4095, (1, 4095))],
@@ -663,10 +649,14 @@ def test_the_helper_thread_changes_no_bit(pieces, n_symbols, shape, monkeypatch)
     monkeypatch.setattr(link, "_SPLIT_ABOVE_BYTES", 0)
     monkeypatch.setattr(link, "_PIECE_POINTS", pieces)
     cfg = cfg_with(n_symbols=n_symbols, fiber_length_km=50.0, snr_db=12.0, seed=11)
-    spec_shapes, workers, square_law = [], set(), link._square_law
+    spec_shapes, square_law = [], link._square_law
+    # the threads that square each call's slices, counted per call: a
+    # joined helper's id may or may not be reused by the next call's
+    workers = {"detect_frame": set(), "simulate_link": set()}
+    calling = workers["detect_frame"]
 
     def recorded(field, offset, out, scratch):
-        workers.add(threading.get_ident())
+        calling.add(threading.get_ident())
         square_law(field, offset, out, scratch)
 
     detect, interval = link._detect_slice, sys.getswitchinterval()
@@ -676,11 +666,14 @@ def test_the_helper_thread_changes_no_bit(pieces, n_symbols, shape, monkeypatch)
         sys.setswitchinterval(1e-6)
         try:
             threaded = detect_frame(cfg)[0].copy()
+            calling = workers["simulate_link"]
             threaded_obs = simulate_link(cfg)[0]
         finally:
             sys.setswitchinterval(interval)
     assert set(spec_shapes) == {shape}
-    assert len(workers) == 2
+    # each call squares on the calling thread and on exactly one helper
+    for seen in workers.values():
+        assert len(seen) == 2 and threading.get_ident() in seen
     with monkeypatch.context() as patch:
         patch.setattr(link, "_helper_thread", inline_helper)
         inline = detect_frame(cfg)[0]
