@@ -71,15 +71,13 @@ block and writes the new state straight into it, in six calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from math import isfinite
-from numbers import Integral
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .link import SlicedObservation, SymbolFrame, _helper_thread
+from .link import SlicedObservation, SymbolFrame, _check_field_types, _helper_thread
 from .rng import STREAM_OUT_MASK, STREAM_W_IN, STREAM_W_RES, substream
 
 # Steps per chunk of the step stream. Bounds the stream's memory at about
@@ -120,12 +118,7 @@ class EsnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        _check_field_types(self)
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if self.n_res < 1:
@@ -258,21 +251,20 @@ class _WindowGather:
     the symbol. Window positions outside the frame read zeros: the
     observation writes the steps' symbol span of noisy samples into a
     zero-padded span, whose windows are a strided view copied into place
-    in one call. One span and its window view serve every call of a
-    length, and they are allocated here for each length in ``lengths``.
+    in one call. One span, sized here for ``n_steps`` steps, serves every
+    call of at most that many: a call for fewer writes the span's prefix
+    and copies the first of its windows.
     """
 
-    def __init__(self, cfg: EsnConfig, first_target: int, lengths: set[int]) -> None:
+    def __init__(self, cfg: EsnConfig, first_target: int, n_steps: int) -> None:
         self.cfg, self.first = cfg, first_target
-        self.spans = {}
-        for n_steps in lengths:
-            span = np.zeros((cfg.num_slices, ((n_steps - 1) * cfg.n_out + cfg.m) * cfg.sps))
-            windows = sliding_window_view(span, cfg.m * cfg.sps, axis=1)[:, :: cfg.n_out * cfg.sps]
-            self.spans[n_steps] = span, windows.swapaxes(0, 1)
+        self.span = np.zeros((cfg.num_slices, ((n_steps - 1) * cfg.n_out + cfg.m) * cfg.sps))
+        windows = sliding_window_view(self.span, cfg.m * cfg.sps, axis=1)
+        self.windows = windows[:, :: cfg.n_out * cfg.sps].swapaxes(0, 1)
 
     def __call__(self, obs: SlicedObservation, t0: int, t1: int, out: np.ndarray) -> np.ndarray:
         cfg, sps = self.cfg, self.cfg.sps
-        span, windows = self.spans[t1 - t0]
+        span = self.span[:, : ((t1 - t0 - 1) * cfg.n_out + cfg.m) * sps]
         lo = self.first + t0 * cfg.n_out - (cfg.m - cfg.n_out) // 2
         hi = lo + span.shape[1] // sps
         a = max(lo, 0)
@@ -286,7 +278,8 @@ class _WindowGather:
         obs.write_samples(a * sps, b * sps, out=span[:, (a - lo) * sps : (b - lo) * sps])
         # the window columns of a design row are contiguous, so this is a
         # view; copy=False raises rather than copy
-        out.reshape(t1 - t0, cfg.num_slices, cfg.m * sps, copy=False)[...] = windows
+        rows = out.reshape(t1 - t0, cfg.num_slices, cfg.m * sps, copy=False)
+        rows[...] = self.windows[: t1 - t0]
         return out
 
 
@@ -443,8 +436,8 @@ def _step_stream(
     chunks = [
         (t0, min(t0 + _CHUNK_STEPS, n_steps)) for t0 in range(-cfg.washout, n_steps, _CHUNK_STEPS)
     ]
-    gather = _WindowGather(cfg, first, {t1 - t0 for t0, t1 in chunks})
     size = chunks[0][1] - chunks[0][0]
+    gather = _WindowGather(cfg, first, size)
     rows = np.empty((size, d + 1))
     rows[:, d] = 1.0
     fold = _reads_reservoir(w, cfg)

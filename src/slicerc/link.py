@@ -102,7 +102,16 @@ _TWIDDLE_BLOCK = 512
 # this many, so either needs a scratch of 512 KiB, not one of a row
 _NOISE_POINTS = 2**16
 
-_CACHE_LINE = 64  # bytes
+
+def _check_field_types(config: object) -> None:
+    """Refuse a config dataclass whose ``float`` field holds a non-finite
+    value or whose ``int`` field holds a bool or a non-integer."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,12 +132,7 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        _check_field_types(self)
         if self.fiber_length_km < 0:
             raise ValueError("fiber_length_km must be >= 0")
         if self.baud_rate <= 0:
@@ -499,19 +503,6 @@ def _square_law(field: np.ndarray, offset: complex, out: np.ndarray, scratch: np
     np.square(out, out=out)
 
 
-def _empty_lines(count: int, n: int, dtype: type = float) -> np.ndarray:
-    """An uninitialised (count, n) array each of whose lines starts on a
-    cache line: the lines lie in one buffer at a stride rounded up to whole
-    cache lines. Two threads that write the columns of a line below and
-    from a multiple of eight then never write the same cache line."""
-    item = np.dtype(dtype).itemsize
-    per_line = _CACHE_LINE // item
-    stride = -(-n // per_line) * per_line
-    buf = np.empty(count * stride + per_line, dtype)
-    skip = -buf.ctypes.data % _CACHE_LINE // item
-    return buf[skip : skip + count * stride].reshape(count, stride)[:, :n]
-
-
 @contextmanager
 def _helper_thread() -> Iterator[Callable[..., Future]]:
     """One helper thread for the span of a ``with`` block: yields
@@ -565,10 +556,8 @@ def _detect_slice(
     helper behind ``submit`` share each one. Once this thread's products
     have filled ``spec``, each turns and transforms half of its lines,
     and then each squares half of its columns into its own buffer
-    (``out[0]`` here, ``out[1]`` on the helper). The halves meet at a
-    multiple of eight columns, so on lines that start on a cache line
-    (:func:`_empty_lines`) the two never write the same cache line of the
-    row or of ``spec``. Every sample is computed as it is by one thread.
+    (``out[0]`` here, ``out[1]`` on the helper). The halves meet at column
+    ``m // 2``. Every sample is computed as it is by one thread.
     """
     group, m = spec.shape
     phases = row.size // m
@@ -577,8 +566,7 @@ def _detect_slice(
     cuts = sorted({0, first % m, (last + 1) % m, m})
     lines, columns = [(0, group)], [(0, m, out[0])]
     if phases > group:
-        half = m // 2 - m // 2 % 8
-        columns = [(0, half, out[0]), (half, m, out[1])]
+        columns = [(0, m // 2, out[0]), (m // 2, m, out[1])]
         if group > 1:
             lines = [(0, group // 2), (group // 2, group)]
 
@@ -817,16 +805,14 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     samples), this thread and a helper thread, started and joined within
     the call, share each group in the one phase buffer: each turns and
     transforms half of its lines, then squares half of its columns into
-    the row. The rows and the phase buffer start each line on a cache
-    line (:func:`_empty_lines`), so the two never write the same one.
-    Each transform and each sample is the one a single thread makes, so
-    the rows keep their bits.
+    the row. Each transform and each sample is the one a single thread
+    makes, so the rows keep their bits.
 
     The peak is the end of the last two slices: three rows, the band and
     the phase buffer, then four rows and the phase buffer once the last
     slice's bins are copied out and the band is freed, with the scratch
     of two concurrent 2^18-point transforms. At the defaults the peak RSS
-    grows by 1.37x the rows at 2^21 symbols and by 1.96x at 2109375
+    grows by 1.397x the rows at 2^21 symbols and by 1.99x at 2109375
     symbols (P = 2, one m = n/2 line at a time, so the helper takes
     columns only).
     """
@@ -853,12 +839,12 @@ def detect_frame(cfg: LinkConfig) -> tuple[np.ndarray, SymbolFrame]:
     # fftfreq's own expression, so each bin's frequency keeps its bits
     band *= _dispersion_factor(np.arange(lo, hi) * (1.0 / (n * (1.0 / cfg.sample_rate))), cfg)
     carrier = band[-lo] / n
-    rows = _empty_lines(cfg.num_slices, n)
+    rows = np.empty((cfg.num_slices, n))
     m = n // phases
     group = min(_GROUP_PHASES, phases)
     while group > 1 and group * m > _GROUP_PHASES * _PIECE_POINTS:
         group //= 2
-    spec = _empty_lines(group, m, complex)
+    spec = np.empty((group, m), complex)
     # the helper's own square-law buffer, where it shares the slices' groups
     detected = np.empty((1 + (phases > group), group, _DETECT_COLUMNS))
     with _helper_thread() as submit:

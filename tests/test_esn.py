@@ -90,7 +90,7 @@ def fold(inputs: np.ndarray, w: EsnWeights, leak: float, x=None) -> np.ndarray:
 def gather_inputs(observations, cfg, first, t0, t1, gather=None):
     """Window columns (B, t1 - t0, n_in) of steps [t0, t1), through one
     esn._WindowGather (a new one unless ``gather`` is given)."""
-    gather = gather or esn._WindowGather(cfg, first, {t1 - t0})
+    gather = gather or esn._WindowGather(cfg, first, t1 - t0)
     return np.stack([gather(obs, t0, t1, np.empty((t1 - t0, cfg.n_in))) for obs in observations])
 
 
@@ -828,11 +828,13 @@ def test_strided_gather_matches_oracle_at_edges_and_warm_up(n_out):
         assert inputs.shape == (2, t1 - t0, cfg.n_in)
         for obs, got in zip(observations, inputs):
             assert np.array_equal(got, oracle_windows(obs, cfg, first + t0 * n_out, t1 - t0))
-    # one gather reuses its span for every chunk of a length: a chunk in
-    # the middle after one off either edge must not read the old padding
-    steps = 4
-    gather = esn._WindowGather(cfg, 0, {steps})
-    for t0 in (-3, 5, n_steps - 2, 5, -3, n_steps - 2):
+    # one gather's span serves every chunk up to the length it was sized
+    # for: a chunk in the middle after one off either edge, or a shorter
+    # chunk after a longer one and back, must not read the old padding
+    # or the old samples
+    gather = esn._WindowGather(cfg, 0, 6)
+    chunks = [(t0, steps) for steps in (6, 4, 1, 6) for t0 in (-3, 5, n_steps - 2)]
+    for t0, steps in chunks + chunks[::-1]:
         got = gather_inputs(observations, cfg, 0, t0, t0 + steps, gather)
         for obs, rows in zip(observations, got):
             assert np.array_equal(rows, oracle_windows(obs, cfg, t0 * n_out, steps))

@@ -11,10 +11,16 @@ a function that only its own tests call is dead code with a test.
 The same holds for the defaulted parameters of public functions: some
 call in the package, the benchmark or the README's python block must
 pass each one, or its non-default branch runs only under test.
+
+A private top-level function, class or constant (dunders aside) counts
+as used only when the package itself reads it outside its own
+definition: neither the benchmark nor the README may keep a private
+name alive.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +98,92 @@ def test_the_scan_sees_definitions_and_uses():
     assert "rrc_taps" in referenced_names()
     assert "photodetect_and_load_noise" in traced_names()
     assert "demap_gray_pam4" in readme_names()
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Private top-level function, class and constant names of a module
+    -> the statement that defines them."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defined.update({name: node for name in names if _is_private(name)})
+    return defined
+
+
+def reads(node: ast.AST) -> Counter:
+    """How often each name or attribute is read (loaded) within ``node``."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found[sub.attr] += 1
+    return found
+
+
+def unread_private_names(modules: dict[str, ast.Module]) -> dict[str, str]:
+    """Private top-level names of ``modules`` (file name -> tree) that no
+    module reads outside the name's own definition -> defining file. An
+    import is not a read, and neither is a call a function makes to itself."""
+    everywhere = sum((reads(tree) for tree in modules.values()), Counter())
+    return {
+        name: module
+        for module, tree in sorted(modules.items())
+        for name, node in private_definitions(tree).items()
+        if everywhere[name] - reads(node)[name] == 0
+    }
+
+
+def package_modules() -> dict[str, ast.Module]:
+    return {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a helper that only the tests or the benchmark call, or a leftover
+    # that nothing calls, is dead code
+    unread = unread_private_names(package_modules())
+    assert not unread, f"private names the package never reads: {unread}"
+
+
+def test_the_private_scan_sees_definitions_and_reads():
+    # guards the scan itself: known private functions, classes and
+    # constants are found in their modules, and in a made-up package a
+    # helper that only calls itself, a constant only assigned and a name
+    # only imported are unread, while names read by another module, as an
+    # attribute, or inside another definition are read
+    package = package_modules()
+    assert "_helper_thread" in private_definitions(package["link.py"])
+    assert "_WindowGather" in private_definitions(package["esn.py"])
+    assert "_CHUNK_STEPS" in private_definitions(package["esn.py"])
+    assert "__version__" not in private_definitions(package["__init__.py"])
+    made_up = {
+        "a.py": ast.parse(
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "def _recurse(n):\n    return _recurse(n - 1) if n else _LIMIT\n"
+            "def _helper():\n    return 1\n"
+            "class _Kind:\n    pass\n"
+            "def public():\n    return _helper()\n"
+        ),
+        "b.py": ast.parse(
+            "from .a import _Kind, _recurse\n"
+            "import a\n"
+            "def use():\n    return a._LIMIT\n"
+        ),
+    }
+    assert unread_private_names(made_up) == {
+        "_UNUSED": "a.py", "_recurse": "a.py", "_Kind": "a.py"
+    }
 
 
 # parameters whose default serves a seam outside the package: the tests
